@@ -6,135 +6,65 @@ plus one line segment) whose smallest radius of curvature is as large
 as possible, together with the bounded-radius curve families, numerical
 optimality certificates, a parabola baseline, constant-distance offsets
 and SVG export.
+
+Importing the package is cheap: each public name is loaded from its
+submodule on first access (PEP 562), so numpy is imported only once
+sampling or certificate code is used.
 """
 
-from .baselines import ComparisonReport, QuadraticBezier, bezier_min_radius, compare_report
-from .certificates import (
-    Certificate,
-    frame_gap_profiles,
-    make_certificate,
-    support_min,
-    tangent_intercepts,
-    theta_phi_bound,
-    zeta0_closed_form,
-    zeta0_coefficients,
-    zeta0_geometric,
-    zeta_profile,
-)
-from .curves import (
-    Arc,
-    MembershipReport,
-    PathBuilder,
-    PiecewiseCurve,
-    Segment,
-    check_membership,
-    curve_from_json,
-    curve_to_json,
-    heading,
-    max_curvature,
-    numeric_curvature,
-    sample_polyline,
-)
-from .dubins import (
-    CompositeCurve,
-    DubinsCurve,
-    SweepReport,
-    composite_solve,
-    dubins_curve,
-    family_sweep,
-    is_feasible_radius,
-)
-from .errors import (
-    ArclineError,
-    DegenerateInput,
-    HypothesisViolated,
-    IllPosedAngle,
-    InternalError,
-    InvalidInput,
-    NoAdmissibleCurve,
-    OutOfRange,
-    RadiusNotAdmissible,
-    UndefinedHeading,
-)
-from .geometry import Frame, Point2, Vec2, oriented_angle, principal_angle, rot90
-from .instance import (
-    ProblemInstance,
-    instance_from_json,
-    instance_from_tangents,
-    instance_to_json,
-    make_instance,
-    random_instance,
-    similarity_transform,
-)
-from .offsets import OffsetResult, offset
-from .svg import to_svg
-from .synthesis import OptimalSolution, arc_radius, illposed_demo, synthesize, tangency_oracle
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "ArclineError",
-    "Certificate",
-    "ComparisonReport",
-    "CompositeCurve",
-    "DegenerateInput",
-    "DubinsCurve",
-    "Frame",
-    "HypothesisViolated",
-    "IllPosedAngle",
-    "InternalError",
-    "InvalidInput",
-    "MembershipReport",
-    "NoAdmissibleCurve",
-    "OffsetResult",
-    "OptimalSolution",
-    "OutOfRange",
-    "PathBuilder",
-    "PiecewiseCurve",
-    "Point2",
-    "ProblemInstance",
-    "QuadraticBezier",
-    "RadiusNotAdmissible",
-    "Segment",
-    "SweepReport",
-    "UndefinedHeading",
-    "Vec2",
-    "arc_radius",
-    "bezier_min_radius",
-    "check_membership",
-    "compare_report",
-    "composite_solve",
-    "curve_from_json",
-    "curve_to_json",
-    "dubins_curve",
-    "family_sweep",
-    "frame_gap_profiles",
-    "heading",
-    "illposed_demo",
-    "instance_from_json",
-    "instance_from_tangents",
-    "instance_to_json",
-    "is_feasible_radius",
-    "make_certificate",
-    "make_instance",
-    "max_curvature",
-    "numeric_curvature",
-    "offset",
-    "oriented_angle",
-    "principal_angle",
-    "random_instance",
-    "rot90",
-    "sample_polyline",
-    "similarity_transform",
-    "support_min",
-    "synthesize",
-    "tangency_oracle",
-    "tangent_intercepts",
-    "theta_phi_bound",
-    "to_svg",
-    "zeta0_closed_form",
-    "zeta0_coefficients",
-    "zeta0_geometric",
-    "zeta_profile",
-]
+#: public name -> submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(
+        ("ComparisonReport", "QuadraticBezier", "bezier_min_radius", "compare_report"),
+        "baselines"),
+    **dict.fromkeys(
+        ("Certificate", "frame_gap_profiles", "make_certificate", "support_min",
+         "tangent_intercepts", "theta_phi_bound", "zeta0_closed_form",
+         "zeta0_coefficients", "zeta0_geometric", "zeta_profile"),
+        "certificates"),
+    **dict.fromkeys(
+        ("Arc", "MembershipReport", "PathBuilder", "PiecewiseCurve", "Segment",
+         "check_membership", "curve_from_json", "curve_to_json", "heading",
+         "max_curvature", "numeric_curvature", "sample_polyline"),
+        "curves"),
+    **dict.fromkeys(
+        ("CompositeCurve", "DubinsCurve", "SweepReport", "composite_solve",
+         "dubins_curve", "family_sweep", "is_feasible_radius"),
+        "dubins"),
+    **dict.fromkeys(
+        ("ArclineError", "DegenerateInput", "HypothesisViolated", "IllPosedAngle",
+         "InternalError", "InvalidInput", "NoAdmissibleCurve", "OutOfRange",
+         "RadiusNotAdmissible", "UndefinedHeading"),
+        "errors"),
+    **dict.fromkeys(
+        ("Frame", "Point2", "Vec2", "oriented_angle", "principal_angle", "rot90"),
+        "geometry"),
+    **dict.fromkeys(
+        ("ProblemInstance", "instance_from_json", "instance_from_tangents",
+         "instance_to_json", "make_instance", "random_instance", "similarity_transform"),
+        "instance"),
+    **dict.fromkeys(("OffsetResult", "offset"), "offsets"),
+    **dict.fromkeys(("to_svg",), "svg"),
+    **dict.fromkeys(
+        ("OptimalSolution", "arc_radius", "illposed_demo", "synthesize", "tangency_oracle"),
+        "synthesis"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -4,6 +4,10 @@ JSON in, JSON or SVG out.  Exit codes: 0 success, 1 validation error,
 2 internal error.  Errors are written to stderr as one JSON object.
 All numeric JSON output is rounded to 15 significant digits and keys
 are sorted, so identical inputs give byte-identical outputs.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only its own subcommand's code: numpy and the certificate module
+are imported by ``verify`` alone.
 """
 
 from __future__ import annotations
@@ -12,16 +16,9 @@ import argparse
 import json
 import sys
 
-from .baselines import compare_report
-from .certificates import make_certificate
-from .curves import check_membership, curve_from_json, curve_to_json
-from .dubins import family_sweep
 from .errors import ArclineError, InternalError, InvalidInput
 from .geometry import Vec2
 from .instance import instance_from_json
-from .offsets import offset
-from .svg import to_svg
-from .synthesis import illposed_demo, synthesize
 
 _DEMO_DATA = {"A": [0.0, 0.0], "alpha": [1.0, 0.0],
               "B": [2.0, 1.0], "beta": [0.0, -1.0]}
@@ -82,6 +79,11 @@ def _vec(obj: dict, key: str) -> Vec2:
 
 
 def _cmd_solve(args) -> None:
+    from .curves import curve_to_json
+    from .offsets import offset
+    from .svg import to_svg
+    from .synthesis import synthesize
+
     inst = instance_from_json(_load_json(args.input))
     sol = synthesize(inst)
     payload = sol.as_dict()
@@ -100,6 +102,10 @@ def _cmd_solve(args) -> None:
 
 
 def _cmd_verify(args) -> None:
+    from .certificates import make_certificate
+    from .curves import check_membership, curve_from_json
+    from .synthesis import synthesize
+
     obj = _load_json(args.input)
     if "instance" not in obj or "curve" not in obj:
         raise InvalidInput('verify input needs "instance" and "curve" members')
@@ -115,17 +121,25 @@ def _cmd_verify(args) -> None:
 
 
 def _cmd_sweep(args) -> None:
+    from .dubins import family_sweep
+
     inst = instance_from_json(_load_json(args.input))
     report = family_sweep(inst, grid_n=args.grid)
     _write(_dump_json(report.as_dict()), args.output)
 
 
 def _cmd_compare(args) -> None:
+    from .baselines import compare_report
+
     inst = instance_from_json(_load_json(args.input))
     _write(_dump_json(compare_report(inst).as_dict()), args.output)
 
 
 def _cmd_export(args) -> None:
+    from .curves import curve_from_json
+    from .offsets import offset
+    from .svg import to_svg
+
     curve = curve_from_json(_load_json(args.input))
     curves = [curve]
     if args.offset is not None:
@@ -135,6 +149,9 @@ def _cmd_export(args) -> None:
 
 
 def _cmd_demo_illposed(args) -> None:
+    from .curves import curve_to_json
+    from .synthesis import illposed_demo
+
     if args.radius is None:
         raise InvalidInput("demo-illposed requires --radius")
     data = _load_json(args.input) if args.input else dict(_DEMO_DATA)

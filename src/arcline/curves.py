@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Union
 
 from .errors import InvalidInput, OutOfRange
 from .geometry import (
@@ -29,6 +27,9 @@ from .geometry import (
     rot90,
 )
 from .instance import ProblemInstance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: relative normalization threshold: primitives this short are dropped
 DROP_REL = 1e-12
@@ -247,6 +248,8 @@ class PiecewiseCurve:
 
     def sample_at(self, svals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized evaluation: points (n,2), tangents (n,2), curvature (n,)."""
+        import numpy as np
+
         svals = np.asarray(svals, dtype=float)
         slack = 1e-12 * max(1.0, self.length)
         if svals.min(initial=0.0) < -slack or svals.max(initial=0.0) > self.length + slack:

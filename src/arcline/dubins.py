@@ -142,7 +142,9 @@ def _composite_params(view: _ArcFirstView, r1: float, r2: float,
     d3 = t
     if d2 < -tol:
         return None
-    return max(d1, 0.0), max(d2, 0.0), d3
+    # lengths within tol of zero are rounding noise: a zero-length segment
+    # cannot be built, so snap them to exactly 0
+    return (d1 if d1 > tol else 0.0), (d2 if d2 > tol else 0.0), (d3 if d3 > tol else 0.0)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,8 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
         tangency = inst.A + inst.alpha * seg_len
         center = tangency + rot90(inst.alpha) * ra
         arc = Arc(center, ra, (tangency - center).angle(), inst.omega)
-        prims = [Segment(inst.A, tangency), arc]
+        # a rounding-noise segment (OA == OB up to the last bits) is dropped
+        prims = [Segment(inst.A, tangency), arc] if seg_len > pos_tol else [arc]
         if dist(arc.end_point, inst.B) > pos_tol:
             raise InternalError(
                 f"closure identity violated by {dist(arc.end_point, inst.B)!r}")

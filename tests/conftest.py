@@ -42,6 +42,35 @@ def instances(seed: int, count: int, omega_lo: float = 0.1, omega_hi: float = ma
     return out
 
 
+def symmetric_instances(seed: int, count: int, exact: bool = False):
+    """OA == OB instances, scale in [0.1, 10] and apex in [-50, 50]^2.
+
+    By default the pose is random, so the two legs differ by rounding.
+    With `exact` the pose is axis-aligned with dyadic legs and an integer
+    apex, so OA == OB bit for bit.
+    """
+    rng = make_rng(seed)
+    out = []
+    for _ in range(count):
+        omega = rng.uniform(0.1, math.pi - 0.1)
+        leg = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        turn = omega if rng.random() < 0.5 else -omega
+        if exact:
+            half = 0.5 * (math.pi - omega)
+            a = round(leg * math.sin(half) * 2.0**20) / 2.0**20
+            h = round(leg * math.cos(half) * 2.0**20) / 2.0**20
+            O = Vec2(float(rng.randint(-50, 50)), float(rng.randint(-50, 50)))
+            side = math.copysign(a, turn)
+            out.append(make_instance(O, O + Vec2(-side, -h), O + Vec2(side, -h)))
+            continue
+        pose = rng.uniform(-math.pi, math.pi)
+        O = Vec2(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
+        alpha = Vec2(math.cos(pose), math.sin(pose))
+        beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
+        out.append(make_instance(O, O - alpha * leg, O + beta * leg))
+    return out
+
+
 def rigid_motion(curve: PiecewiseCurve, rotation: float, translation: Vec2) -> PiecewiseCurve:
     """Test helper: rotate then translate every primitive."""
     c, s = math.cos(rotation), math.sin(rotation)

@@ -17,7 +17,7 @@ from arcline import (
     max_curvature,
     synthesize,
 )
-from conftest import instances, sampled_hausdorff
+from conftest import instances, sampled_hausdorff, symmetric_instances
 
 
 def test_limit_curve_equals_optimal(worked_instance):
@@ -114,6 +114,18 @@ def test_composite_membership_and_closure_randomized():
             assert check_membership(comp.curve, inst).in_e, (inst, r1, r2)
             assert comp.sweep1 == pytest.approx(inst.omega / 2.0)
             assert comp.sweep2 == pytest.approx(inst.omega / 2.0)
+
+
+def test_composite_equal_radii_on_symmetric_instances():
+    # at (0.5, 0.5) R_a the closing lengths d1, d3 can come out as rounding
+    # noise; they must be snapped to zero instead of building a degenerate segment
+    for inst in symmetric_instances(5, 300) + symmetric_instances(6, 300, exact=True):
+        ra = arc_radius(inst)
+        comp = composite_solve(inst, 0.5 * ra, 0.5 * ra)
+        assert comp is not None
+        assert check_membership(comp.curve, inst).in_e
+        tol = 1e-9 * inst.diameter
+        assert all(d == 0.0 or d > tol for d in (comp.d1, comp.d2, comp.d3))
 
 
 def test_composite_custom_split(worked_instance):

@@ -1,0 +1,92 @@
+"""The package and the CLI load submodules, and numpy, only on demand."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import arcline
+from arcline import curve_to_json, instance_from_json, synthesize
+
+WORKED = {"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}
+
+PUBLIC_NAMES = [
+    "Arc", "ArclineError", "Certificate", "ComparisonReport", "CompositeCurve",
+    "DegenerateInput", "DubinsCurve", "Frame", "HypothesisViolated", "IllPosedAngle",
+    "InternalError", "InvalidInput", "MembershipReport", "NoAdmissibleCurve",
+    "OffsetResult", "OptimalSolution", "OutOfRange", "PathBuilder", "PiecewiseCurve",
+    "Point2", "ProblemInstance", "QuadraticBezier", "RadiusNotAdmissible", "Segment",
+    "SweepReport", "UndefinedHeading", "Vec2", "arc_radius", "bezier_min_radius",
+    "check_membership", "compare_report", "composite_solve", "curve_from_json",
+    "curve_to_json", "dubins_curve", "family_sweep", "frame_gap_profiles", "heading",
+    "illposed_demo", "instance_from_json", "instance_from_tangents", "instance_to_json",
+    "is_feasible_radius", "make_certificate", "make_instance", "max_curvature",
+    "numeric_curvature", "offset", "oriented_angle", "principal_angle",
+    "random_instance", "rot90", "sample_polyline", "similarity_transform",
+    "support_min", "synthesize", "tangency_oracle", "tangent_intercepts",
+    "theta_phi_bound", "to_svg", "zeta0_closed_form", "zeta0_coefficients",
+    "zeta0_geometric", "zeta_profile",
+]
+
+#: runs one CLI invocation, then reports which of the heavy modules it loaded
+CHILD = """
+import json, sys
+from arcline.cli import main
+code = main(sys.argv[1:])
+heavy = [m for m in ("numpy", "arcline.certificates") if m in sys.modules]
+sys.stderr.write(json.dumps({"code": code, "loaded": heavy}) + "\\n")
+"""
+
+
+def run_cli_child(argv):
+    src = os.path.dirname(os.path.dirname(arcline.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+def cli_argv(tmp_path):
+    inst = json.dumps(WORKED)
+    curve = json.dumps(curve_to_json(synthesize(instance_from_json(WORKED)).curve))
+    out = str(tmp_path / "out")
+    return {
+        "solve": ["solve", "--input", inst, "--output", out,
+                  "--svg", str(tmp_path / "solve.svg"), "--offset", "0.05"],
+        "compare": ["compare", "--input", inst, "--output", out],
+        "export": ["export", "--input", curve, "--offset", "0.05", "--output", out],
+        "demo-illposed": ["demo-illposed", "--radius", "5", "--output", out],
+        "sweep": ["sweep", "--input", inst, "--grid", "8", "--output", out],
+        "verify": ["verify", "--input", json.dumps({"instance": WORKED, "curve": json.loads(curve)}),
+                   "--samples", "64", "--output", out],
+    }
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "export", "demo-illposed", "sweep"])
+def test_subcommand_does_not_load_numpy(tmp_path, command):
+    report = run_cli_child(cli_argv(tmp_path)[command])
+    assert report == {"code": 0, "loaded": []}
+
+
+def test_verify_still_loads_certificates(tmp_path):
+    report = run_cli_child(cli_argv(tmp_path)["verify"])
+    assert report == {"code": 0, "loaded": ["numpy", "arcline.certificates"]}
+    payload = json.loads((tmp_path / "out").read_text())
+    assert payload["membership"]["inE"] is True
+
+
+def test_package_surface():
+    assert arcline.__all__ == PUBLIC_NAMES
+    for name in arcline.__all__:
+        module = importlib.import_module(f"arcline.{arcline._EXPORTS[name]}")
+        assert getattr(arcline, name) is getattr(module, name)
+    assert set(dir(arcline)) >= set(arcline.__all__)
+    with pytest.raises(AttributeError):
+        arcline.no_such_name
+    namespace = {}
+    exec("from arcline import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
+

@@ -22,7 +22,7 @@ from arcline import (
     synthesize,
     tangency_oracle,
 )
-from conftest import WORKED_RA, instances, rigid_motion
+from conftest import WORKED_RA, instances, rigid_motion, symmetric_instances
 
 
 def test_radius_worked_example(worked_instance):
@@ -108,6 +108,14 @@ def test_optimal_curve_in_e_randomized():
         report = check_membership(sol.curve, inst)
         assert report.in_e, (inst, report)
         assert max_curvature(sol.curve) == 1.0 / sol.radius
+
+
+def test_synthesize_rotated_symmetric_instances():
+    # OA and OB differ by rounding only; no noise-length segment may be built
+    for inst in symmetric_instances(11, 400):
+        sol = synthesize(inst)
+        assert check_membership(sol.curve, inst).in_e
+        assert sol.segment_length <= 1e-9 * inst.diameter
 
 
 def test_synthesize_equivariance():
