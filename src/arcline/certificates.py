@@ -35,22 +35,42 @@ from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius
 
 
+#: cells of the (s, t) grid evaluated per block in `support_min`
+SUPPORT_BLOCK_CELLS = 1 << 16
+
+
 def support_min(curve: PiecewiseCurve, n: int = 256) -> float:
     """Most negative normal component over an n x n (s, t) sample grid.
 
     gamma(s, t) = <X(t) - X(s), rot90(X'(s))> is nonnegative everywhere
     for admissible curves; a clearly negative minimum certifies the
     curve leaves the support half-plane of one of its tangents.
+
+    The grid is swept in blocks of whole rows, about SUPPORT_BLOCK_CELLS
+    (2**16) cells each, so memory is O(n): two block buffers of at most
+    max(n, 2**16) floats besides the samples.  A NaN sample propagates
+    to the result.
     """
     if n < 2:
         raise InvalidInput(f"need n >= 2 samples, got {n!r}")
     svals = np.linspace(0.0, curve.length, n)
     pts, tans, _ = curve.sample_at(svals)
-    normals = np.column_stack([-tans[:, 1], tans[:, 0]])
-    diff_x = pts[None, :, 0] - pts[:, None, 0]
-    diff_y = pts[None, :, 1] - pts[:, None, 1]
-    gamma = diff_x * normals[:, None, 0] + diff_y * normals[:, None, 1]
-    return float(gamma.min())
+    px, py = pts[:, 0].copy(), pts[:, 1].copy()
+    nx, ny = -tans[:, 1], tans[:, 0].copy()
+    rows = max(1, SUPPORT_BLOCK_CELLS // n)
+    gx = np.empty((min(rows, n), n))
+    gy = np.empty_like(gx)
+    best = np.inf
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        bx, by = gx[:hi - lo], gy[:hi - lo]
+        np.subtract(px, px[lo:hi, None], out=bx)
+        np.multiply(bx, nx[lo:hi, None], out=bx)
+        np.subtract(py, py[lo:hi, None], out=by)
+        np.multiply(by, ny[lo:hi, None], out=by)
+        np.add(bx, by, out=bx)
+        best = np.minimum(best, bx.min())
+    return float(best)
 
 
 @dataclass(frozen=True)
@@ -78,7 +98,7 @@ def _normalize_samples(inst: ProblemInstance, z: PiecewiseCurve,
         d = pts - np.array([inst.A.x, inst.A.y])
         ex, ey = frame.x_axis, frame.y_axis
         xy = np.column_stack([d @ np.array([ex.x, ex.y]), d @ np.array([ey.x, ey.y])])
-        theta = np.array([theta0 + z.turning(float(s)) for s in svals])
+        theta = theta0 + z.turning_at(svals)
     else:
         rev = z.length - svals
         pts, _, _ = z.sample_at(rev)
@@ -86,7 +106,7 @@ def _normalize_samples(inst: ProblemInstance, z: PiecewiseCurve,
         e1 = -inst.beta
         e2 = rot90(inst.beta)
         xy = np.column_stack([d @ np.array([e1.x, e1.y]), d @ np.array([e2.x, e2.y])])
-        theta = np.array([inst.omega - (theta0 + z.turning(float(s))) for s in rev])
+        theta = inst.omega - (theta0 + z.turning_at(rev))
     return _NormalizedCompetitor(xy=xy, theta=theta)
 
 

@@ -198,9 +198,13 @@ class PiecewiseCurve:
         """Extent-based scale for relative tolerances (at least 1)."""
         return self._scale
 
-    def _locate(self, s: float) -> tuple[int, float]:
+    def _outside(self, lo, hi) -> bool:
+        """True if [lo, hi] leaves [0, L] by more than the rounding slack."""
         slack = 1e-12 * max(1.0, self.length)
-        if s < -slack or s > self.length + slack:
+        return lo < -slack or hi > self.length + slack
+
+    def _locate(self, s: float) -> tuple[int, float]:
+        if self._outside(s, s):
             raise OutOfRange(f"arc length {s!r} outside [0, {self.length!r}]")
         s = min(max(s, 0.0), self.length)
         i = min(bisect_right(self.breaks, s) - 1, len(self.primitives) - 1)
@@ -246,25 +250,41 @@ class PiecewiseCurve:
     def reversed_copy(self) -> "PiecewiseCurve":
         return PiecewiseCurve([p.reversed() for p in reversed(self.primitives)])
 
+    def _locate_many(self, svals) -> tuple[np.ndarray, np.ndarray]:
+        """Vectorized `_locate`: primitive index and local arc length per sample."""
+        import numpy as np
+
+        svals = np.asarray(svals, dtype=float)
+        if self._outside(svals.min(initial=0.0), svals.max(initial=0.0)):
+            raise OutOfRange("sample arc length outside [0, L]")
+        s = np.clip(svals, 0.0, self.length)
+        breaks = np.asarray(self.breaks)
+        idx = np.clip(np.searchsorted(breaks, s, side="right") - 1,
+                      0, len(self.primitives) - 1)
+        return idx, s - breaks[idx]
+
+    def turning_at(self, svals) -> np.ndarray:
+        """Vectorized `turning`: the same value, bit for bit, at each sample."""
+        import numpy as np
+
+        idx, local = self._locate_many(svals)
+        sweeps = np.array([p.sweep_angle for p in self.primitives])
+        lengths = np.array([p.length for p in self.primitives])
+        return np.asarray(self._turn_breaks)[idx] + sweeps[idx] * (local / lengths[idx])
+
     def sample_at(self, svals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorized evaluation: points (n,2), tangents (n,2), curvature (n,)."""
         import numpy as np
 
-        svals = np.asarray(svals, dtype=float)
-        slack = 1e-12 * max(1.0, self.length)
-        if svals.min(initial=0.0) < -slack or svals.max(initial=0.0) > self.length + slack:
-            raise OutOfRange("sample arc length outside [0, L]")
-        s = np.clip(svals, 0.0, self.length)
-        idx = np.clip(np.searchsorted(self.breaks, s, side="right") - 1,
-                      0, len(self.primitives) - 1)
-        pts = np.empty((s.size, 2))
-        tans = np.empty((s.size, 2))
-        curv = np.empty(s.size)
+        idx, local_all = self._locate_many(svals)
+        pts = np.empty((idx.size, 2))
+        tans = np.empty((idx.size, 2))
+        curv = np.empty(idx.size)
         for i, prim in enumerate(self.primitives):
             mask = idx == i
             if not mask.any():
                 continue
-            local = s[mask] - self.breaks[i]
+            local = local_all[mask]
             if isinstance(prim, Segment):
                 d = prim.direction
                 pts[mask, 0] = prim.start.x + d.x * local

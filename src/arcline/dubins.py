@@ -272,21 +272,42 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
 
+    # _composite_params at split 0.5, unrolled: the constants and the
+    # per-column products are hoisted, every remaining operation keeps
+    # its operands and association, so feasibility is decided bit for bit
+    # as there; only the argmin cell's lengths are computed in full
+    om = view.omega
+    sin1, cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
+    sino, coso = math.sin(om), math.cos(om)
+    one_cos1 = 1.0 - cos1
+    k1 = math.sin(om - 0.5 * om) / sin1
+    k2 = -sino / sin1
+    xb, yb = view.xb, view.yb
+    cols = [(r2, r2 * (sino - sin1), r2 * (cos1 - coso)) for r2 in radii]
+
     best = math.inf
-    argmin: dict = {}
+    best_cell = None
     feasible = 0
     for r1 in radii:
-        for r2 in radii:
-            params = _composite_params(view, r1, r2, 0.5, tol)
-            if params is None:
+        ax = r1 * sin1
+        ay = r1 * one_cos1
+        for r2, bx, by in cols:
+            p2 = (yb - (ay + by)) / sin1
+            t = -((xb - (ax + bx)) - p2 * cos1) / k1
+            if not t > 0.0:
+                t = 0.0
+            if p2 + k2 * t < -tol:
                 continue
             feasible += 1
             mc = 1.0 / min(r1, r2)
             if mc < best:
                 best = mc
-                d1, d2, d3 = params
-                argmin = {"family": "p4", "R1": r1, "R2": r2,
-                          "d1": d1, "d2": d2, "d3": d3}
+                best_cell = (r1, r2)
+    argmin: dict = {}
+    if best_cell is not None:
+        r1, r2 = best_cell
+        d1, d2, d3 = _composite_params(view, r1, r2, 0.5, tol)
+        argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
     for r in radii:
         params = _p2_params(view, r, tol)
         if params is None:

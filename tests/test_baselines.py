@@ -10,7 +10,6 @@ from arcline import (
     arc_radius,
     bezier_min_radius,
     compare_report,
-    numeric_curvature,
 )
 from conftest import WORKED_RA, instances
 
@@ -43,6 +42,23 @@ def test_control_points_must_differ():
         QuadraticBezier(Vec2(0, 0), Vec2(0, 0), Vec2(1, 0))
 
 
+def _bezier_points(bez: QuadraticBezier, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """QuadraticBezier.point at every t, with the same association."""
+    u = 1.0 - ts
+    b0, b1, b2 = u * u, 2.0 * u * ts, ts * ts
+    return (bez.p0.x * b0 + bez.p1.x * b1 + bez.p2.x * b2,
+            bez.p0.y * b0 + bez.p1.y * b1 + bez.p2.y * b2)
+
+
+def _discrete_curvature(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numeric_curvature's stencil on arrays: the turning between
+    consecutive chords over their mean length, at interior nodes."""
+    dx, dy = np.diff(x), np.diff(y)
+    chords = np.hypot(dx, dy)
+    dpsi = np.remainder(np.diff(np.arctan2(dy, dx)) + math.pi, 2.0 * math.pi) - math.pi
+    return dpsi / (0.5 * (chords[:-1] + chords[1:]))
+
+
 def _brute_force_min_radius(bez: QuadraticBezier, n: int = 100_000) -> float:
     """Independent oracle: max of the discrete curvature over n samples.
 
@@ -53,12 +69,13 @@ def _brute_force_min_radius(bez: QuadraticBezier, n: int = 100_000) -> float:
     of point rounding stays below the requested accuracy.
     """
     ts = np.arange(-2, n + 3) / float(n)
-    inside = [j for j, t in enumerate(ts) if 0.0 <= t <= 1.0]
+    # interior node k of the stencil is grid node k + 1; [0, 1] is nodes 2..n+2
+    inside = slice(1, n + 2)
 
     def sampled_max(b: QuadraticBezier) -> tuple[float, int]:
-        kappa = numeric_curvature([b.point(float(t)) for t in ts])
-        j_star = max(inside, key=lambda j: abs(kappa[j]))
-        return abs(kappa[j_star]), j_star
+        kappa = np.abs(_discrete_curvature(*_bezier_points(b, ts))[inside])
+        k = int(np.argmax(kappa))
+        return float(kappa[k]), k + 2
 
     _, j1 = sampled_max(bez)
     shift = bez.point(float(ts[j1]))
