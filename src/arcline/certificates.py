@@ -28,49 +28,93 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PathBuilder, PiecewiseCurve, heading, max_curvature
+from .curves import Arc, PathBuilder, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import Frame, oriented_angle, rot90
+from .geometry import TWO_PI, Frame, oriented_angle, rot90
 from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius
 
 
-#: cells of the (s, t) grid evaluated per block in `support_min`
-SUPPORT_BLOCK_CELLS = 1 << 16
+def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float, float]]:
+    """Where the radius of `arc` points along +-e(a), for each a in `angles`.
 
-
-def support_min(curve: PiecewiseCurve, n: int = 256) -> float:
-    """Most negative normal component over an n x n (s, t) sample grid.
-
-    gamma(s, t) = <X(t) - X(s), rot90(X'(s))> is nonnegative everywhere
-    for admissible curves; a clearly negative minimum certifies the
-    curve leaves the support half-plane of one of its tangents.
-
-    The grid is swept in blocks of whole rows, about SUPPORT_BLOCK_CELLS
-    (2**16) cells each, so memory is O(n): two block buffers of at most
-    max(n, 2**16) floats besides the samples.  A NaN sample propagates
-    to the result.
+    Returns (angle, curve arc length) for every such point strictly
+    inside the sweep; `base` is the curve arc length at the arc's start.
     """
-    if n < 2:
-        raise InvalidInput(f"need n >= 2 samples, got {n!r}")
-    svals = np.linspace(0.0, curve.length, n)
-    pts, tans, _ = curve.sample_at(svals)
-    px, py = pts[:, 0].copy(), pts[:, 1].copy()
-    nx, ny = -tans[:, 1], tans[:, 0].copy()
-    rows = max(1, SUPPORT_BLOCK_CELLS // n)
-    gx = np.empty((min(rows, n), n))
-    gy = np.empty_like(gx)
-    best = np.inf
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        bx, by = gx[:hi - lo], gy[:hi - lo]
-        np.subtract(px, px[lo:hi, None], out=bx)
-        np.multiply(bx, nx[lo:hi, None], out=bx)
-        np.subtract(py, py[lo:hi, None], out=by)
-        np.multiply(by, ny[lo:hi, None], out=by)
-        np.add(bx, by, out=bx)
-        best = np.minimum(best, bx.min())
-    return float(best)
+    sign = 1.0 if arc.sweep > 0 else -1.0
+    span = abs(arc.sweep)
+    hits = []
+    for a in angles:
+        for b in (a, a + math.pi):
+            u = (sign * (b - arc.start_angle)) % TWO_PI
+            if 0.0 < u < span:
+                hits.append((b, base + arc.radius * u))
+    return hits
+
+
+def support_min(curve: PiecewiseCurve) -> float:
+    """Exact minimum of gamma(s, t) = <X(t) - X(s), rot90(X'(s))> on [0, L]^2.
+
+    gamma is nonnegative everywhere for admissible curves; a clearly
+    negative minimum certifies the curve leaves the support half-plane
+    of one of its tangents.
+
+    The minimum is taken per ordered primitive pair (i, j), over a
+    finite candidate set on that pair's rectangle, with psi the radial
+    angle of arc i and phi that of arc j:
+
+    * the ends of i and of j (the corners);
+    * psi with e(psi) parallel to X(t0) - c_i for an end t0 of j (the
+      minimum over psi along the edge t = t0), and, for an arc j, to
+      c_j - c_i (where the interior minimum lies);
+    * phi with e(phi) parallel to the normal at an end of i (the
+      minimum over phi along the edge s = s0; for a segment i, gamma
+      does not depend on s at all), and, for an arc i, to e(psi) for
+      each psi above (the interior minimum over phi given psi).
+
+    A segment j needs no interior t: for each s, gamma is linear in t,
+    so its minimum over t lies at an end of j.  Every candidate s is
+    paired with every candidate t of the pair, and all of them are
+    evaluated in one `PiecewiseCurve.sample_at` call, so the result is
+    the true minimum up to rounding, independent of any sample count.
+    There are O(k^2) candidates for k primitives, built in a Python loop
+    over the pairs, and `sample_at` masks them once per primitive, so
+    the work grows faster than k^2: cheap for the few primitives of an
+    optimal curve or competitor, slower than an n = 512 grid beyond
+    about 20 primitives.
+    """
+    prims = curve.primitives
+    breaks = curve.breaks
+    ends = [(p.start_point, p.end_point) for p in prims]
+    s_all: list[float] = []
+    t_all: list[float] = []
+    for i, p in enumerate(prims):
+        if isinstance(p, Arc):
+            # the normal at either end of an arc is radial
+            normals = [p.start_angle, p.start_angle + p.sweep]
+        else:
+            normals = [p.direction.angle() + 0.5 * math.pi]
+        for j, q in enumerate(prims):
+            ss = [breaks[i], breaks[i + 1]]
+            phis = list(normals)
+            if isinstance(p, Arc):
+                c = p.center
+                dirs = [math.atan2(e.y - c.y, e.x - c.x) for e in ends[j]]
+                if isinstance(q, Arc):
+                    dirs.append(math.atan2(q.center.y - c.y, q.center.x - c.x))
+                for psi, s in _radial_hits(p, breaks[i], dirs):
+                    ss.append(s)
+                    phis.append(psi)
+            ts = [breaks[j], breaks[j + 1]]
+            if isinstance(q, Arc):
+                ts += [t for _, t in _radial_hits(q, breaks[j], phis)]
+            s_all += [s for s in ss for _ in ts]
+            t_all += ts * len(ss)
+    m = len(s_all)
+    pts, tans, _ = curve.sample_at(np.array(s_all + t_all))
+    d = pts[m:] - pts[:m]
+    gamma = d[:, 0] * -tans[:m, 1] + d[:, 1] * tans[:m, 0]
+    return float(gamma.min())
 
 
 @dataclass(frozen=True)
@@ -281,12 +325,16 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
                      z: PiecewiseCurve, n: int = 512) -> Certificate:
     """Bundle every certificate quantity for a competitor curve.
 
+    n (at least 2) is the sample count of the zeta profile and the
+    heading-gap bound; the support-line minimum is exact and ignores it.
     The zeta and heading-gap entries require max curvature at most
     1/R_a; they are None when that hypothesis fails (the certificate
     then simply does not apply, which is not an error here).
     """
+    if n < 2:
+        raise InvalidInput(f"need n >= 2 samples, got {n!r}")
     e = max_curvature(z)
-    sup = support_min(z, n=n)
+    sup = support_min(z)
     try:
         u0, v0 = tangent_intercepts(z, inst, z.length)
     except UndefinedHeading:

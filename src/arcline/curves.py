@@ -199,9 +199,10 @@ class PiecewiseCurve:
         return self._scale
 
     def _outside(self, lo, hi) -> bool:
-        """True if [lo, hi] leaves [0, L] by more than the rounding slack."""
+        """True if [lo, hi] leaves [0, L] by more than the rounding slack,
+        or either end is NaN."""
         slack = 1e-12 * max(1.0, self.length)
-        return lo < -slack or hi > self.length + slack
+        return not (lo >= -slack and hi <= self.length + slack)
 
     def _locate(self, s: float) -> tuple[int, float]:
         if self._outside(s, s):

@@ -148,14 +148,14 @@ def test_criterion_07_support_line_property():
         for k in range(1, 11):
             curves.append(dubins_curve(inst, sol.radius * k / 10.0).curve)
         for curve in curves:
-            value = support_min(curve, n=200)
+            value = support_min(curve)
             worst = min(worst, value / inst.diameter)
             assert value >= -1e-9 * inst.diameter
     b = PathBuilder()
     s_curve = b.arc(1.0, math.pi / 2).arc(1.0, -math.pi / 2).build()
     pts, _, _ = s_curve.sample_at(np.linspace(0.0, s_curve.length, 200))
     extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
-    violation = support_min(s_curve, n=200)
+    violation = support_min(s_curve)
     assert violation < -1e-3 * extent
     print(f"criterion 7 PASS: support property holds for 220 admissible curves "
           f"(worst {worst:.2e} x diameter); S-curve violates it ({violation:.3f})")

@@ -43,18 +43,18 @@ def curve_extent(curve) -> float:
 
 def test_support_optimal_curve(worked_instance):
     sol = synthesize(worked_instance)
-    assert support_min(sol.curve, n=256) >= -1e-12
+    assert support_min(sol.curve) >= -1e-12
 
 
 def test_support_single_arc_touches_zero():
     arc = PiecewiseCurve([Arc(Vec2(0, 0), 1.0, 0.0, 2.0)])
-    value = support_min(arc, n=128)
+    value = support_min(arc)
     assert -1e-12 <= value <= 1e-12
 
 
 def test_support_s_curve_negative():
     curve = s_curve(1.0)
-    assert support_min(curve, n=256) < -1e-3 * curve_extent(curve)
+    assert support_min(curve) < -1e-3 * curve_extent(curve)
 
 
 def test_zeta_profile_identity(worked_instance, arc_first_instance):

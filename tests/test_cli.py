@@ -104,6 +104,15 @@ def test_verify_certificate_not_applicable(capsys):
     assert payload["certificate"]["u0"] > 0
 
 
+def test_verify_rejects_one_sample(capsys):
+    code, out, _ = run(capsys, "solve", "--input", WORKED)
+    combined = json.dumps({"instance": json.loads(WORKED),
+                           "curve": json.loads(out)["curve"]})
+    code, out, err = run(capsys, "verify", "--input", combined, "--samples", "1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidInput"
+
+
 def test_sweep_report(capsys):
     code, out, _ = run(capsys, "sweep", "--input", WORKED, "--grid", "30")
     assert code == 0

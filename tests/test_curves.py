@@ -230,6 +230,15 @@ def test_sample_at_out_of_range():
     assert pts.shape == (3, 2) and tans.shape == (3, 2) and curv.shape == (3,)
 
 
+@pytest.mark.parametrize("name", ["evaluate", "point_at", "turning", "turning_at", "sample_at"])
+def test_nan_arc_length_out_of_range(name):
+    curve = PathBuilder().line(1.0).arc(1.0, 1.0).build()
+    method = getattr(curve, name)
+    arg = np.array([0.0, math.nan]) if name in ("turning_at", "sample_at") else math.nan
+    with pytest.raises(OutOfRange):
+        method(arg)
+
+
 def test_g1_validation():
     gap = [Segment(Vec2(0, 0), Vec2(1, 0)), Segment(Vec2(1, 0.1), Vec2(2, 0.1))]
     with pytest.raises(InvalidInput):

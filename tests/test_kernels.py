@@ -1,8 +1,11 @@
-"""The evidence kernels against their plain reference loops, bit for bit.
+"""The evidence kernels against their plain reference loops.
 
-`support_min`, `family_sweep` and `PiecewiseCurve.turning_at` compute
-the same floating-point operations as the straightforward versions kept
-here, so their results must compare equal with `==`, not approximately.
+`family_sweep` and `PiecewiseCurve.turning_at` compute the same
+floating-point operations as the straightforward versions kept here, so
+their results must compare equal with `==`, not approximately.  The
+exact `support_min` is checked against the sampled (s, t) grid it
+replaced: never above it, and below it by at most the grid's
+second-order error.
 """
 
 import math
@@ -10,11 +13,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
+    Arc,
     OutOfRange,
     PathBuilder,
     PiecewiseCurve,
+    Segment,
     Vec2,
     certificates,
     composite_solve,
@@ -23,6 +29,7 @@ from arcline import (
     dubins_curve,
     make_certificate,
     make_instance,
+    max_curvature,
     synthesize,
 )
 from conftest import instances, symmetric_instances
@@ -49,30 +56,95 @@ def competitors(inst) -> list[PiecewiseCurve]:
     return [sol.curve, dubins_curve(inst, 0.5 * ra).curve, comp.curve, s_curve.build()]
 
 
-def support_min_oracle(curve: PiecewiseCurve, n: int) -> float:
-    """min over s, t of (px[t]-px[s])*nx[s] + (py[t]-py[s])*ny[s], one row
-    s at a time (an n x n array at n = 5000 would take 200 MB)."""
-    pts, tans, _ = curve.sample_at(np.linspace(0.0, curve.length, n))
+def support_min_oracle(curve: PiecewiseCurve, n: int, joints: bool = False) -> float:
+    """min over s, t of (px[t]-px[s])*nx[s] + (py[t]-py[s])*ny[s] on n equally
+    spaced samples, and on the joints too if asked, one row s at a time
+    (an n x n array at n = 5000 would take 200 MB)."""
+    svals = np.linspace(0.0, curve.length, n)
+    if joints:
+        svals = np.union1d(svals, curve.breaks)
+    pts, tans, _ = curve.sample_at(svals)
     px, py = pts[:, 0], pts[:, 1]
     nx, ny = -tans[:, 1], tans[:, 0]
     return min(float(((px - px[s]) * nx[s] + (py - py[s]) * ny[s]).min())
-               for s in range(n))
+               for s in range(svals.size))
 
 
 @pytest.mark.parametrize("n", [2, 3, 97, 512, 2048, 5000])
 def test_support_min_matches_oracle(n):
-    # one block (n <= 256), whole blocks (512, 2048) and a short last block (5000)
+    # the exact minimum never lies above a sampled grid, up to rounding
     for inst in (arc_first(), segment_first()):
         for curve in competitors(inst):
-            assert certificates.support_min(curve, n) == support_min_oracle(curve, n)
+            assert certificates.support_min(curve) <= \
+                support_min_oracle(curve, n) + 1e-12 * curve.coordinate_scale
+
+
+def test_support_min_exact_values():
+    # a unit segment, then a clockwise three-quarter turn of radius 1: the
+    # arc's outward normal at radial angle -pi/4 puts the segment's start
+    # 1 + sqrt(2) behind the tangent line, between the samples of both grids
+    curve = PathBuilder().line(1.0).arc(1.0, -1.5 * math.pi).build()
+    exact = certificates.support_min(curve)
+    assert exact == pytest.approx(-(1.0 + math.sqrt(2.0)), abs=1e-12)
+    for n in (200, 2048):
+        assert support_min_oracle(curve, n) > exact + 1e-12
+    # two clockwise unit arcs joined by a segment of length 2, so centers
+    # 2 apart: the minimum -(2 + 1 + 1) lies inside both arcs, at radial
+    # angles parallel to the line of centers
+    curve = PathBuilder().arc(1.0, -2.0).line(2.0).arc(1.0, -2.0).build()
+    exact = certificates.support_min(curve)
+    assert exact == pytest.approx(-4.0, abs=1e-12)
+    for n in (200, 2048):
+        assert support_min_oracle(curve, n) > exact + 1e-12
+    # a segment and a detached counterclockwise arc (no G1 check): the
+    # arc's lowest point, 3 below the segment's line, lies inside its sweep
+    curve = PiecewiseCurve([Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)),
+                            Arc(Vec2(0.5, -2.0), 1.0, math.pi + 0.2, 2.5)], require_g1=False)
+    assert certificates.support_min(curve) == pytest.approx(-3.0, abs=1e-12)
+    # S-curve: the second arc ends 2R behind the first one's start tangent
+    for radius in (0.5, 1.0, 3.0):
+        s_curve = PathBuilder().arc(radius, 0.5 * math.pi).arc(radius, -0.5 * math.pi).build()
+        assert certificates.support_min(s_curve) == pytest.approx(-2.0 * radius, abs=1e-12 * radius)
+
+
+@st.composite
+def chains(draw):
+    """1-7 segments and mixed-sign arcs from a pose up to 50 from the origin."""
+    b = PathBuilder(Vec2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))),
+                    draw(st.floats(-math.pi, math.pi)))
+    for _ in range(draw(st.integers(1, 7))):
+        if draw(st.booleans()):
+            b.line(draw(st.floats(0.01, 3.0)))
+        else:
+            sweep = draw(st.floats(0.01, 2.99)) * draw(st.sampled_from([-1.0, 1.0]))
+            b.arc(draw(st.floats(0.1, 3.0)), sweep)
+    return b.build()
+
+
+@settings(deadline=None, max_examples=80)
+@given(chains())
+def test_support_min_within_grid_error(curve):
+    # On each primitive pair gamma is smooth, and with the joints on the
+    # grid every pair's rectangle holds a grid point within h/2 of the
+    # minimizer in s and in t, on the same edge if the minimizer is on one,
+    # where the gradient along the edge vanishes.  So the grid reads at
+    # most M h^2 / 4 above the minimum, M bounding the Hessian's norm:
+    # |g_tt| <= k, |g_st| <= k, |g_ss| = |k - k^2 <X(t) - X(s), N(s)>| <= k + k^2 L
+    # (k the maximum curvature, L >= every chord), so M <= 2k + k^2 L.
+    n = 400
+    k = max_curvature(curve)
+    bound = (2.0 * k + k * k * curve.length) / 4.0 * (curve.length / (n - 1)) ** 2
+    gap = support_min_oracle(curve, n, joints=True) - certificates.support_min(curve)
+    rounding = 1e-12 * curve.coordinate_scale
+    assert -rounding <= gap <= bound + rounding
 
 
 def test_support_min_memory_is_linear():
     curve = competitors(arc_first())[3]
-    certificates.support_min(curve, 64)  # load numpy outside the trace
+    certificates.support_min(curve)  # load numpy outside the trace
     tracemalloc.start()
     try:
-        certificates.support_min(curve, 2048)
+        certificates.support_min(curve)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
