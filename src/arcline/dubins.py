@@ -254,6 +254,148 @@ class SweepReport:
         }
 
 
+#: relative rounding bound of the frontier model, 2**-45 (256 units of
+#: roundoff).  Every quantity the model or the per-cell predicate computes
+#: lies within about 20 roundings of its float inputs, and each rounding
+#: is at most one unit of roundoff of a term no larger than the magnitude
+#: bound of `_CompositeGrid`.
+_FRONTIER_ROUNDING = 2.0**-45
+#: widest frontier window, in columns either side of a root; a sweep whose
+#: windows would be wider (a slope near zero) evaluates every cell
+_FRONTIER_CAP = 8
+
+
+class _CompositeGrid:
+    """Feasibility of the composite cells (radii[i], radii[j]) at split 0.5.
+
+    `feasible` is `_composite_params`'s test `d2 >= -tol` unrolled, with
+    the constants and the per-column products hoisted; every remaining
+    operation keeps its operands and association, so a cell is decided
+    bit for bit as there.
+
+    With r1 fixed, p2 and the unclipped t are affine in r2, so d2 = p2 +
+    k2 max(0, t) is piecewise affine with its kink at t = 0.  A row's
+    predicate can therefore change only near three roots: t = 0, p2 =
+    -tol and p2 + k2 t = -tol.  `row_runs` finds them in closed form,
+    evaluates `feasible` on every column within `half_width` of each and
+    one probe column in each gap between those windows.
+    """
+
+    def __init__(self, view: _ArcFirstView, radii: list[float], tol: float):
+        om = view.omega
+        self.sin1, self.cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
+        sino, coso = math.sin(om), math.cos(om)
+        self.one_cos1 = 1.0 - self.cos1
+        self.k1 = math.sin(om - 0.5 * om) / self.sin1
+        self.k2 = -sino / self.sin1
+        self.xb, self.yb = view.xb, view.yb
+        self.tol = tol
+        self.radii = radii
+        sb, cb = sino - self.sin1, self.cos1 - coso
+        self.cols = [(r2 * sb, r2 * cb) for r2 in radii]
+
+        # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0: the same in
+        # every row, and so is each window's width
+        self.p_slope = -cb / self.sin1
+        self.t_slope = (sb + self.p_slope * self.cos1) / self.k1
+        self.d_slope = self.p_slope + self.k2 * self.t_slope
+        # a bound on every term of p2, t and d2 over the grid
+        r_max = radii[-1]
+        p_mag = (abs(self.yb) + r_max * (self.one_cos1 + abs(cb))) / self.sin1
+        t_mag = (abs(self.xb) + r_max * (self.sin1 + abs(sb)) + p_mag * abs(self.cos1)) \
+            / abs(self.k1)
+        magnitude = p_mag + abs(self.k2) * t_mag + tol
+        self.first = radii[0]
+        self.spacing = (r_max - self.first) / (len(radii) - 1)
+        # A cell's computed value is within _FRONTIER_ROUNDING * magnitude
+        # of the model's, so its predicate can differ from the model's only
+        # within that / |slope| of a root in r2; the root itself and the
+        # grid's deviation from first + j * spacing carry errors of the same
+        # order and of _FRONTIER_ROUNDING * r_max.  One column more covers
+        # the rounding to whole columns.
+        self.half_width = None
+        if all(a < b for a, b in zip(radii, radii[1:])) and \
+                0.0 not in (self.p_slope, self.t_slope, self.d_slope):
+            width = max(_FRONTIER_ROUNDING * (magnitude / abs(slope) + r_max) / self.spacing
+                        for slope in (self.p_slope, self.t_slope, self.d_slope)) + 1.0
+            if width <= _FRONTIER_CAP:
+                self.half_width = width
+
+    def feasible(self, ax: float, ay: float, j: int) -> bool:
+        """Whether cell (r1, radii[j]) closes with d2 >= -tol, where
+        ax, ay = r1 sin(omega/2), r1 (1 - cos(omega/2))."""
+        bx, by = self.cols[j]
+        p2 = (self.yb - (ay + by)) / self.sin1
+        t = -((self.xb - (ax + bx)) - p2 * self.cos1) / self.k1
+        if not t > 0.0:
+            t = 0.0
+        return not p2 + self.k2 * t < -self.tol
+
+    def roots(self, ax: float, ay: float) -> tuple[float, float, float]:
+        """The model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in the
+        row of `feasible`'s ax, ay."""
+        p0 = (self.yb - ay) / self.sin1
+        t0 = -((self.xb - ax) - p0 * self.cos1) / self.k1
+        return (-(p0 + self.tol) / self.p_slope, -t0 / self.t_slope,
+                -(p0 + self.k2 * t0 + self.tol) / self.d_slope)
+
+    def row_runs(self, i: int) -> list[list[int]]:
+        """Feasible columns of row i as runs [start, stop), in order.
+
+        Every column is evaluated when the grid admits no frontier windows
+        (`half_width` is None)."""
+        r1 = self.radii[i]
+        ax, ay = r1 * self.sin1, r1 * self.one_cos1
+        n = len(self.radii)
+        feasible = self.feasible
+        runs: list[list[int]] = []
+
+        def mark(start: int, stop: int) -> None:
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+
+        w = self.half_width
+        if w is None:
+            for j in range(n):
+                if feasible(ax, ay, j):
+                    mark(j, j + 1)
+            return runs
+        first, spacing = self.first, self.spacing
+        cur = 0
+        for center in sorted((root - first) / spacing for root in self.roots(ax, ay)):
+            if center + w < 0.0 or center - w > n - 1:
+                continue
+            lo = max(cur, math.ceil(center - w))
+            hi = min(n - 1, math.floor(center + w))
+            # no root lies in the gap [cur, lo): one probe decides it
+            if cur < lo and feasible(ax, ay, cur):
+                mark(cur, lo)
+            for j in range(lo, hi + 1):
+                if feasible(ax, ay, j):
+                    mark(j, j + 1)
+            cur = max(cur, hi + 1)
+        if cur < n and feasible(ax, ay, cur):
+            mark(cur, n)
+        return runs
+
+
+def _first_best(i: int, runs: list[list[int]], inv: list[float]) -> int:
+    """Column of row i's first feasible cell of least max curvature.
+
+    The cell (i, j) scores 1/min(r1, r2) = inv[min(i, j)], which never
+    increases along the row and is constant from column i on: the least
+    score is at the first feasible j >= i, or else at the last feasible
+    j < i.  An earlier column ties with it only where 1/r repeats along
+    the grid."""
+    j = next((max(start, i) for start, stop in runs if stop > i), runs[-1][1] - 1)
+    m = min(i, j)
+    while m > 0 and inv[m - 1] == inv[m]:
+        m -= 1
+    return next(max(start, m) for start, stop in runs if stop > m)
+
+
 def family_sweep(inst: ProblemInstance, grid_n: int = 60,
                  r_lo: float = 0.2, r_hi: float = 3.0) -> SweepReport:
     """Grid-sweep both curve families and report the best max curvature.
@@ -262,6 +404,20 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     grid spanning [r_lo, r_hi] * R_a is scored by its max curvature
     1/min(R1, R2); the report carries the minimum, the parameters
     achieving it and the margin against the theoretical bound 1/R_a.
+    Raises RadiusNotAdmissible when the window lies above R_a and no
+    curve on it is admissible.
+
+    The composite cells are not all evaluated.  Each row's feasible
+    columns are found from its feasibility frontier (`_CompositeGrid`):
+    the per-cell predicate is evaluated, exactly as a full loop would,
+    on the few columns within a rounding-error bound of the row's three
+    closed-form roots, and once in each gap between them, where the
+    affine model keeps the predicate constant.  The count, the minimum
+    and the first cell reaching it in row-major order are therefore
+    those of the full n x n loop, bit for bit.  A grid whose radii do
+    not strictly increase, or whose slopes are so close to zero that a
+    window would exceed `_FRONTIER_CAP` columns, is evaluated cell by
+    cell with the same predicate.
     """
     if grid_n < 2:
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
@@ -271,38 +427,22 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     ra = view.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-
-    # _composite_params at split 0.5, unrolled: the constants and the
-    # per-column products are hoisted, every remaining operation keeps
-    # its operands and association, so feasibility is decided bit for bit
-    # as there; only the argmin cell's lengths are computed in full
-    om = view.omega
-    sin1, cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
-    sino, coso = math.sin(om), math.cos(om)
-    one_cos1 = 1.0 - cos1
-    k1 = math.sin(om - 0.5 * om) / sin1
-    k2 = -sino / sin1
-    xb, yb = view.xb, view.yb
-    cols = [(r2, r2 * (sino - sin1), r2 * (cos1 - coso)) for r2 in radii]
+    grid = _CompositeGrid(view, radii, tol)
+    inv = [1.0 / r for r in radii]
 
     best = math.inf
     best_cell = None
     feasible = 0
-    for r1 in radii:
-        ax = r1 * sin1
-        ay = r1 * one_cos1
-        for r2, bx, by in cols:
-            p2 = (yb - (ay + by)) / sin1
-            t = -((xb - (ax + bx)) - p2 * cos1) / k1
-            if not t > 0.0:
-                t = 0.0
-            if p2 + k2 * t < -tol:
-                continue
-            feasible += 1
-            mc = 1.0 / min(r1, r2)
-            if mc < best:
-                best = mc
-                best_cell = (r1, r2)
+    for i in range(grid_n):
+        runs = grid.row_runs(i)
+        if not runs:
+            continue
+        feasible += sum(stop - start for start, stop in runs)
+        j = _first_best(i, runs, inv)
+        mc = inv[min(i, j)]
+        if mc < best:
+            best = mc
+            best_cell = (radii[i], radii[j])
     argmin: dict = {}
     if best_cell is not None:
         r1, r2 = best_cell
@@ -320,6 +460,10 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
             argmin = {"family": "p2", "R1": r, "R2": r,
                       "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
+        if r_lo > 1.0:
+            raise RadiusNotAdmissible(
+                f"no admissible curve with radii in [{r_lo!r}, {r_hi!r}] * R_a: "
+                f"every one exceeds R_a = {ra!r}")
         raise InternalError("no admissible curve found on the sweep grid")
     return SweepReport(
         min_max_curvature=best,

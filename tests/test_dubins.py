@@ -209,3 +209,9 @@ def test_single_arc_family_infeasible_above_limit():
         view = arc_first_view(inst)
         assert _p2_params(view, view.ra * 1.01, 0.0) is None
         assert _p2_params(view, view.ra * 0.99, 0.0) is not None
+
+
+def test_family_sweep_window_above_limit(worked_instance):
+    # every radius of the window exceeds R_a: the caller's choice, not a bug
+    with pytest.raises(RadiusNotAdmissible, match=r"\[1\.5, 3\.0\].*R_a = "):
+        family_sweep(worked_instance, grid_n=10, r_lo=1.5, r_hi=3.0)

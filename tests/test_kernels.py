@@ -1,14 +1,20 @@
 """The evidence kernels against their plain reference loops.
 
-`family_sweep` and `PiecewiseCurve.turning_at` compute the same
-floating-point operations as the straightforward versions kept here, so
-their results must compare equal with `==`, not approximately.  The
+`PiecewiseCurve.turning_at` computes the same floating-point operations
+as the straightforward version kept here, so their results must compare
+equal with `==`, not approximately.  `family_sweep` evaluates only the
+composite cells near each row's feasibility frontier, with the same
+per-cell expression as the reference loop here, which evaluates every
+cell: the two reports must also compare equal with `==`, zero signs
+included, on drawn instances across the accepted angle range, on other
+radius windows, and on a grid whose full-row fallback is taken.  The
 exact `support_min` is checked against the sampled (s, t) grid it
 replaced: never above it, and below it by at most the grid's
 second-order error.
 """
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -152,12 +158,12 @@ def test_support_min_memory_is_linear():
     assert peak < 4 * 2**20
 
 
-def family_sweep_reference(inst, grid_n):
+def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     """family_sweep as a plain loop over the per-cell closed forms."""
     view = dubins.arc_first_view(inst)
     ra = view.ra
     tol = 1e-9 * inst.diameter
-    radii = [ra * (0.2 + (3.0 - 0.2) * i / (grid_n - 1)) for i in range(grid_n)]
+    radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
     best = math.inf
     argmin: dict = {}
     feasible = 0
@@ -189,6 +195,14 @@ def family_sweep_reference(inst, grid_n):
                               feasible_count=feasible, ra=ra)
 
 
+def assert_sweep_matches_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
+    got = dubins.family_sweep(inst, grid_n=grid_n, r_lo=r_lo, r_hi=r_hi)
+    want = family_sweep_reference(inst, grid_n, r_lo, r_hi)
+    assert got == want
+    assert [math.copysign(1.0, v) for v in got.argmin.values() if isinstance(v, float)] == \
+        [math.copysign(1.0, v) for v in want.argmin.values() if isinstance(v, float)]
+
+
 @pytest.mark.parametrize("grid_n", [2, 3, 60, 64, 300])
 def test_family_sweep_matches_reference(grid_n):
     # at grid 64 the radius R_a itself is a grid value, where the symmetric
@@ -198,12 +212,95 @@ def test_family_sweep_matches_reference(grid_n):
     if grid_n <= 64:
         insts += instances(seed=71, count=6) + symmetric_instances(8, 2)
     for inst in insts:
-        got = dubins.family_sweep(inst, grid_n=grid_n)
-        want = family_sweep_reference(inst, grid_n)
-        assert got == want
-        assert [math.copysign(1.0, v) for v in got.argmin.values()
-                if isinstance(v, float)] == \
-            [math.copysign(1.0, v) for v in want.argmin.values() if isinstance(v, float)]
+        assert_sweep_matches_reference(inst, grid_n)
+        if grid_n in (60, 64):
+            # whole rows feasible (every radius below R_a), and a window
+            # straddling R_a
+            assert_sweep_matches_reference(inst, grid_n, r_lo=0.1, r_hi=0.9)
+            assert_sweep_matches_reference(inst, grid_n, r_lo=0.5, r_hi=1.5)
+
+
+def test_family_sweep_matches_reference_fine_grid():
+    for inst in (arc_first(), instances(seed=72, count=1)[0]):
+        assert_sweep_matches_reference(inst, 1000)
+
+
+@st.composite
+def wide_instances(draw):
+    """omega across (0, pi), 1e-3 from both ends included, OA / OB up to
+    1e3, scale 1e-3..1e3, random pose, apex up to 50 scales away."""
+    omega = draw(st.one_of(st.floats(1e-4, 1e-3), st.floats(1e-3, math.pi - 1e-3),
+                           st.floats(math.pi - 1e-3, math.pi - 1e-6)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
+    oa, ob = scale * math.sqrt(ratio), scale / math.sqrt(ratio)
+    pose = draw(st.floats(-math.pi, math.pi))
+    turn = omega * draw(st.sampled_from([-1.0, 1.0]))
+    O = Vec2(draw(st.floats(-50.0, 50.0)) * scale, draw(st.floats(-50.0, 50.0)) * scale)
+    alpha = Vec2(math.cos(pose), math.sin(pose))
+    beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
+    return make_instance(O, O - alpha * oa, O + beta * ob)
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_instances(), st.sampled_from([2, 3, 17, 40]),
+       st.sampled_from([(0.2, 3.0), (0.1, 0.9), (0.5, 1.5), (0.99, 1.01)]))
+def test_family_sweep_matches_reference_wide(inst, grid_n, window):
+    assert_sweep_matches_reference(inst, grid_n, *window)
+
+
+def test_family_sweep_roots_on_grid():
+    # windows whose last radius is one of row 0's three roots in closed
+    # form, so that a cell sits within rounding of the frontier
+    for inst in instances(seed=73, count=12) + symmetric_instances(9, 4):
+        view = dubins.arc_first_view(inst)
+        tol = 1e-9 * inst.diameter
+        r1 = 0.2 * view.ra
+        grid = dubins._CompositeGrid(view, [r1, view.ra], tol)
+        for root in grid.roots(r1 * grid.sin1, r1 * grid.one_cos1):
+            r_hi = root / view.ra
+            if r_hi > 0.3:
+                for grid_n in (2, 3, 40):
+                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+
+
+def test_first_best_matches_scan():
+    # the row's first cell of least 1/min(r1, r2), against a scan in
+    # column order, on grids where 1/r repeats
+    rng = random.Random(5)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        inv = sorted((rng.choice([1.0, 2.0, 3.0, 4.0]) for _ in range(n)), reverse=True)
+        cols = [j for j in range(n) if rng.random() < 0.5]
+        if not cols:
+            continue
+        runs = [[j, j + 1] for j in cols]
+        i = rng.randrange(n)
+        want = min(cols, key=lambda j: inv[min(i, j)])
+        assert dubins._first_best(i, runs, inv) == want
+
+
+def test_family_sweep_full_row_fallback():
+    inst = arc_first()
+    view = dubins.arc_first_view(inst)
+    tol = 1e-9 * inst.diameter
+    # 1 + 4e-16 puts two grid radii on each float: not strictly increasing.
+    # 1 + 1e-13 spaces them a few ulps apart: the windows exceed the cap.
+    # The default window takes the frontier, and with half_width cleared
+    # the same grid evaluates every cell.
+    for r_lo, r_hi, grid_n in ((1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50),
+                               (0.2, 3.0, 60)):
+        radii = [view.ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
+        grid = dubins._CompositeGrid(view, radii, tol)
+        assert (grid.half_width is None) == (r_lo == 1.0)
+        frontier = [grid.row_runs(i) for i in range(grid_n)]
+        grid.half_width = None
+        for i, r1 in enumerate(radii):
+            loop = [j for j, r2 in enumerate(radii)
+                    if dubins._composite_params(view, r1, r2, 0.5, tol) is not None]
+            for runs in (frontier[i], grid.row_runs(i)):
+                assert [j for start, stop in runs for j in range(start, stop)] == loop
+        assert_sweep_matches_reference(inst, grid_n, r_lo, r_hi)
 
 
 def test_turning_at_matches_turning():
