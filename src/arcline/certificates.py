@@ -16,9 +16,10 @@ The optimality proof rests on a handful of checkable quantities:
 * the tangent-intercept lengths u, v, strictly positive at the end of
   every admissible curve.
 
-All quantities are evaluated in the arc-first orientation; instances
-whose optimal curve starts with the segment are reversed and mirrored
-internally.
+All quantities are evaluated in the instance's canonical frame
+(`synthesis.canonical_frame`): the optimal arc leaves the origin along
++x, and instances whose optimal curve starts with the segment are
+reversed and mirrored into that picture.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import numpy as np
 
 from .curves import Arc, PathBuilder, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import TWO_PI, Frame, oriented_angle, rot90
+from .geometry import TWO_PI, Frame, oriented_angle
 from .instance import ProblemInstance
-from .synthesis import OptimalSolution, arc_radius
+from .synthesis import OptimalSolution, arc_radius, canonical_frame
 
 
 def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float, float]]:
@@ -117,43 +118,6 @@ def support_min(curve: PiecewiseCurve) -> float:
     return float(gamma.min())
 
 
-@dataclass(frozen=True)
-class _NormalizedCompetitor:
-    """Competitor samples in the arc-first normalized frame."""
-
-    xy: np.ndarray
-    theta: np.ndarray
-
-
-def _normalize_samples(inst: ProblemInstance, z: PiecewiseCurve,
-                       svals: np.ndarray) -> _NormalizedCompetitor:
-    """Frame coordinates and headings of z at the given arc lengths.
-
-    Arc-first instances map through the frame (A, alpha); segment-first
-    instances evaluate the reversed curve through the mirrored frame at
-    B, which swaps the roles of the endpoints and flips the curvature
-    sign twice, landing back in the arc-first picture.
-    """
-    arc_first = inst.oa <= inst.ob
-    theta0 = oriented_angle(inst.alpha, z.start_tangent)
-    if arc_first:
-        pts, _, _ = z.sample_at(svals)
-        frame = Frame(inst.A, inst.alpha)
-        d = pts - np.array([inst.A.x, inst.A.y])
-        ex, ey = frame.x_axis, frame.y_axis
-        xy = np.column_stack([d @ np.array([ex.x, ex.y]), d @ np.array([ey.x, ey.y])])
-        theta = theta0 + z.turning_at(svals)
-    else:
-        rev = z.length - svals
-        pts, _, _ = z.sample_at(rev)
-        d = pts - np.array([inst.B.x, inst.B.y])
-        e1 = -inst.beta
-        e2 = rot90(inst.beta)
-        xy = np.column_stack([d @ np.array([e1.x, e1.y]), d @ np.array([e2.x, e2.y])])
-        theta = inst.omega - (theta0 + z.turning_at(rev))
-    return _NormalizedCompetitor(xy=xy, theta=theta)
-
-
 def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
                       ra: float) -> float:
     e = max_curvature(z)
@@ -167,6 +131,34 @@ def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
     return e
 
 
+def _arc_samples(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
+                 n: int):
+    """n + 1 samples of z on [0, l] in the canonical frame.
+
+    Checks n and the certificate hypothesis, then returns z's max
+    curvature e, the arc lengths s, phi = s / R_a, and z's frame
+    coordinates (n + 1, 2) and headings theta at s.  In a mirrored frame
+    z is evaluated backwards, at L - s, which swaps the roles of the
+    endpoints and flips the curvature sign twice; its heading is then
+    measured from the far end, omega - theta.
+    """
+    if n < 1:
+        raise InvalidInput(f"need n >= 1 samples, got {n!r}")
+    ra = sol.radius
+    e = _check_hypothesis(inst, z, ra)
+    svals = np.linspace(0.0, min(ra * inst.omega, z.length), n + 1)
+    frame = canonical_frame(inst)
+    s = z.length - svals if frame.mirrored else svals
+    pts, _, _ = z.sample_at(s)
+    d = pts - np.array([frame.origin.x, frame.origin.y])
+    ex, ey = frame.x_axis, frame.y_axis
+    xy = np.column_stack([d @ np.array([ex.x, ex.y]), d @ np.array([ey.x, ey.y])])
+    theta = oriented_angle(inst.alpha, z.start_tangent) + z.turning_at(s)
+    if frame.mirrored:
+        theta = frame.omega - theta
+    return e, svals, svals / ra, xy, theta
+
+
 def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
                  n: int = 2048) -> np.ndarray:
     """Normal gap zeta(s) between z and the optimal curve on [0, l].
@@ -175,52 +167,33 @@ def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     certificate value zeta_0, nonpositive whenever the hypotheses hold.
     Requires max curvature of z at most 1/R_a and length at least l.
     """
-    if n < 1:
-        raise InvalidInput(f"need n >= 1 samples, got {n!r}")
+    _, _, phi, xy, _ = _arc_samples(inst, sol, z, n)
     ra = sol.radius
-    _check_hypothesis(inst, z, ra)
-    arc_len = ra * inst.omega
-    svals = np.linspace(0.0, min(arc_len, z.length), n + 1)
-    phi = svals / ra
     x = ra * np.sin(phi)
     y = ra * (1.0 - np.cos(phi))
-    comp = _normalize_samples(inst, z, svals)
-    return -(comp.xy[:, 0] - x) * np.sin(phi) + (comp.xy[:, 1] - y) * np.cos(phi)
+    return -(xy[:, 0] - x) * np.sin(phi) + (xy[:, 1] - y) * np.cos(phi)
 
 
 def frame_gap_profiles(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
                        n: int = 2048) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate gaps (xhat - x, yhat - y) between z and the optimal arc.
 
-    Sampled on [0, l] in the normalized frame.  Under the certificate
+    Sampled on [0, l] in the canonical frame.  Under the certificate
     hypothesis the first gap is nondecreasing and the second
     nonincreasing whenever the turning angle is below pi/2; both vanish
     identically only for the optimal curve itself.
     """
-    if n < 1:
-        raise InvalidInput(f"need n >= 1 samples, got {n!r}")
+    _, _, phi, xy, _ = _arc_samples(inst, sol, z, n)
     ra = sol.radius
-    _check_hypothesis(inst, z, ra)
-    arc_len = ra * inst.omega
-    svals = np.linspace(0.0, min(arc_len, z.length), n + 1)
-    phi = svals / ra
-    comp = _normalize_samples(inst, z, svals)
-    return (comp.xy[:, 0] - ra * np.sin(phi),
-            comp.xy[:, 1] - ra * (1.0 - np.cos(phi)))
+    return (xy[:, 0] - ra * np.sin(phi),
+            xy[:, 1] - ra * (1.0 - np.cos(phi)))
 
 
 def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
                     n: int = 2048) -> float:
     """Largest excess of theta(s) - phi(s) over (e - 1/R_a) s on (0, l]."""
-    if n < 1:
-        raise InvalidInput(f"need n >= 1 samples, got {n!r}")
-    ra = sol.radius
-    e = _check_hypothesis(inst, z, ra)
-    arc_len = ra * inst.omega
-    svals = np.linspace(0.0, min(arc_len, z.length), n + 1)[1:]
-    phi = svals / ra
-    comp = _normalize_samples(inst, z, svals)
-    excess = comp.theta - phi - (e - 1.0 / ra) * svals
+    e, svals, phi, _, theta = _arc_samples(inst, sol, z, n)
+    excess = theta[1:] - phi[1:] - (e - 1.0 / sol.radius) * svals[1:]
     return float(excess.max())
 
 
@@ -252,7 +225,7 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
     """zeta_0 measured on the actually-constructed composite geometry.
 
     Builds segment d1, arc (r1, Omega/2), segment d2, arc (r2, Omega/2)
-    in the normalized frame and projects the final point's offset from
+    in the canonical frame and projects the final point's offset from
     the endpoint onto the outward normal of the terminal tangent.  The
     composite need not close on B; this is the independent cross-check
     of the closed form.
@@ -261,15 +234,12 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
         raise InvalidInput("arc radii must be positive")
     if d1 < 0.0 or d2 < 0.0:
         raise InvalidInput("segment lengths must be nonnegative")
-    om = inst.omega
-    ra = arc_radius(inst)
-    seg = abs(inst.oa - inst.ob)
-    xb = ra * math.sin(om) + seg * math.cos(om)
-    yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
+    frame = canonical_frame(inst)
+    om = frame.omega
     builder = PathBuilder()
     builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
     end = builder.point
-    return -(end.x - xb) * math.sin(om) + (end.y - yb) * math.cos(om)
+    return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
 
 
 def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,

@@ -17,8 +17,7 @@ import json
 import sys
 
 from .errors import ArclineError, InternalError, InvalidInput
-from .geometry import Vec2
-from .instance import instance_from_json
+from .instance import instance_from_json, point_from_json
 
 _DEMO_DATA = {"A": [0.0, 0.0], "alpha": [1.0, 0.0],
               "B": [2.0, 1.0], "beta": [0.0, -1.0]}
@@ -68,14 +67,6 @@ def _write(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-
-
-def _vec(obj: dict, key: str) -> Vec2:
-    val = obj.get(key)
-    if (not isinstance(val, (list, tuple)) or len(val) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in val)):
-        raise InvalidInput(f"field {key!r} must be a pair of numbers")
-    return Vec2(float(val[0]), float(val[1]))
 
 
 def _cmd_solve(args) -> None:
@@ -155,8 +146,8 @@ def _cmd_demo_illposed(args) -> None:
     if args.radius is None:
         raise InvalidInput("demo-illposed requires --radius")
     data = _load_json(args.input) if args.input else dict(_DEMO_DATA)
-    curve = illposed_demo(_vec(data, "A"), _vec(data, "alpha"),
-                          _vec(data, "B"), _vec(data, "beta"), args.radius)
+    A, alpha, B, beta = (point_from_json(data, key) for key in ("A", "alpha", "B", "beta"))
+    curve = illposed_demo(A, alpha, B, beta, args.radius)
     _write(_dump_json(curve_to_json(curve)), args.output)
 
 

@@ -26,7 +26,7 @@ from .geometry import (
     principal_angle,
     rot90,
 )
-from .instance import ProblemInstance
+from .instance import ProblemInstance, point_from_json
 
 if TYPE_CHECKING:
     import numpy as np
@@ -473,14 +473,6 @@ def numeric_curvature(points: list[Point2]) -> list[float]:
 # {"primitives":[{"type":"segment","start":[x,y],"end":[x,y]}
 #               |{"type":"arc","center":[x,y],"radius":r,"startAngle":a,"sweep":w}]}
 
-def _pair(obj, key):
-    val = obj.get(key)
-    if (not isinstance(val, (list, tuple)) or len(val) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in val)):
-        raise InvalidInput(f"field {key!r} must be a pair of numbers")
-    return Vec2(float(val[0]), float(val[1]))
-
-
 def _number(obj, key):
     val = obj.get(key)
     if not isinstance(val, (int, float)) or isinstance(val, bool):
@@ -497,9 +489,9 @@ def curve_from_json(obj: dict) -> PiecewiseCurve:
             raise InvalidInput("each primitive must be an object")
         kind = entry.get("type")
         if kind == "segment":
-            prims.append(Segment(_pair(entry, "start"), _pair(entry, "end")))
+            prims.append(Segment(point_from_json(entry, "start"), point_from_json(entry, "end")))
         elif kind == "arc":
-            prims.append(Arc(_pair(entry, "center"), _number(entry, "radius"),
+            prims.append(Arc(point_from_json(entry, "center"), _number(entry, "radius"),
                              _number(entry, "startAngle"), _number(entry, "sweep")))
         else:
             raise InvalidInput(f"unknown primitive type {kind!r}")

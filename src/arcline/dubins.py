@@ -11,10 +11,10 @@ Two families live here:
   against.  A grid sweep over both families gives an empirical check of
   the min-max theorem.
 
-Composite parameters are always expressed in the arc-first orientation
-(the problem is reversed and mirrored when OA > OB), matching the
-closed-form certificates; the returned curves are mapped back to world
-coordinates either way.
+Composite parameters are expressed in the instance's canonical frame
+(`synthesis.canonical_frame`: arc first, the problem reversed and
+mirrored when OA > OB), matching the closed-form certificates; the frame
+maps the returned curves back to world coordinates.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 from .curves import Arc, PathBuilder, PiecewiseCurve, Segment
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
-from .geometry import Frame, Point2, dist, normalized, oriented_angle, principal_angle, rot90
+from .geometry import dist, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
-from .synthesis import arc_radius
+from .synthesis import CanonicalFrame, arc_radius, canonical_frame
 
 #: relative slack accepted at the admissibility boundary R = R_a
 LIMIT_SLACK = 1e-12
@@ -96,29 +96,7 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
 # ---------------------------------------------------------------------------
 # composite family (segment d1, arc R1, segment d2, arc R2, segment d3)
 
-@dataclass(frozen=True)
-class _ArcFirstView:
-    """Geometry of the instance in the arc-first normalized frame."""
-
-    omega: float
-    ra: float
-    seg: float          # segment length of the optimal curve
-    xb: float           # endpoint coordinates in the normalized frame
-    yb: float
-    mirrored: bool
-
-
-def arc_first_view(inst: ProblemInstance) -> _ArcFirstView:
-    ra = arc_radius(inst)
-    om = inst.omega
-    seg = abs(inst.oa - inst.ob)
-    xb = ra * math.sin(om) + seg * math.cos(om)
-    yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
-    return _ArcFirstView(omega=om, ra=ra, seg=seg, xb=xb, yb=yb,
-                         mirrored=inst.oa > inst.ob)
-
-
-def _composite_params(view: _ArcFirstView, r1: float, r2: float,
+def _composite_params(frame: CanonicalFrame, r1: float, r2: float,
                       split: float, tol: float):
     """Segment lengths (d1, d2, d3) closing the composite, or None.
 
@@ -126,12 +104,12 @@ def _composite_params(view: _ArcFirstView, r1: float, r2: float,
     lengths; its kernel direction has signs (+, -, +), so the minimal
     total-length solution with d1, d3 >= 0 is feasible iff its d2 is.
     """
-    om = view.omega
+    om = frame.omega
     s1 = split * om
     sin1, cos1 = math.sin(s1), math.cos(s1)
     sino, coso = math.sin(om), math.cos(om)
-    rx = view.xb - (r1 * sin1 + r2 * (sino - sin1))
-    ry = view.yb - (r1 * (1.0 - cos1) + r2 * (cos1 - coso))
+    rx = frame.xb - (r1 * sin1 + r2 * (sino - sin1))
+    ry = frame.yb - (r1 * (1.0 - cos1) + r2 * (cos1 - coso))
     p2 = ry / sin1
     p1 = rx - p2 * cos1
     k1 = math.sin(om - s1) / sin1
@@ -161,25 +139,6 @@ class CompositeCurve:
     curve: PiecewiseCurve
 
 
-def _mirror_back(prims, inst: ProblemInstance) -> list:
-    """Undo the reverse+mirror normalization primitive by primitive."""
-    beta, B = inst.beta, inst.B
-    e2 = rot90(beta)
-    b_angle = beta.angle()
-
-    def point_map(q: Point2) -> Point2:
-        return B - beta * q.x + e2 * q.y
-
-    out = []
-    for p in reversed(prims):
-        if isinstance(p, Segment):
-            out.append(Segment(point_map(p.end), point_map(p.start)))
-        else:
-            start = principal_angle(b_angle + math.pi - p.start_angle - p.sweep)
-            out.append(Arc(point_map(p.center), p.radius, start, p.sweep))
-    return out
-
-
 def composite_solve(inst: ProblemInstance, r1: float, r2: float,
                     split: float = 0.5) -> CompositeCurve | None:
     """Close the composite family for the given arc radii, if possible.
@@ -192,43 +151,30 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float,
         raise InvalidInput("arc radii must be positive and finite")
     if not 0.0 < split < 1.0:
         raise InvalidInput(f"split must lie in (0, 1), got {split!r}")
-    view = arc_first_view(inst)
+    frame = canonical_frame(inst)
     tol = 1e-9 * inst.diameter
-    params = _composite_params(view, r1, r2, split, tol)
+    params = _composite_params(frame, r1, r2, split, tol)
     if params is None:
         return None
     d1, d2, d3 = params
-    s1 = split * view.omega
-    s2 = view.omega - s1
+    s1 = split * frame.omega
+    s2 = frame.omega - s1
 
     builder = PathBuilder()
     builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
-    abstract = builder.build()
-    if view.mirrored:
-        prims = _mirror_back(abstract.primitives, inst)
-    else:
-        frame = Frame(inst.A, inst.alpha)
-        a_angle = inst.alpha.angle()
-        prims = []
-        for p in abstract.primitives:
-            if isinstance(p, Segment):
-                prims.append(Segment(frame.from_frame(p.start), frame.from_frame(p.end)))
-            else:
-                prims.append(Arc(frame.from_frame(p.center), p.radius,
-                                 principal_angle(p.start_angle + a_angle), p.sweep))
-    curve = PiecewiseCurve(prims)
+    curve = PiecewiseCurve(frame.primitives_to_world(builder.build().primitives))
     if dist(curve.end_point, inst.B) > 10.0 * tol:
         raise InternalError("composite construction failed to close on B")
     return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3,
                           sweep1=s1, sweep2=s2, curve=curve)
 
 
-def _p2_params(view: _ArcFirstView, r: float, tol: float):
+def _p2_params(frame: CanonicalFrame, r: float, tol: float):
     """Segment lengths (d1, d3) for the single-arc two-segment family."""
-    om = view.omega
+    om = frame.omega
     sino, coso = math.sin(om), math.cos(om)
-    d3 = (view.yb - r * (1.0 - coso)) / sino
-    d1 = view.xb - r * sino - d3 * coso
+    d3 = (frame.yb - r * (1.0 - coso)) / sino
+    d1 = frame.xb - r * sino - d3 * coso
     if d1 < -tol or d3 < -tol:
         return None
     return max(d1, 0.0), max(d3, 0.0)
@@ -281,14 +227,14 @@ class _CompositeGrid:
     one probe column in each gap between those windows.
     """
 
-    def __init__(self, view: _ArcFirstView, radii: list[float], tol: float):
-        om = view.omega
+    def __init__(self, frame: CanonicalFrame, radii: list[float], tol: float):
+        om = frame.omega
         self.sin1, self.cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
         sino, coso = math.sin(om), math.cos(om)
         self.one_cos1 = 1.0 - self.cos1
         self.k1 = math.sin(om - 0.5 * om) / self.sin1
         self.k2 = -sino / self.sin1
-        self.xb, self.yb = view.xb, view.yb
+        self.xb, self.yb = frame.xb, frame.yb
         self.tol = tol
         self.radii = radii
         sb, cb = sino - self.sin1, self.cos1 - coso
@@ -423,11 +369,11 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
     if not (0.0 < r_lo < r_hi and math.isfinite(r_hi)):
         raise InvalidInput("need 0 < r_lo < r_hi, both finite")
-    view = arc_first_view(inst)
-    ra = view.ra
+    frame = canonical_frame(inst)
+    ra = frame.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-    grid = _CompositeGrid(view, radii, tol)
+    grid = _CompositeGrid(frame, radii, tol)
     inv = [1.0 / r for r in radii]
 
     best = math.inf
@@ -446,10 +392,10 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     argmin: dict = {}
     if best_cell is not None:
         r1, r2 = best_cell
-        d1, d2, d3 = _composite_params(view, r1, r2, 0.5, tol)
+        d1, d2, d3 = _composite_params(frame, r1, r2, 0.5, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
     for r in radii:
-        params = _p2_params(view, r, tol)
+        params = _p2_params(frame, r, tol)
         if params is None:
             continue
         feasible += 1

@@ -151,7 +151,8 @@ def random_instance(rng, omega: float | None = None) -> ProblemInstance:
 # JSON schema: {"A":[x,y],"B":[x,y],"O":[x,y]}
 #          or  {"A":[x,y],"alpha":[x,y],"B":[x,y],"beta":[x,y]}
 
-def _point_from_json(obj, key: str) -> Point2:
+def point_from_json(obj, key: str) -> Point2:
+    """The [x, y] pair at obj[key]; booleans are not numbers here."""
     val = obj.get(key)
     if (not isinstance(val, (list, tuple)) or len(val) != 2
             or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in val)):
@@ -167,14 +168,14 @@ def instance_from_json(obj: dict) -> ProblemInstance:
     has_tangents = "alpha" in obj or "beta" in obj
     if has_o == has_tangents:
         raise InvalidInput('exactly one of "O" or ("alpha","beta") must be present')
-    A = _point_from_json(obj, "A")
-    B = _point_from_json(obj, "B")
+    A = point_from_json(obj, "A")
+    B = point_from_json(obj, "B")
     if has_o:
-        return make_instance(_point_from_json(obj, "O"), A, B)
+        return make_instance(point_from_json(obj, "O"), A, B)
     if "alpha" not in obj or "beta" not in obj:
         raise InvalidInput('both "alpha" and "beta" are required')
-    return instance_from_tangents(A, B, _point_from_json(obj, "alpha"),
-                                  _point_from_json(obj, "beta"))
+    return instance_from_tangents(A, B, point_from_json(obj, "alpha"),
+                                  point_from_json(obj, "beta"))
 
 
 def instance_to_json(inst: ProblemInstance) -> dict:

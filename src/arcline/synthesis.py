@@ -21,6 +21,7 @@ from .geometry import (
     distance_to_line,
     normalized,
     oriented_angle,
+    principal_angle,
     rot90,
 )
 from .instance import ProblemInstance
@@ -33,6 +34,66 @@ def arc_radius(inst: ProblemInstance) -> float:
     closed form is cross-validated against :func:`tangency_oracle`.
     """
     return min(inst.oa, inst.ob) * math.tan((math.pi - inst.omega) / 2.0)
+
+
+@dataclass(frozen=True)
+class CanonicalFrame:
+    """The instance in the picture the certificates are stated in.
+
+    The optimal arc leaves the origin along +x and turns counterclockwise
+    through omega; the segment of length `seg` follows and ends at
+    (xb, yb).  Arc-first instances (OA <= OB) sit in the direct frame at A
+    along alpha.  Segment-first instances are reversed and mirrored: the
+    frame sits at B with axes -beta and rot90(beta), so it is indirect,
+    and `mirrored` is set.
+    """
+
+    omega: float
+    ra: float
+    seg: float          # segment length of the optimal curve
+    xb: float           # endpoint coordinates in the frame
+    yb: float
+    mirrored: bool
+    origin: Point2
+    x_axis: Vec2
+    y_axis: Vec2
+    heading: float      # world angle of the frame's x axis
+
+    def to_world(self, q: Point2) -> Point2:
+        return self.origin + self.x_axis * q.x + self.y_axis * q.y
+
+    def primitives_to_world(self, prims) -> list:
+        """World copies of a chain given in the frame.
+
+        A mirrored frame reflects, so it also reverses the chain: the
+        world chain runs from A to B and keeps counterclockwise sweeps.
+        """
+        out = []
+        for p in (reversed(prims) if self.mirrored else prims):
+            if isinstance(p, Segment):
+                a, b = self.to_world(p.start), self.to_world(p.end)
+                out.append(Segment(b, a) if self.mirrored else Segment(a, b))
+            else:
+                start = (self.heading + math.pi - p.start_angle - p.sweep if self.mirrored
+                         else p.start_angle + self.heading)
+                out.append(Arc(self.to_world(p.center), p.radius, principal_angle(start),
+                               p.sweep))
+        return out
+
+
+def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
+    """Build the instance's :class:`CanonicalFrame`."""
+    ra = arc_radius(inst)
+    om = inst.omega
+    seg = abs(inst.oa - inst.ob)
+    xb = ra * math.sin(om) + seg * math.cos(om)
+    yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
+    if inst.oa > inst.ob:
+        return CanonicalFrame(om, ra, seg, xb, yb, True, inst.B, -inst.beta,
+                              rot90(inst.beta), inst.beta.angle())
+    x_axis = normalized(inst.alpha)
+    return CanonicalFrame(om, ra, seg, xb, yb, False, inst.A, x_axis,
+                          rot90(x_axis), inst.alpha.angle())
 
 
 @dataclass(frozen=True)

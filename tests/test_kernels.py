@@ -38,6 +38,7 @@ from arcline import (
     max_curvature,
     synthesize,
 )
+from arcline.synthesis import canonical_frame
 from conftest import instances, symmetric_instances
 
 
@@ -160,7 +161,7 @@ def test_support_min_memory_is_linear():
 
 def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     """family_sweep as a plain loop over the per-cell closed forms."""
-    view = dubins.arc_first_view(inst)
+    view = canonical_frame(inst)
     ra = view.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
@@ -253,7 +254,7 @@ def test_family_sweep_roots_on_grid():
     # windows whose last radius is one of row 0's three roots in closed
     # form, so that a cell sits within rounding of the frontier
     for inst in instances(seed=73, count=12) + symmetric_instances(9, 4):
-        view = dubins.arc_first_view(inst)
+        view = canonical_frame(inst)
         tol = 1e-9 * inst.diameter
         r1 = 0.2 * view.ra
         grid = dubins._CompositeGrid(view, [r1, view.ra], tol)
@@ -282,7 +283,7 @@ def test_first_best_matches_scan():
 
 def test_family_sweep_full_row_fallback():
     inst = arc_first()
-    view = dubins.arc_first_view(inst)
+    view = canonical_frame(inst)
     tol = 1e-9 * inst.diameter
     # 1 + 4e-16 puts two grid radii on each float: not strictly increasing.
     # 1 + 1e-13 spaces them a few ulps apart: the windows exceed the cap.
