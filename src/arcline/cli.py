@@ -157,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="path or inline JSON")
     common.add_argument("--output", help="output path (stdout when omitted)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", parents=[common],

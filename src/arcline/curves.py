@@ -374,7 +374,6 @@ class MembershipReport:
     endpoint_b_residual: float
     tangent_a_residual: float
     tangent_b_residual: float
-    unit_speed: bool
     curvature_nonnegative: bool
     phi_monotone: bool
     phi_range_ok: bool
@@ -386,7 +385,6 @@ class MembershipReport:
             "endpointB_residual": self.endpoint_b_residual,
             "tangentA_residual": self.tangent_a_residual,
             "tangentB_residual": self.tangent_b_residual,
-            "unitSpeed": self.unit_speed,
             "curvatureNonnegative": self.curvature_nonnegative,
             "phiMonotone": self.phi_monotone,
             "phiRangeOK": self.phi_range_ok,
@@ -420,7 +418,6 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
         endpoint_b_residual=endpoint_b,
         tangent_a_residual=tangent_a,
         tangent_b_residual=tangent_b,
-        unit_speed=True,
         curvature_nonnegative=curvature_ok,
         phi_monotone=monotone,
         phi_range_ok=range_ok,

@@ -67,9 +67,6 @@ class Vec2:
         """Direction angle in (-pi, pi] (atan2 convention)."""
         return math.atan2(self.y, self.x)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 #: points and vectors share one representation
 Point2 = Vec2

@@ -193,6 +193,7 @@ def test_missing_input_rejected(capsys):
     assert "input" in json.loads(err)["error"]["message"]
 
 
-def test_seed_flag_accepted(capsys):
-    code, _, _ = run(capsys, "solve", "--input", WORKED, "--seed", "7")
-    assert code == 0
+def test_seed_flag_rejected(capsys):
+    code, out, err = run(capsys, "solve", "--input", WORKED, "--seed", "7")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"

@@ -94,7 +94,6 @@ def test_membership_of_optimal_curve(worked_instance):
     sol = synthesize(worked_instance)
     report = check_membership(sol.curve, worked_instance)
     assert report.in_e
-    assert report.unit_speed
     assert report.endpoint_b_residual <= 1e-9 * worked_instance.diameter
 
 
