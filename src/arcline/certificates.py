@@ -152,7 +152,9 @@ def _arc_samples(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     pts, _, _ = z.sample_at(s)
     d = pts - np.array([frame.origin.x, frame.origin.y])
     ex, ey = frame.x_axis, frame.y_axis
-    xy = np.column_stack([d @ np.array([ex.x, ex.y]), d @ np.array([ey.x, ey.y])])
+    # elementwise, not `d @ axis`: BLAS may fuse the multiply-add, and
+    # whether it does depends on the CPU
+    xy = np.column_stack([d[:, 0] * ex.x + d[:, 1] * ex.y, d[:, 0] * ey.x + d[:, 1] * ey.y])
     theta = oriented_angle(inst.alpha, z.start_tangent) + z.turning_at(s)
     if frame.mirrored:
         theta = frame.omega - theta
