@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
@@ -9,6 +10,7 @@ from arcline import (
     Frame,
     InvalidInput,
     NoAdmissibleCurve,
+    PathBuilder,
     Segment,
     Vec2,
     arc_radius,
@@ -22,6 +24,7 @@ from arcline import (
     synthesize,
     tangency_oracle,
 )
+from arcline.synthesis import canonical_frame
 from conftest import WORKED_RA, instances, rigid_motion, symmetric_instances
 
 
@@ -195,3 +198,45 @@ def test_illposed_demo_bad_radius():
     a, alpha, b, beta = DEMO
     with pytest.raises(InvalidInput):
         illposed_demo(a, alpha, b, beta, -1.0)
+
+
+@st.composite
+def frame_cases(draw):
+    """(kind, instance): arc-first (OA < OB), mirrored (OA > OB) or
+    exactly symmetric (OA == OB bit for bit, which is arc-first)."""
+    kind = draw(st.sampled_from(["arc-first", "mirrored", "symmetric"]))
+    if kind == "symmetric":
+        return kind, symmetric_instances(draw(st.integers(0, 2**32)), 1, exact=True)[0]
+    omega = draw(st.floats(0.1, math.pi - 0.1))
+    near = 10.0 ** draw(st.floats(-1.0, 1.0))
+    far = near * draw(st.floats(1.05, 4.0))
+    pose = draw(st.floats(-math.pi, math.pi))
+    turn = omega * draw(st.sampled_from([-1.0, 1.0]))
+    # a negative turn is stored reversed, which swaps the legs
+    oa, ob = (near, far) if (kind == "arc-first") == (turn > 0.0) else (far, near)
+    O = Vec2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    alpha = Vec2(math.cos(pose), math.sin(pose))
+    beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
+    return kind, make_instance(O, O - alpha * oa, O + beta * ob)
+
+
+@settings(deadline=None, max_examples=200)
+@given(frame_cases())
+def test_canonical_frame_round_trip(case):
+    # the optimum drawn in the frame (arc from the origin along +x, then
+    # the segment) maps onto synthesize's independent world construction
+    kind, inst = case
+    frame = canonical_frame(inst)
+    assert frame.mirrored == (kind == "mirrored")
+    chain = PathBuilder().arc(frame.ra, frame.omega).line(frame.seg).build()
+    world = frame.primitives_to_world(chain.primitives)
+    want = synthesize(inst).curve.primitives
+    tol = 1e-9 * inst.diameter
+    assert [type(p) for p in world] == [type(p) for p in want]
+    for p, q in zip(world, want):
+        assert (p.start_point - q.start_point).norm() <= tol
+        assert (p.end_point - q.end_point).norm() <= tol
+        if isinstance(p, Arc):
+            assert (p.center - q.center).norm() <= tol
+            assert abs(p.radius - q.radius) <= tol
+            assert abs(p.sweep - q.sweep) <= 1e-9
