@@ -33,9 +33,11 @@ def run_case(argv: list[str], svg_path: str) -> dict:
               "stdout": out.getvalue().splitlines(keepends=True),
               "stderr": err.getvalue().splitlines(keepends=True)}
     if SVG_ARG in argv:
-        with open(svg_path, "rb") as fh:
-            result["svg"] = fh.read().decode("utf-8").splitlines(keepends=True)
-        os.remove(svg_path)
+        result["svg"] = None  # not written: the command failed
+        if os.path.exists(svg_path):
+            with open(svg_path, "rb") as fh:
+                result["svg"] = fh.read().decode("utf-8").splitlines(keepends=True)
+            os.remove(svg_path)
     return result
 
 
