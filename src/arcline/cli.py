@@ -69,10 +69,20 @@ def _write(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _cmd_solve(args) -> None:
-    from .curves import curve_to_json
+def _svg_with_offsets(curve, distance: float | None) -> str:
+    """The curve as SVG, with both its offsets at `distance` when given."""
     from .offsets import offset
     from .svg import to_svg
+
+    curves = [curve]
+    if distance is not None:
+        result = offset(curve, distance)
+        curves += [result.left, result.right]
+    return to_svg(curves)
+
+
+def _cmd_solve(args) -> None:
+    from .curves import curve_to_json
     from .synthesis import synthesize
 
     inst = instance_from_json(_load_json(args.input))
@@ -85,11 +95,7 @@ def _cmd_solve(args) -> None:
         payload["curve"] = curve_to_json(sol.curve.reversed_copy())
     _write(_dump_json(payload), args.output)
     if args.svg is not None:
-        curves = [sol.curve]
-        if args.offset is not None:
-            result = offset(sol.curve, args.offset)
-            curves += [result.left, result.right]
-        _write(to_svg(curves), args.svg)
+        _write(_svg_with_offsets(sol.curve, args.offset), args.svg)
 
 
 def _cmd_verify(args) -> None:
@@ -128,15 +134,9 @@ def _cmd_compare(args) -> None:
 
 def _cmd_export(args) -> None:
     from .curves import curve_from_json
-    from .offsets import offset
-    from .svg import to_svg
 
-    curve = curve_from_json(_load_json(args.input))
-    curves = [curve]
-    if args.offset is not None:
-        result = offset(curve, args.offset)
-        curves += [result.left, result.right]
-    _write(to_svg(curves), args.output)
+    _write(_svg_with_offsets(curve_from_json(_load_json(args.input)), args.offset),
+           args.output)
 
 
 def _cmd_demo_illposed(args) -> None:

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .errors import InvalidInput, OutOfRange
+from .errors import InternalError, InvalidInput, OutOfRange
 from .geometry import (
     TWO_PI,
     Point2,
@@ -305,7 +305,13 @@ class PiecewiseCurve:
 
 
 class PathBuilder:
-    """Grow a primitive chain by straight runs and turns from a pose."""
+    """Grow a primitive chain by straight runs and turns from a pose.
+
+    Every piece is placed from the running point and heading alone: an
+    arc's center and start angle come from the heading, never from the
+    angle of a difference of coordinates, and its end point is reached
+    along its chord.  `build_to` closes the chain on a target point.
+    """
 
     def __init__(self, start: Point2 = Vec2(0.0, 0.0), heading: float = 0.0):
         self._point = start
@@ -332,18 +338,39 @@ class PathBuilder:
     def arc(self, radius: float, sweep: float) -> "PathBuilder":
         if sweep == 0.0:
             return self
-        direction = from_polar(self._heading)
-        side = rot90(direction) if sweep > 0 else -rot90(direction)
-        center = self._point + side * radius
-        start_angle = (self._point - center).angle()
-        a = Arc(center, radius, start_angle, sweep)
-        self._prims.append(a)
-        self._point = a.end_point
+        # the center lies a quarter turn to the turning side of the heading
+        side = 0.5 * math.pi if sweep > 0 else -0.5 * math.pi
+        center = self._point + from_polar(self._heading + side, radius)
+        self._prims.append(Arc(center, radius, principal_angle(self._heading - side), sweep))
+        # the end point in chord form, so it carries the rounding of the
+        # chord and not that of a far-away center
+        chord = 2.0 * radius * math.sin(0.5 * abs(sweep))
+        self._point = self._point + from_polar(self._heading + 0.5 * sweep, chord)
         self._heading = self._heading + sweep
         return self
 
-    def build(self, *, require_g1: bool = True) -> PiecewiseCurve:
-        return PiecewiseCurve(self._prims, require_g1=require_g1)
+    def build(self) -> PiecewiseCurve:
+        return PiecewiseCurve(self._prims)
+
+    def build_to(self, target: Point2, tol: float) -> PiecewiseCurve:
+        """The chain as a curve ending on `target`.
+
+        The chain must end within `tol` of `target`; a final segment is
+        then moved to end on it exactly.  The caller computed the chain
+        to close, so a miss, or a joint that fails the G1 check, is the
+        construction's fault and raises InternalError.
+        """
+        prims = list(self._prims)
+        # the curve's own end: a final arc's, not the chord-form point
+        miss = dist(prims[-1].end_point if prims else self._point, target)
+        if not miss <= tol:
+            raise InternalError(f"chain ends {miss!r} from its target, tolerance {tol!r}")
+        try:
+            if prims and isinstance(prims[-1], Segment):
+                prims[-1] = Segment(prims[-1].start, target)
+            return PiecewiseCurve(prims)
+        except InvalidInput as exc:
+            raise InternalError(f"constructed chain is not G1: {exc}") from exc
 
 
 def heading(curve: PiecewiseCurve, inst: ProblemInstance, s: float) -> float:
@@ -426,15 +453,16 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
 
 
 def sample_polyline(curve: PiecewiseCurve, n: int) -> list[tuple[float, Point2, Vec2, float]]:
-    """n+1 samples at equal arc-length spacing, both endpoints included."""
+    """n+1 samples at equal arc-length spacing, both endpoints included:
+    rows (s, point, unit tangent, curvature) from `PiecewiseCurve.sample_at`."""
     if n < 1:
         raise InvalidInput(f"sample count must be >= 1, got {n!r}")
-    rows = []
-    for i in range(n + 1):
-        s = curve.length * i / n
-        point, tangent, curv = curve.evaluate(s)
-        rows.append((s, point, tangent, curv))
-    return rows
+    import numpy as np
+
+    svals = [curve.length * i / n for i in range(n + 1)]
+    pts, tans, curv = curve.sample_at(np.array(svals))
+    return [(s, Vec2(*p), Vec2(*t), k)
+            for s, p, t, k in zip(svals, pts.tolist(), tans.tolist(), curv.tolist())]
 
 
 def numeric_curvature(points: list[Point2]) -> list[float]:

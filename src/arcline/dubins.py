@@ -13,8 +13,10 @@ Two families live here:
 
 Composite parameters are expressed in the instance's canonical frame
 (`synthesis.canonical_frame`: arc first, the problem reversed and
-mirrored when OA > OB), matching the closed-form certificates; the frame
-maps the returned curves back to world coordinates.
+mirrored when OA > OB), matching the closed-form certificates.  Every
+curve returned here is grown in world coordinates from A along alpha by
+`curves.PathBuilder` and closed on B by its `build_to`; a mirrored frame
+only reverses the order of the composite's pieces.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import Arc, PathBuilder, PiecewiseCurve, Segment
+from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
 from .geometry import dist, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
@@ -69,28 +71,24 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
     center_a = inst.A + rot90(inst.alpha) * r
     center_b = inst.B + rot90(inst.beta) * r
     gap = dist(center_a, center_b)
-    prims: list
-    if gap <= 1e-12 * inst.diameter:
+    tiny = 1e-12 * inst.diameter
+    builder = PathBuilder(inst.A, inst.alpha.angle())
+    if gap <= tiny:
         # symmetric limit: the two arcs close into one
-        prims = [Arc(center_a, r, (inst.A - center_a).angle(), inst.omega)]
+        builder.arc(r, inst.omega)
     else:
-        t = normalized(center_b - center_a)
-        sweep1 = oriented_angle(inst.alpha, t)
+        # the connecting segment is the common external tangent: parallel
+        # to the line of centers and as long as their distance
+        sweep1 = oriented_angle(inst.alpha, normalized(center_b - center_a))
         if sweep1 < -1e-9 or sweep1 > inst.omega + 1e-9:
             raise InternalError(f"tangent construction left [0, omega]: {sweep1!r}")
         sweep1 = min(max(sweep1, 0.0), inst.omega)
         sweep2 = inst.omega - sweep1
-        e = center_a - rot90(t) * r
-        d = center_b - rot90(t) * r
-        prims = []
-        if sweep1 * r > 1e-12 * inst.diameter:
-            prims.append(Arc(center_a, r, (inst.A - center_a).angle(), sweep1))
-        if dist(e, d) > 1e-12 * inst.diameter:
-            prims.append(Segment(e, d))
-        if sweep2 * r > 1e-12 * inst.diameter:
-            prims.append(Arc(center_b, r, (d - center_b).angle(), sweep2))
+        builder.arc(r, sweep1 if sweep1 * r > tiny else 0.0).line(gap)
+        builder.arc(r, sweep2 if sweep2 * r > tiny else 0.0)
+    curve = builder.build_to(inst.B, 1e-9 * inst.diameter)
     case = LIMIT if abs(radius - ra) <= LIMIT_CASE_REL * ra else INTERIOR
-    return DubinsCurve(radius=radius, curve=PiecewiseCurve(prims), case=case)
+    return DubinsCurve(radius=radius, curve=curve, case=case)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +158,13 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float,
     s1 = split * frame.omega
     s2 = frame.omega - s1
 
-    builder = PathBuilder()
-    builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
-    curve = PiecewiseCurve(frame.primitives_to_world(builder.build().primitives))
-    if dist(curve.end_point, inst.B) > 10.0 * tol:
-        raise InternalError("composite construction failed to close on B")
+    builder = PathBuilder(inst.A, inst.alpha.angle())
+    if frame.mirrored:
+        # the frame's reflection reverses the chain: from A it runs d3 first
+        builder.line(d3).arc(r2, s2).line(d2).arc(r1, s1).line(d1)
+    else:
+        builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
+    curve = builder.build_to(inst.B, 10.0 * tol)
     return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3,
                           sweep1=s1, sweep2=s2, curve=curve)
 

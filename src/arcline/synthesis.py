@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .curves import Arc, PiecewiseCurve, Segment
+from .curves import PathBuilder, PiecewiseCurve
 from .errors import DegenerateInput, InternalError, InvalidInput
 from .geometry import (
     Point2,
@@ -21,7 +21,6 @@ from .geometry import (
     distance_to_line,
     normalized,
     oriented_angle,
-    principal_angle,
     rot90,
 )
 from .instance import ProblemInstance
@@ -45,7 +44,9 @@ class CanonicalFrame:
     (xb, yb).  Arc-first instances (OA <= OB) sit in the direct frame at A
     along alpha.  Segment-first instances are reversed and mirrored: the
     frame sits at B with axes -beta and rot90(beta), so it is indirect,
-    and `mirrored` is set.
+    and `mirrored` is set.  World points project into the frame along
+    `x_axis` and `y_axis` from `origin`; curves are never built here but
+    grown in world coordinates from (A, alpha) by `PathBuilder`.
     """
 
     omega: float
@@ -57,28 +58,6 @@ class CanonicalFrame:
     origin: Point2
     x_axis: Vec2
     y_axis: Vec2
-    heading: float      # world angle of the frame's x axis
-
-    def to_world(self, q: Point2) -> Point2:
-        return self.origin + self.x_axis * q.x + self.y_axis * q.y
-
-    def primitives_to_world(self, prims) -> list:
-        """World copies of a chain given in the frame.
-
-        A mirrored frame reflects, so it also reverses the chain: the
-        world chain runs from A to B and keeps counterclockwise sweeps.
-        """
-        out = []
-        for p in (reversed(prims) if self.mirrored else prims):
-            if isinstance(p, Segment):
-                a, b = self.to_world(p.start), self.to_world(p.end)
-                out.append(Segment(b, a) if self.mirrored else Segment(a, b))
-            else:
-                start = (self.heading + math.pi - p.start_angle - p.sweep if self.mirrored
-                         else p.start_angle + self.heading)
-                out.append(Arc(self.to_world(p.center), p.radius, principal_angle(start),
-                               p.sweep))
-        return out
 
 
 def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
@@ -90,10 +69,9 @@ def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
     if inst.oa > inst.ob:
         return CanonicalFrame(om, ra, seg, xb, yb, True, inst.B, -inst.beta,
-                              rot90(inst.beta), inst.beta.angle())
+                              rot90(inst.beta))
     x_axis = normalized(inst.alpha)
-    return CanonicalFrame(om, ra, seg, xb, yb, False, inst.A, x_axis,
-                          rot90(x_axis), inst.alpha.angle())
+    return CanonicalFrame(om, ra, seg, xb, yb, False, inst.A, x_axis, rot90(x_axis))
 
 
 @dataclass(frozen=True)
@@ -135,30 +113,19 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
     seg_len = abs(inst.oa - inst.ob)
     pos_tol = 1e-9 * inst.diameter
     arc_first = inst.oa <= inst.ob
+    # a rounding-noise segment (OA == OB up to the last bits) is dropped
+    seg = seg_len if seg_len > pos_tol else 0.0
 
+    builder = PathBuilder(inst.A, inst.alpha.angle())
     if arc_first:
-        center = inst.A + rot90(inst.alpha) * ra
-        arc = Arc(center, ra, (inst.A - center).angle(), inst.omega)
-        prims = [arc]
-        closure = (inst.B - arc.end_point) - inst.beta * seg_len
-        if closure.norm() > pos_tol:
-            raise InternalError(f"closure identity violated by {closure.norm()!r}")
-        if seg_len > pos_tol:
-            prims.append(Segment(arc.end_point, inst.B))
+        builder.arc(ra, inst.omega).line(seg)
     else:
-        tangency = inst.A + inst.alpha * seg_len
-        center = tangency + rot90(inst.alpha) * ra
-        arc = Arc(center, ra, (tangency - center).angle(), inst.omega)
-        # a rounding-noise segment (OA == OB up to the last bits) is dropped
-        prims = [Segment(inst.A, tangency), arc] if seg_len > pos_tol else [arc]
-        if dist(arc.end_point, inst.B) > pos_tol:
-            raise InternalError(
-                f"closure identity violated by {dist(arc.end_point, inst.B)!r}")
-
+        builder.line(seg).arc(ra, inst.omega)
+    curve = builder.build_to(inst.B, pos_tol)
     return OptimalSolution(
-        curve=PiecewiseCurve(prims),
+        curve=curve,
         radius=ra,
-        arc_center=center,
+        arc_center=curve.primitives[0 if arc_first else -1].center,
         arc_sweep=inst.omega,
         segment_length=seg_len,
         arc_first=arc_first,
@@ -241,20 +208,7 @@ def illposed_demo(A: Point2, alpha: Vec2, B: Point2, beta: Vec2,
     if t1 < -tol or t2 < -tol:
         raise DegenerateInput(
             f"no segment-arc-segment curve for this radius (t1={t1!r}, t2={t2!r})")
-    t1, t2 = max(t1, 0.0), max(t2, 0.0)
-
-    prims = []
-    p1 = A + alpha * t1
-    if t1 > tol:
-        prims.append(Segment(A, p1))
-    center = p1 + rot90(alpha) * radius
-    arc = Arc(center, radius, (p1 - center).angle(), sweep)
-    prims.append(arc)
-    if t2 > tol:
-        prims.append(Segment(arc.end_point, B))
-    curve = PiecewiseCurve(prims)
-    if dist(curve.end_point, B) > tol:
-        raise InternalError("ill-posedness demo failed to close")
-    return curve
+    return (PathBuilder(A, alpha.angle()).line(t1 if t1 > tol else 0.0)
+            .arc(radius, sweep).line(t2 if t2 > tol else 0.0).build_to(B, tol))
 
 

@@ -1,6 +1,10 @@
 """Regenerate the golden CLI corpus, cli.json, from the current program.
 
-    PYTHONPATH=src python tests/golden/make_corpus.py
+    PYTHONPATH=src python tests/golden/make_corpus.py [OUTPUT]
+
+OUTPUT defaults to cli.json next to this script; CI writes the corpus to
+a temporary file and compares it with the committed one, so a generator
+edited without regenerating the corpus fails there.
 
 The inputs are the benchmark's seeded CLI instances
 (`bench/inputs.instance_set(seed, 8, "cli")`, seeds 1-5: both schemas,
@@ -109,17 +113,17 @@ def all_cases() -> list[tuple[str, list[str]]]:
     return cases
 
 
-def main() -> None:
+def main(out_path: str) -> None:
     corpus = []
     with tempfile.TemporaryDirectory() as tmp:
         svg_path = os.path.join(tmp, "out.svg")
         for name, argv in all_cases():
             corpus.append({"name": name, "argv": argv, **run_case(argv, svg_path)})
-    with open(os.path.join(HERE, "cli.json"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump({"cases": corpus}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(corpus)} cases")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else os.path.join(HERE, "cli.json"))

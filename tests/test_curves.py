@@ -5,6 +5,7 @@ import pytest
 
 from arcline import (
     Arc,
+    InternalError,
     InvalidInput,
     OutOfRange,
     PathBuilder,
@@ -18,6 +19,7 @@ from arcline import (
     make_instance,
     max_curvature,
     numeric_curvature,
+    principal_angle,
     sample_polyline,
     similarity_transform,
     synthesize,
@@ -147,6 +149,27 @@ def test_max_curvature_examples(worked_instance):
     b = PathBuilder()
     b.arc(0.3, 0.5).arc(0.5, 0.5)
     assert max_curvature(b.build()) == 1.0 / 0.3
+
+
+def test_path_builder_arcs_far_from_origin_stay_g1():
+    # start angles come from the heading, not from coordinates 1e7 away,
+    # so millimetre arcs there still meet tangentially
+    curve = PathBuilder(Vec2(1e7, -1e7), 0.3).arc(1e-3, 1.0).arc(2e-3, -0.5).build()
+    first, second = curve.primitives
+    assert first.start_angle == principal_angle(0.3 - 0.5 * math.pi)
+    assert second.start_angle == principal_angle(1.3 + 0.5 * math.pi)
+
+
+def test_build_to_closes_on_target_or_raises_internal_error():
+    b = PathBuilder().arc(1.0, 0.5 * math.pi).line(1.0)
+    end = b.point
+    # the final segment is moved onto a target within tol
+    assert b.build_to(end + Vec2(1e-12, 0.0), 1e-9).end_point == end + Vec2(1e-12, 0.0)
+    with pytest.raises(InternalError, match="from its target"):
+        b.build_to(end + Vec2(1e-6, 0.0), 1e-9)
+    # moved this far, the segment bends away from the arc's end tangent
+    with pytest.raises(InternalError, match="not G1"):
+        b.build_to(end + Vec2(1e-6, 0.0), 1e-5)
 
 
 def test_sample_polyline_counts():

@@ -116,6 +116,23 @@ def test_composite_membership_and_closure_randomized():
             assert comp.sweep2 == pytest.approx(inst.omega / 2.0)
 
 
+def test_composite_mirrored_chain_runs_backwards(worked_instance):
+    # OA > OB mirrors the frame, which reverses the chain: from A it runs
+    # d3, the R2 arc, d2, the R1 arc, d1
+    from arcline.synthesis import canonical_frame
+
+    assert canonical_frame(worked_instance).mirrored
+    ra = arc_radius(worked_instance)
+    comp = composite_solve(worked_instance, 0.6 * ra, 0.8 * ra)
+    first, second, third, fourth = comp.curve.primitives
+    assert (comp.d1, comp.d2 > 0.0, comp.d3 > 0.0) == (0.0, True, True)
+    assert first.start_point == worked_instance.A
+    assert first.length == pytest.approx(comp.d3, rel=1e-12)
+    assert (second.radius, fourth.radius) == (comp.r2, comp.r1)
+    assert third.length == pytest.approx(comp.d2, rel=1e-12)
+    assert (comp.curve.end_point - worked_instance.B).norm() <= 1e-9 * worked_instance.diameter
+
+
 def test_composite_equal_radii_on_symmetric_instances():
     # at (0.5, 0.5) R_a the closing lengths d1, d3 can come out as rounding
     # noise; they must be snapped to zero instead of building a degenerate segment

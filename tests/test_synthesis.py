@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from arcline import (
     Arc,
     DegenerateInput,
     Frame,
+    InternalError,
     InvalidInput,
     NoAdmissibleCurve,
-    PathBuilder,
     Segment,
     Vec2,
     arc_radius,
@@ -20,6 +21,7 @@ from arcline import (
     make_instance,
     max_curvature,
     oriented_angle,
+    random_instance,
     similarity_transform,
     synthesize,
     tangency_oracle,
@@ -222,21 +224,36 @@ def frame_cases(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(frame_cases())
-def test_canonical_frame_round_trip(case):
-    # the optimum drawn in the frame (arc from the origin along +x, then
-    # the segment) maps onto synthesize's independent world construction
+def test_canonical_frame_projects_far_endpoint(case):
+    # the frame sits at A, or mirrored at B, and the other endpoint
+    # projects onto (xb, yb)
     kind, inst = case
     frame = canonical_frame(inst)
-    assert frame.mirrored == (kind == "mirrored")
-    chain = PathBuilder().arc(frame.ra, frame.omega).line(frame.seg).build()
-    world = frame.primitives_to_world(chain.primitives)
-    want = synthesize(inst).curve.primitives
+    assert frame.mirrored == (kind == "mirrored") == (inst.oa > inst.ob)
+    far = (inst.A if frame.mirrored else inst.B) - frame.origin
     tol = 1e-9 * inst.diameter
-    assert [type(p) for p in world] == [type(p) for p in want]
-    for p, q in zip(world, want):
-        assert (p.start_point - q.start_point).norm() <= tol
-        assert (p.end_point - q.end_point).norm() <= tol
-        if isinstance(p, Arc):
-            assert (p.center - q.center).norm() <= tol
-            assert abs(p.radius - q.radius) <= tol
-            assert abs(p.sweep - q.sweep) <= 1e-9
+    assert abs(far.dot(frame.x_axis) - frame.xb) <= tol
+    assert abs(far.dot(frame.y_axis) - frame.yb) <= tol
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32), st.floats(-math.pi, math.pi), st.floats(-3.0, 3.0),
+       st.floats(0.0, 1e6), st.floats(-math.pi, math.pi))
+def test_synthesize_far_from_origin_is_in_e_or_internal_error(seed, rotation, log_scale,
+                                                               offset, direction):
+    # an instance moved up to 1e6 diameters from the origin: the optimum is
+    # admissible, or the construction reports its own failure; it never
+    # blames the caller's input
+    base = random_instance(random.Random(seed))
+    scale = 10.0 ** log_scale
+    shift = Vec2(math.cos(direction), math.sin(direction)) * (offset * scale * base.diameter)
+    moved = similarity_transform(base, rotation, scale, shift)
+    try:
+        inst = make_instance(moved.O, moved.A, moved.B)
+    except InvalidInput:
+        return  # rounding at this offset made the data invalid: not accepted
+    try:
+        sol = synthesize(inst)
+    except InternalError:
+        return
+    assert check_membership(sol.curve, inst).in_e
