@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInput
-from .geometry import Point2, Vec2, dist
+from .geometry import ROUND_REL, Point2, Vec2, dist
 from .instance import ProblemInstance
 from .synthesis import arc_radius
 
@@ -61,7 +61,7 @@ def bezier_min_radius(bez: QuadraticBezier) -> tuple[float, float]:
     e1 = bez.p1 - bez.p0
     e2 = bez.p2 - bez.p1
     cr = 4.0 * e1.cross(e2)
-    if abs(cr) <= 1e-12 * 4.0 * e1.norm() * e2.norm():
+    if abs(cr) <= ROUND_REL * 4.0 * e1.norm() * e2.norm():
         return math.inf, 0.5
     d = e2 - e1
     denom = d.dot(d)

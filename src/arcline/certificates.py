@@ -31,7 +31,7 @@ import numpy as np
 
 from .curves import Arc, PathBuilder, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import TWO_PI, Frame, oriented_angle
+from .geometry import ROUND_REL, TWO_PI, Frame, oriented_angle
 from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius, canonical_frame
 
@@ -121,11 +121,11 @@ def support_min(curve: PiecewiseCurve) -> float:
 def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
                       ra: float) -> float:
     e = max_curvature(z)
-    if e > (1.0 / ra) * (1.0 + 1e-12):
+    if e > (1.0 / ra) * (1.0 + ROUND_REL):
         raise HypothesisViolated(
             f"competitor max curvature {e!r} exceeds 1/R_a = {1.0 / ra!r}")
     arc_len = ra * inst.omega
-    if z.length < arc_len * (1.0 - 1e-12):
+    if z.length < arc_len * (1.0 - ROUND_REL):
         raise HypothesisViolated(
             f"competitor length {z.length!r} shorter than the optimal arc {arc_len!r}")
     return e
@@ -259,8 +259,8 @@ def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
     p = frame.to_frame(point)
     phi = heading(curve, inst, s)
     sphi = math.sin(phi)
-    if sphi < 1e-12:
-        raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < 1e-12")
+    if sphi < ROUND_REL:
+        raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < {ROUND_REL!r}")
     u = p.x - p.y * math.cos(phi) / sphi
     v = p.y / sphi
     return u, v

@@ -16,6 +16,9 @@ from typing import TYPE_CHECKING, Union
 
 from .errors import InternalError, InvalidInput, OutOfRange
 from .geometry import (
+    ANG_TOL,
+    POS_REL,
+    ROUND_REL,
     TWO_PI,
     Point2,
     Vec2,
@@ -30,12 +33,6 @@ from .instance import ProblemInstance, point_from_json
 
 if TYPE_CHECKING:
     import numpy as np
-
-#: relative normalization threshold: primitives this short are dropped
-DROP_REL = 1e-12
-#: G1 joint tolerances (position is scaled by curve extent)
-JOINT_POS_REL = 1e-9
-JOINT_ANG_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -154,33 +151,27 @@ CurvePrimitive = Union[Segment, Arc]
 
 
 def _primitive_extent(p: CurvePrimitive) -> float:
-    pts = [p.start_point, p.end_point]
-    if isinstance(p, Arc):
-        pts.append(p.center + Vec2(p.radius, p.radius))
-    return max(max(abs(q.x), abs(q.y)) for q in pts)
+    a, b = p.start_point, p.end_point
+    return max(abs(a.x), abs(a.y), abs(b.x), abs(b.y), p.length)
 
 
 class PiecewiseCurve:
     """G1 chain of primitives, parameterized by arc length on [0, L]."""
 
-    __slots__ = ("primitives", "breaks", "length", "_turn_breaks", "_scale")
+    __slots__ = ("primitives", "breaks", "length", "_turn_breaks")
 
     def __init__(self, primitives, *, require_g1: bool = True):
         prims = list(primitives)
         if not prims:
             raise InvalidInput("curve needs at least one primitive")
-        scale = max(1.0, max(_primitive_extent(p) for p in prims))
-        prims = [p for p in prims if p.length > DROP_REL * scale]
-        if not prims:
-            raise InvalidInput("all primitives are degenerately short")
         if require_g1:
-            pos_tol = JOINT_POS_REL * scale
+            pos_tol = POS_REL * max(_primitive_extent(p) for p in prims)
             for prev, nxt in zip(prims, prims[1:]):
                 gap = dist(prev.end_point, nxt.start_point)
                 if gap > pos_tol:
                     raise InvalidInput(f"position gap {gap!r} at joint exceeds {pos_tol!r}")
                 turn = oriented_angle(prev.end_tangent, nxt.start_tangent)
-                if abs(turn) > JOINT_ANG_TOL:
+                if abs(turn) > ANG_TOL:
                     raise InvalidInput(f"tangent gap {turn!r} rad at joint")
         breaks = [0.0]
         turns = [0.0]
@@ -191,17 +182,11 @@ class PiecewiseCurve:
         self.breaks = tuple(breaks)
         self.length = breaks[-1]
         self._turn_breaks = tuple(turns)
-        self._scale = scale
-
-    @property
-    def coordinate_scale(self) -> float:
-        """Extent-based scale for relative tolerances (at least 1)."""
-        return self._scale
 
     def _outside(self, lo, hi) -> bool:
         """True if [lo, hi] leaves [0, L] by more than the rounding slack,
         or either end is NaN."""
-        slack = 1e-12 * max(1.0, self.length)
+        slack = ROUND_REL * self.length
         return not (lo >= -slack and hi <= self.length + slack)
 
     def _locate(self, s: float) -> tuple[int, float]:
@@ -426,8 +411,7 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
     residuals to 1e-9 rad.  Headings are piecewise linear in arc length,
     so monotonicity and the range check are exact at the breakpoints.
     """
-    pos_tol = 1e-9 * inst.diameter
-    ang_tol = 1e-9
+    pos_tol = inst.pos_tol
     endpoint_a = dist(curve.start_point, inst.A)
     endpoint_b = dist(curve.end_point, inst.B)
     tangent_a = abs(oriented_angle(curve.start_tangent, inst.alpha))
@@ -435,10 +419,10 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
     curvature_ok = all(p.sweep_angle >= 0.0 for p in curve.primitives)
     phi0 = oriented_angle(inst.alpha, curve.start_tangent)
     phis = [phi0 + t for t in curve._turn_breaks]
-    monotone = all(b - a >= -ang_tol for a, b in zip(phis, phis[1:]))
-    range_ok = min(phis) >= -ang_tol and max(phis) <= inst.omega + ang_tol
+    monotone = all(b - a >= -ANG_TOL for a, b in zip(phis, phis[1:]))
+    range_ok = min(phis) >= -ANG_TOL and max(phis) <= inst.omega + ANG_TOL
     in_e = (endpoint_a <= pos_tol and endpoint_b <= pos_tol
-            and tangent_a <= ang_tol and tangent_b <= ang_tol
+            and tangent_a <= ANG_TOL and tangent_b <= ANG_TOL
             and curvature_ok and monotone and range_ok)
     return MembershipReport(
         endpoint_a_residual=endpoint_a,

@@ -26,14 +26,9 @@ from dataclasses import dataclass
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
-from .geometry import dist, normalized, oriented_angle, rot90
+from .geometry import ANG_TOL, POS_REL, ROUND_REL, dist, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
 from .synthesis import CanonicalFrame, arc_radius, canonical_frame
-
-#: relative slack accepted at the admissibility boundary R = R_a
-LIMIT_SLACK = 1e-12
-#: relative threshold below which a curve counts as the limit case
-LIMIT_CASE_REL = 1e-9
 
 INTERIOR = "interior"
 LIMIT = "limit"
@@ -41,8 +36,8 @@ LIMIT = "limit"
 
 def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
     """True iff a curve of minimum turn radius `radius` is admissible,
-    i.e. 0 < radius <= R_a (with relative slack 1e-12 at the boundary)."""
-    return 0.0 < radius <= arc_radius(inst) * (1.0 + LIMIT_SLACK)
+    i.e. 0 < radius <= R_a (with relative rounding slack at the boundary)."""
+    return 0.0 < radius <= arc_radius(inst) * (1.0 + ROUND_REL)
 
 
 @dataclass(frozen=True)
@@ -64,14 +59,14 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
     if radius <= 0.0 or not math.isfinite(radius):
         raise InvalidInput(f"radius must be positive, got {radius!r}")
     ra = arc_radius(inst)
-    if radius > ra * (1.0 + LIMIT_SLACK):
+    if radius > ra * (1.0 + ROUND_REL):
         raise RadiusNotAdmissible(f"radius {radius!r} exceeds the limit {ra!r}")
     r = min(radius, ra)
 
     center_a = inst.A + rot90(inst.alpha) * r
     center_b = inst.B + rot90(inst.beta) * r
     gap = dist(center_a, center_b)
-    tiny = 1e-12 * inst.diameter
+    tiny = ROUND_REL * inst.diameter
     builder = PathBuilder(inst.A, inst.alpha.angle())
     if gap <= tiny:
         # symmetric limit: the two arcs close into one
@@ -80,14 +75,14 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
         # the connecting segment is the common external tangent: parallel
         # to the line of centers and as long as their distance
         sweep1 = oriented_angle(inst.alpha, normalized(center_b - center_a))
-        if sweep1 < -1e-9 or sweep1 > inst.omega + 1e-9:
+        if sweep1 < -ANG_TOL or sweep1 > inst.omega + ANG_TOL:
             raise InternalError(f"tangent construction left [0, omega]: {sweep1!r}")
         sweep1 = min(max(sweep1, 0.0), inst.omega)
         sweep2 = inst.omega - sweep1
         builder.arc(r, sweep1 if sweep1 * r > tiny else 0.0).line(gap)
         builder.arc(r, sweep2 if sweep2 * r > tiny else 0.0)
-    curve = builder.build_to(inst.B, 1e-9 * inst.diameter)
-    case = LIMIT if abs(radius - ra) <= LIMIT_CASE_REL * ra else INTERIOR
+    curve = builder.build_to(inst.B, inst.pos_tol)
+    case = LIMIT if abs(radius - ra) <= POS_REL * ra else INTERIOR
     return DubinsCurve(radius=radius, curve=curve, case=case)
 
 
@@ -150,7 +145,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float,
     if not 0.0 < split < 1.0:
         raise InvalidInput(f"split must lie in (0, 1), got {split!r}")
     frame = canonical_frame(inst)
-    tol = 1e-9 * inst.diameter
+    tol = inst.pos_tol
     params = _composite_params(frame, r1, r2, split, tol)
     if params is None:
         return None
@@ -371,7 +366,7 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
         raise InvalidInput("need 0 < r_lo < r_hi, both finite")
     frame = canonical_frame(inst)
     ra = frame.ra
-    tol = 1e-9 * inst.diameter
+    tol = inst.pos_tol
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
     grid = _CompositeGrid(frame, radii, tol)
     inv = [1.0 / r for r in radii]

@@ -14,8 +14,15 @@ from .errors import InvalidInput
 
 TWO_PI = 2.0 * math.pi
 
-#: tolerance for "this vector must be unit length"
-UNIT_TOL = 1e-9
+# Tolerances.  Every position or length is judged relative to the size of
+# its own scene, with no absolute floor, so the accepted domain does not
+# depend on the unit of length.
+#: relative tolerance of a position or length, scaled by its scene's size
+POS_REL = 1e-9
+#: tolerance of an angle, in radians, and of a unit vector's norm
+ANG_TOL = 1e-9
+#: relative slack for the rounding of a few floating-point operations
+ROUND_REL = 1e-12
 
 
 def principal_angle(value: float) -> float:
@@ -94,7 +101,7 @@ def normalized(v: Vec2) -> Vec2:
 
 def _require_unit(v: Vec2, name: str = "vector") -> None:
     n = v.norm()
-    if abs(n - 1.0) > UNIT_TOL:
+    if abs(n - 1.0) > ANG_TOL:
         raise InvalidInput(f"{name} must be unit length, |v| = {n!r}")
 
 
@@ -139,7 +146,7 @@ def line_intersection(p1: Point2, d1: Vec2, p2: Point2, d2: Vec2) -> Point2:
     (anti)parallel.
     """
     den = d1.cross(d2)
-    if abs(den) <= UNIT_TOL * max(d1.norm() * d2.norm(), 1e-300):
+    if abs(den) <= ANG_TOL * max(d1.norm() * d2.norm(), 1e-300):
         raise InvalidInput("lines are parallel; no unique intersection")
     t = (p2 - p1).cross(d2) / den
     return p1 + d1 * t

@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DegenerateInput, IllPosedAngle, InvalidInput, NoAdmissibleCurve
 from .geometry import (
+    ANG_TOL,
+    POS_REL,
     Point2,
     Vec2,
     dist,
@@ -24,11 +26,6 @@ from .geometry import (
     oriented_angle,
     principal_angle,
 )
-
-#: relative tolerance for distinct-point checks (scaled by scene diameter)
-EPS_DIST = 1e-9
-#: absolute tolerance (radians) for angle degeneracy checks
-EPS_ANG = 1e-9
 
 
 @dataclass(frozen=True)
@@ -57,6 +54,11 @@ class ProblemInstance:
         """Scene scale: largest pairwise distance among O, A, B."""
         return max(dist(self.O, self.A), dist(self.O, self.B), dist(self.A, self.B))
 
+    @property
+    def pos_tol(self) -> float:
+        """Position tolerance of the scene: POS_REL times its diameter."""
+        return POS_REL * self.diameter
+
 
 def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
     """Build an instance from the apex O and the endpoints A, B.
@@ -68,14 +70,14 @@ def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
     diam = max(dist(O, A), dist(O, B), dist(A, B))
     if diam == 0.0:
         raise DegenerateInput("O, A, B all coincide")
-    eps = EPS_DIST * diam
+    eps = POS_REL * diam
     if dist(O, A) <= eps or dist(O, B) <= eps or dist(A, B) <= eps:
         raise DegenerateInput("O, A, B must be pairwise distinct")
 
     alpha = normalized(O - A)
     beta = normalized(B - O)
     omega = oriented_angle(alpha, beta)
-    if abs(omega) <= EPS_ANG or abs(omega) >= math.pi - EPS_ANG:
+    if abs(omega) <= ANG_TOL or abs(omega) >= math.pi - ANG_TOL:
         raise IllPosedAngle(
             f"turning angle {omega!r} is within tolerance of a multiple of pi"
         )
@@ -96,15 +98,15 @@ def instance_from_tangents(A: Point2, B: Point2, alpha: Vec2, beta: Vec2) -> Pro
     With AO = u0*alpha and OB = v0*beta, both u0 and v0 must be strictly
     positive, otherwise no admissible curve exists for this data.
     """
-    if abs(alpha.norm() - 1.0) > EPS_ANG or abs(beta.norm() - 1.0) > EPS_ANG:
+    if abs(alpha.norm() - 1.0) > ANG_TOL or abs(beta.norm() - 1.0) > ANG_TOL:
         raise InvalidInput("alpha and beta must be unit vectors")
-    if abs(alpha.cross(beta)) <= EPS_ANG:
+    if abs(alpha.cross(beta)) <= ANG_TOL:
         raise IllPosedAngle("tangent lines are parallel")
     O = line_intersection(A, alpha, B, beta)
     u0 = (O - A).dot(alpha)
     v0 = (B - O).dot(beta)
     scale = max(dist(A, B), dist(A, O), dist(B, O))
-    if u0 <= EPS_DIST * scale or v0 <= EPS_DIST * scale:
+    if u0 <= POS_REL * scale or v0 <= POS_REL * scale:
         raise NoAdmissibleCurve(
             f"tangent orientation admits no curve (u0={u0!r}, v0={v0!r})"
         )
@@ -134,7 +136,7 @@ def random_instance(rng, omega: float | None = None) -> ProblemInstance:
     leg lengths in [0.5, 2], random pose."""
     if omega is None:
         omega = rng.uniform(0.1 + 1e-6, math.pi - 0.1 - 1e-6)
-    if not (EPS_ANG < omega < math.pi - EPS_ANG):
+    if not (ANG_TOL < omega < math.pi - ANG_TOL):
         raise InvalidInput(f"omega {omega!r} outside (0, pi)")
     pose = rng.uniform(-math.pi, math.pi)
     oa = rng.uniform(0.5, 2.0)

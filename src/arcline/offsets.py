@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 from .curves import Arc, PiecewiseCurve, Segment
 from .errors import InvalidInput
-from .geometry import rot90
-
-#: relative threshold for "distance has consumed the inner radius"
-EPS_REL = 1e-9
+from .geometry import POS_REL, rot90
 
 
 @dataclass(frozen=True)
@@ -29,14 +26,14 @@ class OffsetResult:
     degenerate: bool
 
 
-def _offset_arc(arc: Arc, delta: float, eps: float):
+def _offset_arc(arc: Arc, delta: float):
     """Concentric arc at radius radius+delta, None when it collapses.
 
     Negative delta beyond the radius flips to the antipodal
     parameterization: same locus, tangent reversed (cusp case).
     """
     r = arc.radius + delta
-    if abs(r) <= eps:
+    if abs(r) <= POS_REL * arc.radius:
         return None
     if r > 0.0:
         return Arc(arc.center, r, arc.start_angle, arc.sweep)
@@ -53,7 +50,6 @@ def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:
     """
     if not (distance > 0.0):
         raise InvalidInput(f"offset distance must be positive, got {distance!r}")
-    eps = EPS_REL * curve.coordinate_scale
     left_prims: list = []
     right_prims: list = []
     left_degenerate = False
@@ -66,9 +62,9 @@ def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:
             continue
         ccw = p.sweep > 0
         inner_delta, outer_delta = -distance, +distance
-        inner = _offset_arc(p, inner_delta, eps)
-        outer = _offset_arc(p, outer_delta, eps)
-        if p.radius - distance <= eps:
+        inner = _offset_arc(p, inner_delta)
+        outer = _offset_arc(p, outer_delta)
+        if p.radius - distance <= POS_REL * p.radius:
             if ccw:
                 left_degenerate = True
             else:

@@ -72,7 +72,7 @@ def to_svg(curves: list[PiecewiseCurve], strokes: list[str] | None = None,
             x0, y0, x1, y1 = _primitive_bounds(p)
             xmin, ymin = min(xmin, x0), min(ymin, y0)
             xmax, ymax = max(xmax, x1), max(ymax, y1)
-    span = max(xmax - xmin, ymax - ymin, 1e-9)
+    span = max(xmax - xmin, ymax - ymin)
     margin = 0.05 * span
     # flip to document coordinates: y -> -y
     vb = (xmin - margin, -ymax - margin,

@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import DegenerateInput, InternalError, InvalidInput
 from .geometry import (
+    ANG_TOL,
+    POS_REL,
+    ROUND_REL,
     Point2,
     Vec2,
     dist,
@@ -111,7 +114,7 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
     """
     ra = arc_radius(inst)
     seg_len = abs(inst.oa - inst.ob)
-    pos_tol = 1e-9 * inst.diameter
+    pos_tol = inst.pos_tol
     arc_first = inst.oa <= inst.ob
     # a rounding-noise segment (OA == OB up to the last bits) is dropped
     seg = seg_len if seg_len > pos_tol else 0.0
@@ -170,7 +173,7 @@ def tangency_oracle(inst: ProblemInstance) -> tuple[float, Point2]:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-12 * hi:
+        if hi - lo <= ROUND_REL * hi:
             break
     radius = 0.5 * (lo + hi)
     center = p + n * radius
@@ -190,10 +193,10 @@ def illposed_demo(A: Point2, alpha: Vec2, B: Point2, beta: Vec2,
     """
     if radius <= 0.0:
         raise InvalidInput(f"radius must be positive, got {radius!r}")
-    if abs(alpha.norm() - 1.0) > 1e-9 or abs(beta.norm() - 1.0) > 1e-9:
+    if abs(alpha.norm() - 1.0) > ANG_TOL or abs(beta.norm() - 1.0) > ANG_TOL:
         raise InvalidInput("alpha and beta must be unit vectors")
     den = alpha.cross(beta)
-    if abs(den) <= 1e-9:
+    if abs(den) <= ANG_TOL:
         raise DegenerateInput("tangent directions are (anti)parallel")
 
     raw = oriented_angle(alpha, beta)
@@ -203,8 +206,7 @@ def illposed_demo(A: Point2, alpha: Vec2, B: Point2, beta: Vec2,
     rhs = (B - A) - w
     t1 = rhs.cross(beta) / den
     t2 = alpha.cross(rhs) / den
-    scale = max(1.0, dist(A, B), radius)
-    tol = 1e-9 * scale
+    tol = POS_REL * max(dist(A, B), radius)
     if t1 < -tol or t2 < -tol:
         raise DegenerateInput(
             f"no segment-arc-segment curve for this radius (t1={t1!r}, t2={t2!r})")

@@ -12,9 +12,11 @@ reversed, segment-first and exactly symmetric instances) with the
 `demo-illposed` radii of the same seeds, plus hand-picked cases: the
 worked instance, Dubins competitors at 0.7 R_a, wide-arc competitors
 whose zeta_0 is not rounding noise, an S-curve whose certificate entries
-are null, validation errors and the benchmark's two instances that fail
-today.  Every input is written into the corpus literally, so the test
-that replays it needs nothing but the program.
+are null, validation errors, the benchmark's two instances that fail
+today, and the worked instance scaled by 1e-12 (the "tiny/" family: no
+tolerance has an absolute floor).  Every input is written into the
+corpus literally, so the test that replays it needs nothing but the
+program.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ OFFSET_FRACTION = 0.25
 
 WORKED = {"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}
 ARC_FIRST = {"O": [0.0, 0.0], "A": [0.0, 1.0], "B": [2.0, 0.0]}
+TINY_WORKED = {key: [1e-12 * c for c in point] for key, point in WORKED.items()}
 
 
 def instance_cases(name: str, obj: dict) -> list[tuple[str, list[str]]]:
@@ -110,6 +113,7 @@ def all_cases() -> list[tuple[str, list[str]]]:
     ]
     for k, obj in enumerate(inputs.FAILING_INSTANCES):
         cases.append((f"failing/{k}", ["solve", "--input", json.dumps(obj)]))
+    cases += [(f"tiny/{name}", argv) for name, argv in instance_cases("worked", TINY_WORKED)]
     return cases
 
 

@@ -270,12 +270,23 @@ def test_g1_validation():
         PiecewiseCurve(corner)
 
 
-def test_zero_length_primitives_dropped():
+def test_short_primitives_kept_and_judged_at_their_scale():
+    # a curve keeps every piece it is given, however short
     prims = [Segment(Vec2(0, 0), Vec2(1, 0)),
              Arc(Vec2(1, 1), 1.0, -math.pi / 2, 1e-15),
              Segment(Vec2(1, 0), Vec2(2, 0))]
-    curve = PiecewiseCurve(prims)
-    assert len(curve.primitives) == 2
+    assert len(PiecewiseCurve(prims).primitives) == 3
+    # a chain 1e-12 long is a curve like any other ...
+    tiny = PiecewiseCurve([Segment(Vec2(0, 0), Vec2(5e-13, 0)),
+                           Segment(Vec2(5e-13, 0), Vec2(1e-12, 0))])
+    assert tiny.length == 1e-12
+    assert tiny.evaluate(1e-12)[0] == Vec2(1e-12, 0)
+    # ... and its joints and arc lengths are judged at its own scale
+    with pytest.raises(InvalidInput, match="position gap"):
+        PiecewiseCurve([Segment(Vec2(0, 0), Vec2(5e-13, 0)),
+                        Segment(Vec2(5e-13, 1e-13), Vec2(1e-12, 1e-13))])
+    with pytest.raises(OutOfRange):
+        tiny.evaluate(1.5e-12)
 
 
 def test_arc_invariants():

@@ -1,9 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
+    InternalError,
     InvalidInput,
     RadiusNotAdmissible,
     Vec2,
@@ -15,6 +18,7 @@ from arcline import (
     family_sweep,
     is_feasible_radius,
     max_curvature,
+    random_instance,
     synthesize,
 )
 from conftest import instances, sampled_hausdorff, symmetric_instances
@@ -61,6 +65,19 @@ def test_membership_across_radii_randomized():
         for frac in (0.1, 0.35, 0.7, 0.95, 1.0):
             g = dubins_curve(inst, frac * ra)
             assert check_membership(g.curve, inst).in_e, (inst, frac)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 2**32), st.floats(-4.0, -1.0))
+def test_limit_curve_at_small_omega_is_in_e_or_internal_error(seed, log_omega):
+    # at radius R_a one arc degenerates; a short arc that remains is kept,
+    # so the curve still starts on A and ends on B
+    inst = random_instance(random.Random(seed), omega=10.0 ** log_omega)
+    try:
+        g = dubins_curve(inst, arc_radius(inst))
+    except InternalError:
+        return
+    assert check_membership(g.curve, inst).in_e
 
 
 def test_continuity_at_the_limit():

@@ -77,13 +77,19 @@ def support_min_oracle(curve: PiecewiseCurve, n: int, joints: bool = False) -> f
                for s in range(svals.size))
 
 
+def rounding_scale(curve: PiecewiseCurve) -> float:
+    """Largest endpoint coordinate of the curve, and at least 1."""
+    return max([1.0] + [abs(v) for p in curve.primitives
+                        for q in (p.start_point, p.end_point) for v in (q.x, q.y)])
+
+
 @pytest.mark.parametrize("n", [2, 3, 97, 512, 2048, 5000])
 def test_support_min_matches_oracle(n):
     # the exact minimum never lies above a sampled grid, up to rounding
     for inst in (arc_first(), segment_first()):
         for curve in competitors(inst):
             assert certificates.support_min(curve) <= \
-                support_min_oracle(curve, n) + 1e-12 * curve.coordinate_scale
+                support_min_oracle(curve, n) + 1e-12 * rounding_scale(curve)
 
 
 def test_support_min_exact_values():
@@ -142,7 +148,7 @@ def test_support_min_within_grid_error(curve):
     k = max_curvature(curve)
     bound = (2.0 * k + k * k * curve.length) / 4.0 * (curve.length / (n - 1)) ** 2
     gap = support_min_oracle(curve, n, joints=True) - certificates.support_min(curve)
-    rounding = 1e-12 * curve.coordinate_scale
+    rounding = 1e-12 * rounding_scale(curve)
     assert -rounding <= gap <= bound + rounding
 
 

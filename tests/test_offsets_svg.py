@@ -12,6 +12,7 @@ from arcline import (
     Segment,
     Vec2,
     offset,
+    similarity_transform,
     synthesize,
     to_svg,
 )
@@ -116,6 +117,21 @@ def test_svg_radius_string(worked_instance):
     arcs = re.findall(r"A ([0-9.eE+-]+) ", doc)
     assert arcs and arcs[0] == format(sol.radius, ".9g")
     assert arcs[0] == "0.207106781"
+
+
+def _view_box_and_stroke(doc: str) -> list[float]:
+    root = ET.fromstring(doc)
+    path = next(el for el in root if el.tag.endswith("path"))
+    return [float(v) for v in root.get("viewBox").split()] + [float(path.get("stroke-width"))]
+
+
+def test_svg_frame_scales_with_the_curve(worked_instance):
+    # no absolute floor on the drawing's span: a curve 1e-12 the size has
+    # a viewBox and stroke 1e-12 the size
+    tiny = similarity_transform(worked_instance, 0.0, 1e-12, Vec2(0.0, 0.0))
+    unit = _view_box_and_stroke(to_svg([synthesize(worked_instance).curve]))
+    small = _view_box_and_stroke(to_svg([synthesize(tiny).curve]))
+    assert small == pytest.approx([1e-12 * v for v in unit], rel=1e-8)
 
 
 def test_svg_empty_input():

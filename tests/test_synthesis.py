@@ -16,6 +16,8 @@ from arcline import (
     Vec2,
     arc_radius,
     check_membership,
+    composite_solve,
+    dubins_curve,
     illposed_demo,
     instance_from_tangents,
     make_instance,
@@ -257,3 +259,20 @@ def test_synthesize_far_from_origin_is_in_e_or_internal_error(seed, rotation, lo
     except InternalError:
         return
     assert check_membership(sol.curve, inst).in_e
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32), st.floats(-100.0, 30.0))
+def test_constructions_are_scale_invariant(seed, log_scale):
+    # every tolerance is relative to its own scene: an instance scaled at
+    # the origin by 10**log_scale solves in E through every constructor
+    base = random_instance(random.Random(seed))
+    scaled = similarity_transform(base, 0.0, 10.0 ** log_scale, Vec2(0.0, 0.0))
+    inst = make_instance(scaled.O, scaled.A, scaled.B)
+    ra = arc_radius(inst)
+    curves = [synthesize(inst).curve, dubins_curve(inst, 0.7 * ra).curve]
+    composite = composite_solve(inst, 0.6 * ra, 0.8 * ra)
+    if composite is not None:
+        curves.append(composite.curve)
+    for curve in curves:
+        assert check_membership(curve, inst).in_e
