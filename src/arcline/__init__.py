@@ -24,12 +24,12 @@ _EXPORTS = {
     **dict.fromkeys(
         ("Certificate", "frame_gap_profiles", "make_certificate", "support_min",
          "tangent_intercepts", "theta_phi_bound", "zeta0_closed_form",
-         "zeta0_coefficients", "zeta0_geometric", "zeta_profile"),
+         "zeta0_coefficients", "zeta_profile"),
         "certificates"),
     **dict.fromkeys(
         ("Arc", "MembershipReport", "PathBuilder", "PiecewiseCurve", "Segment",
          "check_membership", "curve_from_json", "curve_to_json", "heading",
-         "max_curvature", "numeric_curvature", "sample_polyline"),
+         "max_curvature"),
         "curves"),
     **dict.fromkeys(
         ("CompositeCurve", "DubinsCurve", "SweepReport", "composite_solve",
@@ -41,7 +41,7 @@ _EXPORTS = {
          "RadiusNotAdmissible", "UndefinedHeading"),
         "errors"),
     **dict.fromkeys(
-        ("Frame", "Point2", "Vec2", "oriented_angle", "principal_angle", "rot90"),
+        ("Point2", "Vec2", "oriented_angle", "principal_angle", "rot90"),
         "geometry"),
     **dict.fromkeys(
         ("ProblemInstance", "instance_from_json", "instance_from_tangents",
@@ -50,7 +50,7 @@ _EXPORTS = {
     **dict.fromkeys(("OffsetResult", "offset"), "offsets"),
     **dict.fromkeys(("to_svg",), "svg"),
     **dict.fromkeys(
-        ("OptimalSolution", "arc_radius", "illposed_demo", "synthesize", "tangency_oracle"),
+        ("OptimalSolution", "arc_radius", "illposed_demo", "synthesize"),
         "synthesis"),
 }
 

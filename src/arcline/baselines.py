@@ -29,21 +29,9 @@ class QuadraticBezier:
                dist(self.p0, self.p2)) == 0.0:
             raise InvalidInput("control points must be pairwise distinct")
 
-    def point(self, t: float) -> Point2:
-        u = 1.0 - t
-        return (self.p0 * (u * u) + self.p1 * (2.0 * u * t) + self.p2 * (t * t))
-
     def velocity(self, t: float) -> Vec2:
         return ((self.p1 - self.p0) * (2.0 * (1.0 - t))
                 + (self.p2 - self.p1) * (2.0 * t))
-
-    @property
-    def acceleration(self) -> Vec2:
-        return (self.p0 - self.p1 * 2.0 + self.p2) * 2.0
-
-    def curvature(self, t: float) -> float:
-        v = self.velocity(t)
-        return self.velocity(0.0).cross(self.acceleration) / v.norm() ** 3
 
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "QuadraticBezier":
@@ -75,10 +63,8 @@ class ComparisonReport:
     """Optimal arc radius versus the parabola's minimum radius."""
 
     bezier_min_radius: float
-    bezier_t: float
     optimal_min_radius: float
     improvement_ratio: float | None
-    degenerate: bool
 
     def as_dict(self) -> dict:
         return {
@@ -90,10 +76,8 @@ class ComparisonReport:
 
 def compare_report(inst: ProblemInstance) -> ComparisonReport:
     """Compare the optimal curve's minimum radius with the parabola's."""
-    r_min, t_star = bezier_min_radius(QuadraticBezier.from_instance(inst))
+    r_min, _ = bezier_min_radius(QuadraticBezier.from_instance(inst))
     ra = arc_radius(inst)
-    degenerate = not math.isfinite(r_min)
-    ratio = None if degenerate else ra / r_min
-    return ComparisonReport(bezier_min_radius=r_min, bezier_t=t_star,
-                            optimal_min_radius=ra, improvement_ratio=ratio,
-                            degenerate=degenerate)
+    ratio = ra / r_min if math.isfinite(r_min) else None
+    return ComparisonReport(bezier_min_radius=r_min, optimal_min_radius=ra,
+                            improvement_ratio=ratio)

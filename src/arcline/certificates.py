@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import Arc, PathBuilder, PiecewiseCurve, heading, max_curvature
+from .curves import Arc, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import ROUND_REL, TWO_PI, Frame, oriented_angle
+from .geometry import ROUND_REL, TWO_PI, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius, canonical_frame
 
@@ -222,28 +222,6 @@ def zeta0_closed_form(inst: ProblemInstance, r1: float, r2: float,
     return a * (r1 - ra) + b * (r2 - ra) + c * d1 + f * d2
 
 
-def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
-                    d1: float, d2: float) -> float:
-    """zeta_0 measured on the actually-constructed composite geometry.
-
-    Builds segment d1, arc (r1, Omega/2), segment d2, arc (r2, Omega/2)
-    in the canonical frame and projects the final point's offset from
-    the endpoint onto the outward normal of the terminal tangent.  The
-    composite need not close on B; this is the independent cross-check
-    of the closed form.
-    """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise InvalidInput("arc radii must be positive")
-    if d1 < 0.0 or d2 < 0.0:
-        raise InvalidInput("segment lengths must be nonnegative")
-    frame = canonical_frame(inst)
-    om = frame.omega
-    builder = PathBuilder()
-    builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
-    end = builder.point
-    return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
-
-
 def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
                        s: float) -> tuple[float, float]:
     """Intercept lengths (u, v) of the tangent line at arc length s.
@@ -254,15 +232,16 @@ def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
     At s = L the pair is (u0, v0), strictly positive for admissible
     curves; for the optimal curve it equals (OA, OB).
     """
-    frame = Frame(inst.A, inst.alpha)
+    x = normalized(inst.alpha)
     point, _, _ = curve.evaluate(s)
-    p = frame.to_frame(point)
+    d = point - inst.A
+    px, py = d.dot(x), d.dot(rot90(x))
     phi = heading(curve, inst, s)
     sphi = math.sin(phi)
     if sphi < ROUND_REL:
         raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < {ROUND_REL!r}")
-    u = p.x - p.y * math.cos(phi) / sphi
-    v = p.y / sphi
+    u = px - py * math.cos(phi) / sphi
+    v = py / sphi
     return u, v
 
 
@@ -276,11 +255,6 @@ class Certificate:
     u0: float | None
     v0: float | None
     e: float
-
-    @property
-    def uv_positive(self) -> bool:
-        return (self.u0 is not None and self.v0 is not None
-                and self.u0 > 0.0 and self.v0 > 0.0)
 
     def as_dict(self) -> dict:
         return {

@@ -87,6 +87,8 @@ def _cmd_solve(args) -> None:
 
     inst = instance_from_json(_load_json(args.input))
     sol = synthesize(inst)
+    # rendered first: an invalid --offset fails before anything is written
+    svg = None if args.svg is None else _svg_with_offsets(sol.curve, args.offset)
     payload = sol.as_dict()
     payload["symmetric"] = inst.symmetric
     payload["reversed"] = inst.reversed
@@ -94,8 +96,8 @@ def _cmd_solve(args) -> None:
         # report the curve in the caller's traversal direction
         payload["curve"] = curve_to_json(sol.curve.reversed_copy())
     _write(_dump_json(payload), args.output)
-    if args.svg is not None:
-        _write(_svg_with_offsets(sol.curve, args.offset), args.svg)
+    if svg is not None:
+        _write(svg, args.svg)
 
 
 def _cmd_verify(args) -> None:
@@ -163,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="instance JSON -> optimal-curve JSON")
     p.add_argument("--svg", help="also write the curve as SVG to this path")
     p.add_argument("--offset", type=float,
-                   help="include offsets at this distance in the SVG")
+                   help="include offsets at this distance in the SVG (needs --svg)")
     p.set_defaults(func=_cmd_solve, needs_input=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -203,6 +205,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "solve" and args.offset is not None and args.svg is None:
+            parser.error("--offset requires --svg")
     except _UsageError as exc:
         _emit_error("UsageError", str(exc))
         return 1

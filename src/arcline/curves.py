@@ -206,10 +206,6 @@ class PiecewiseCurve:
         p = self.primitives[i]
         return p.point_at(local), p.tangent_at(local), p.curvature_at(local)
 
-    def point_at(self, s: float) -> Point2:
-        i, local = self._locate(s)
-        return self.primitives[i].point_at(local)
-
     def turning(self, s: float) -> float:
         """Accumulated signed turning (unwrapped heading change) on [0, s]."""
         i, local = self._locate(s)
@@ -306,10 +302,6 @@ class PathBuilder:
     @property
     def point(self) -> Point2:
         return self._point
-
-    @property
-    def heading(self) -> float:
-        return self._heading
 
     def line(self, length: float) -> "PathBuilder":
         if length < 0.0:
@@ -434,47 +426,6 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
         phi_range_ok=range_ok,
         in_e=in_e,
     )
-
-
-def sample_polyline(curve: PiecewiseCurve, n: int) -> list[tuple[float, Point2, Vec2, float]]:
-    """n+1 samples at equal arc-length spacing, both endpoints included:
-    rows (s, point, unit tangent, curvature) from `PiecewiseCurve.sample_at`."""
-    if n < 1:
-        raise InvalidInput(f"sample count must be >= 1, got {n!r}")
-    import numpy as np
-
-    svals = [curve.length * i / n for i in range(n + 1)]
-    pts, tans, curv = curve.sample_at(np.array(svals))
-    return [(s, Vec2(*p), Vec2(*t), k)
-            for s, p, t, k in zip(svals, pts.tolist(), tans.tolist(), curv.tolist())]
-
-
-def numeric_curvature(points: list[Point2]) -> list[float]:
-    """Discrete curvature of a sampled curve from chord headings.
-
-    The turning between consecutive chords, divided by the mean adjacent
-    chord length, estimates |curvature| to second order in the spacing;
-    the first and last samples reuse the nearest interior estimate.
-    """
-    m = len(points)
-    if m < 3:
-        raise InvalidInput("need at least 3 points")
-    headings = []
-    chords = []
-    for p, q in zip(points, points[1:]):
-        d = q - p
-        n = d.norm()
-        if n == 0.0:
-            raise InvalidInput("duplicate consecutive sample points")
-        headings.append(d.angle())
-        chords.append(n)
-    kappa = [0.0] * m
-    for i in range(1, m - 1):
-        dpsi = principal_angle(headings[i] - headings[i - 1])
-        kappa[i] = dpsi / (0.5 * (chords[i - 1] + chords[i]))
-    kappa[0] = kappa[1]
-    kappa[-1] = kappa[-2]
-    return kappa
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,9 @@ from dataclasses import dataclass
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
-from .geometry import ANG_TOL, POS_REL, ROUND_REL, dist, normalized, oriented_angle, rot90
+from .geometry import ANG_TOL, ROUND_REL, dist, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
 from .synthesis import CanonicalFrame, arc_radius, canonical_frame
-
-INTERIOR = "interior"
-LIMIT = "limit"
 
 
 def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
@@ -44,7 +41,6 @@ def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
 class DubinsCurve:
     radius: float
     curve: PiecewiseCurve
-    case: str  # INTERIOR or LIMIT
 
 
 def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
@@ -81,16 +77,13 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
         sweep2 = inst.omega - sweep1
         builder.arc(r, sweep1 if sweep1 * r > tiny else 0.0).line(gap)
         builder.arc(r, sweep2 if sweep2 * r > tiny else 0.0)
-    curve = builder.build_to(inst.B, inst.pos_tol)
-    case = LIMIT if abs(radius - ra) <= POS_REL * ra else INTERIOR
-    return DubinsCurve(radius=radius, curve=curve, case=case)
+    return DubinsCurve(radius=radius, curve=builder.build_to(inst.B, inst.pos_tol))
 
 
 # ---------------------------------------------------------------------------
 # composite family (segment d1, arc R1, segment d2, arc R2, segment d3)
 
-def _composite_params(frame: CanonicalFrame, r1: float, r2: float,
-                      split: float, tol: float):
+def _composite_params(frame: CanonicalFrame, r1: float, r2: float, tol: float):
     """Segment lengths (d1, d2, d3) closing the composite, or None.
 
     The endpoint condition is a rank-2 linear system in three segment
@@ -98,7 +91,7 @@ def _composite_params(frame: CanonicalFrame, r1: float, r2: float,
     total-length solution with d1, d3 >= 0 is feasible iff its d2 is.
     """
     om = frame.omega
-    s1 = split * om
+    s1 = 0.5 * om
     sin1, cos1 = math.sin(s1), math.cos(s1)
     sino, coso = math.sin(om), math.cos(om)
     rx = frame.xb - (r1 * sin1 + r2 * (sino - sin1))
@@ -127,30 +120,25 @@ class CompositeCurve:
     d1: float
     d2: float
     d3: float
-    sweep1: float
-    sweep2: float
     curve: PiecewiseCurve
 
 
-def composite_solve(inst: ProblemInstance, r1: float, r2: float,
-                    split: float = 0.5) -> CompositeCurve | None:
+def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCurve | None:
     """Close the composite family for the given arc radii, if possible.
 
-    Returns None when no admissible composite exists (a segment length
-    would have to be negative).  Sweeps default to half the turning
-    angle each; `split` moves the break point.
+    Each arc sweeps half the turning angle.  Returns None when no
+    admissible composite exists (a segment length would have to be
+    negative).
     """
     if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
         raise InvalidInput("arc radii must be positive and finite")
-    if not 0.0 < split < 1.0:
-        raise InvalidInput(f"split must lie in (0, 1), got {split!r}")
     frame = canonical_frame(inst)
     tol = inst.pos_tol
-    params = _composite_params(frame, r1, r2, split, tol)
+    params = _composite_params(frame, r1, r2, tol)
     if params is None:
         return None
     d1, d2, d3 = params
-    s1 = split * frame.omega
+    s1 = 0.5 * frame.omega
     s2 = frame.omega - s1
 
     builder = PathBuilder(inst.A, inst.alpha.angle())
@@ -160,8 +148,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float,
     else:
         builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
     curve = builder.build_to(inst.B, 10.0 * tol)
-    return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3,
-                          sweep1=s1, sweep2=s2, curve=curve)
+    return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3, curve=curve)
 
 
 def _p2_params(frame: CanonicalFrame, r: float, tol: float):
@@ -207,7 +194,7 @@ _FRONTIER_CAP = 8
 
 
 class _CompositeGrid:
-    """Feasibility of the composite cells (radii[i], radii[j]) at split 0.5.
+    """Feasibility of the composite cells (radii[i], radii[j]).
 
     `feasible` is `_composite_params`'s test `d2 >= -tol` unrolled, with
     the constants and the per-column products hoisted; every remaining
@@ -387,7 +374,7 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     argmin: dict = {}
     if best_cell is not None:
         r1, r2 = best_cell
-        d1, d2, d3 = _composite_params(frame, r1, r2, 0.5, tol)
+        d1, d2, d3 = _composite_params(frame, r1, r2, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
     for r in radii:
         params = _p2_params(frame, r, tol)

@@ -1,4 +1,4 @@
-"""Exact planar primitives: vectors, principal angles, rotations, frames.
+"""Exact planar primitives: vectors, principal angles, rotations.
 
 All angles are radians.  Oriented angles are reduced to the principal
 range (-pi, pi]; equality of angles is meant strictly in that range,
@@ -115,30 +115,6 @@ def oriented_angle(u: Vec2, v: Vec2) -> float:
     return principal_angle(math.atan2(u.cross(v), u.dot(v)))
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Direct orthonormal frame (origin, x_axis, rot90(x_axis))."""
-
-    origin: Point2
-    x_axis: Vec2
-
-    def __post_init__(self) -> None:
-        _require_unit(self.x_axis, "frame x_axis")
-        # renormalize so the unit invariant holds to machine precision
-        object.__setattr__(self, "x_axis", normalized(self.x_axis))
-
-    @property
-    def y_axis(self) -> Vec2:
-        return rot90(self.x_axis)
-
-    def to_frame(self, p: Point2) -> Point2:
-        d = p - self.origin
-        return Vec2(d.dot(self.x_axis), d.dot(self.y_axis))
-
-    def from_frame(self, p: Point2) -> Point2:
-        return self.origin + self.x_axis * p.x + self.y_axis * p.y
-
-
 def line_intersection(p1: Point2, d1: Vec2, p2: Point2, d2: Vec2) -> Point2:
     """Intersection of the lines p1 + t*d1 and p2 + s*d2.
 
@@ -150,9 +126,3 @@ def line_intersection(p1: Point2, d1: Vec2, p2: Point2, d2: Vec2) -> Point2:
         raise InvalidInput("lines are parallel; no unique intersection")
     t = (p2 - p1).cross(d2) / den
     return p1 + d1 * t
-
-
-def distance_to_line(p: Point2, origin: Point2, direction: Vec2) -> float:
-    """Unsigned distance from p to the line through origin along direction."""
-    d = normalized(direction)
-    return abs(d.cross(p - origin))

@@ -55,8 +55,7 @@ def _path_data(curve: PiecewiseCurve) -> str:
     return " ".join(parts)
 
 
-def to_svg(curves: list[PiecewiseCurve], strokes: list[str] | None = None,
-           stroke_width: float | None = None) -> str:
+def to_svg(curves: list[PiecewiseCurve]) -> str:
     """Standalone SVG document drawing the curves, one path per curve.
 
     The viewBox fits all geometry with a 5% margin; an empty input
@@ -77,17 +76,14 @@ def to_svg(curves: list[PiecewiseCurve], strokes: list[str] | None = None,
     # flip to document coordinates: y -> -y
     vb = (xmin - margin, -ymax - margin,
           (xmax - xmin) + 2.0 * margin, (ymax - ymin) + 2.0 * margin)
-    if stroke_width is None:
-        stroke_width = 0.004 * span
+    stroke_width = _fmt(0.004 * span)
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" '
         f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">'
     ]
     for i, curve in enumerate(curves):
-        stroke = (strokes[i] if strokes and i < len(strokes)
-                  else _PALETTE[i % len(_PALETTE)])
         lines.append(
             f'  <path d="{_path_data(curve)}" fill="none" '
-            f'stroke="{stroke}" stroke-width="{_fmt(stroke_width)}"/>')
+            f'stroke="{_PALETTE[i % len(_PALETTE)]}" stroke-width="{stroke_width}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

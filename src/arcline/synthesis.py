@@ -13,15 +13,13 @@ import math
 from dataclasses import dataclass
 
 from .curves import PathBuilder, PiecewiseCurve
-from .errors import DegenerateInput, InternalError, InvalidInput
+from .errors import DegenerateInput, InvalidInput
 from .geometry import (
     ANG_TOL,
     POS_REL,
-    ROUND_REL,
     Point2,
     Vec2,
     dist,
-    distance_to_line,
     normalized,
     oriented_angle,
     rot90,
@@ -32,8 +30,7 @@ from .instance import ProblemInstance
 def arc_radius(inst: ProblemInstance) -> float:
     """Radius of the optimal arc: min(OA, OB) * tan((pi - Omega)/2).
 
-    The reciprocal is the smallest achievable maximum curvature.  The
-    closed form is cross-validated against :func:`tangency_oracle`.
+    The reciprocal is the smallest achievable maximum curvature.
     """
     return min(inst.oa, inst.ob) * math.tan((math.pi - inst.omega) / 2.0)
 
@@ -43,18 +40,17 @@ class CanonicalFrame:
     """The instance in the picture the certificates are stated in.
 
     The optimal arc leaves the origin along +x and turns counterclockwise
-    through omega; the segment of length `seg` follows and ends at
-    (xb, yb).  Arc-first instances (OA <= OB) sit in the direct frame at A
-    along alpha.  Segment-first instances are reversed and mirrored: the
-    frame sits at B with axes -beta and rot90(beta), so it is indirect,
-    and `mirrored` is set.  World points project into the frame along
-    `x_axis` and `y_axis` from `origin`; curves are never built here but
-    grown in world coordinates from (A, alpha) by `PathBuilder`.
+    through omega; the segment follows and ends at (xb, yb).  Arc-first
+    instances (OA <= OB) sit in the direct frame at A along alpha.
+    Segment-first instances are reversed and mirrored: the frame sits at B
+    with axes -beta and rot90(beta), so it is indirect, and `mirrored` is
+    set.  World points project into the frame along `x_axis` and `y_axis`
+    from `origin`; curves are never built here but grown in world
+    coordinates from (A, alpha) by `PathBuilder`.
     """
 
     omega: float
     ra: float
-    seg: float          # segment length of the optimal curve
     xb: float           # endpoint coordinates in the frame
     yb: float
     mirrored: bool
@@ -71,10 +67,10 @@ def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     xb = ra * math.sin(om) + seg * math.cos(om)
     yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
     if inst.oa > inst.ob:
-        return CanonicalFrame(om, ra, seg, xb, yb, True, inst.B, -inst.beta,
+        return CanonicalFrame(om, ra, xb, yb, True, inst.B, -inst.beta,
                               rot90(inst.beta))
     x_axis = normalized(inst.alpha)
-    return CanonicalFrame(om, ra, seg, xb, yb, False, inst.A, x_axis, rot90(x_axis))
+    return CanonicalFrame(om, ra, xb, yb, False, inst.A, x_axis, rot90(x_axis))
 
 
 @dataclass(frozen=True)
@@ -133,53 +129,6 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
         segment_length=seg_len,
         arc_first=arc_first,
     )
-
-
-def tangency_oracle(inst: ProblemInstance) -> tuple[float, Point2]:
-    """Independent tangency solve for the optimal radius.
-
-    Finds the circle tangent to the boundary line of the nearer endpoint
-    at that endpoint and tangent to the other boundary line, by bisecting
-    the center position along the interior perpendicular until the two
-    line distances agree to 1e-12 relative.  Returns the radius and the
-    tangency point on the other line.
-    """
-    if inst.ob <= inst.oa:
-        p, dir_p = inst.B, inst.beta
-        other_dir = inst.alpha
-        witness = inst.A
-    else:
-        p, dir_p = inst.A, inst.alpha
-        other_dir = inst.beta
-        witness = inst.B
-    n = rot90(dir_p)
-    if (witness - inst.O).dot(n) < 0.0:
-        n = -n
-
-    def gap(t: float) -> float:
-        # distance to the other line minus the (exact) distance t to this one
-        return distance_to_line(p + n * t, inst.O, other_dir) - t
-
-    lo, hi = 0.0, inst.diameter
-    tries = 0
-    while gap(hi) > 0.0:
-        hi *= 2.0
-        tries += 1
-        if tries > 200:
-            raise InternalError("tangency bisection failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= ROUND_REL * hi:
-            break
-    radius = 0.5 * (lo + hi)
-    center = p + n * radius
-    u = normalized(other_dir)
-    foot = inst.O + u * (center - inst.O).dot(u)
-    return radius, foot
 
 
 def illposed_demo(A: Point2, alpha: Vec2, B: Point2, beta: Vec2,

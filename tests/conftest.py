@@ -88,6 +88,14 @@ def rigid_motion(curve: PiecewiseCurve, rotation: float, translation: Vec2) -> P
     return PiecewiseCurve(prims)
 
 
+def sample_points(curve: PiecewiseCurve, n: int) -> list[Vec2]:
+    """n + 1 points at equal arc-length spacing, both ends included."""
+    import numpy as np
+
+    pts, _, _ = curve.sample_at(np.linspace(0.0, curve.length, n + 1))
+    return [Vec2(x, y) for x, y in pts.tolist()]
+
+
 def sampled_hausdorff(c1: PiecewiseCurve, c2: PiecewiseCurve, n: int = 400) -> float:
     import numpy as np
 

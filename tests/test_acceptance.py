@@ -24,22 +24,20 @@ from arcline import (
     is_feasible_radius,
     make_instance,
     max_curvature,
-    numeric_curvature,
     offset,
     oriented_angle,
-    sample_polyline,
     support_min,
     synthesize,
     tangent_intercepts,
     to_svg,
     zeta0_closed_form,
     zeta0_coefficients,
-    zeta0_geometric,
 )
 from arcline.curves import Arc, PiecewiseCurve
 from arcline.dubins import family_sweep
 from arcline.instance import random_instance
-from conftest import make_rng, sampled_hausdorff
+from conftest import make_rng, sample_points, sampled_hausdorff
+from oracles import numeric_curvature, zeta0_geometric
 
 RA_EXACT = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -206,8 +204,8 @@ def test_criterion_10_estimator_offsets_svg():
     arc = PiecewiseCurve([Arc(Vec2(0.2, -0.1), radius, 0.3, 2.0)])
     errors = []
     for n in (200, 400):
-        pts = [row[1] for row in sample_polyline(arc, n)]
-        errors.append(max(abs(k - 1.0 / radius) for k in numeric_curvature(pts)))
+        kappa = numeric_curvature(sample_points(arc, n))
+        errors.append(max(abs(k - 1.0 / radius) for k in kappa))
     order = math.log2(errors[0] / errors[1])
     assert order >= 1.9
 

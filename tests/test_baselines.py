@@ -43,7 +43,7 @@ def test_control_points_must_differ():
 
 
 def _bezier_points(bez: QuadraticBezier, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """QuadraticBezier.point at every t, with the same association."""
+    """The parabola's points at every t, in Bernstein form."""
     u = 1.0 - ts
     b0, b1, b2 = u * u, 2.0 * u * ts, ts * ts
     return (bez.p0.x * b0 + bez.p1.x * b1 + bez.p2.x * b2,
@@ -78,7 +78,8 @@ def _brute_force_min_radius(bez: QuadraticBezier, n: int = 100_000) -> float:
         return float(kappa[k]), k + 2
 
     _, j1 = sampled_max(bez)
-    shift = bez.point(float(ts[j1]))
+    x, y = _bezier_points(bez, ts[j1:j1 + 1])
+    shift = Vec2(float(x[0]), float(y[0]))
     shifted = QuadraticBezier(bez.p0 - shift, bez.p1 - shift, bez.p2 - shift)
     peak, _ = sampled_max(shifted)
     return 1.0 / peak
@@ -104,11 +105,11 @@ def test_tangent_directions_match_instance():
 
 def test_bezier_never_beats_the_optimum():
     # the parabola is admissible (positive curvature, heading from alpha to
-    # beta), so its minimum radius cannot exceed the optimal one
+    # beta), so its minimum radius cannot exceed the optimal one; its
+    # curvature has the sign of cross(B', B''), constant for a quadratic
     for inst in instances(seed=57, count=50):
         bez = QuadraticBezier.from_instance(inst)
-        kappas = [bez.curvature(t) for t in np.linspace(0.0, 1.0, 512)]
-        assert all(k > 0.0 for k in kappas)
+        assert (bez.p1 - bez.p0).cross(bez.p2 - bez.p1) > 0.0
         r_min, _ = bezier_min_radius(bez)
         assert r_min <= arc_radius(inst) * (1.0 + 1e-12)
 
@@ -120,7 +121,7 @@ def test_compare_report_worked_example(worked_instance):
     expected_ratio = 5.0 * math.sqrt(5.0) * (math.sqrt(2.0) - 1.0) / 2.0
     assert report.improvement_ratio == pytest.approx(expected_ratio, rel=1e-9)
     assert report.improvement_ratio == pytest.approx(2.315, abs=1e-3)
-    assert not report.degenerate
+    assert report.improvement_ratio is not None
     assert set(report.as_dict()) == {"bezierMinRadius", "optimalMinRadius",
                                      "improvementRatio"}
 

@@ -23,10 +23,10 @@ from arcline import (
     theta_phi_bound,
     zeta0_closed_form,
     zeta0_coefficients,
-    zeta0_geometric,
     zeta_profile,
 )
 from conftest import make_rng, instances
+from oracles import zeta0_geometric
 
 
 def s_curve(r: float = 1.0) -> PiecewiseCurve:
@@ -290,7 +290,7 @@ def test_make_certificate_optimal(worked_instance):
     assert abs(cert.zeta0) <= 1e-9
     assert cert.theta_phi_max_excess <= 1e-9
     assert cert.support_min_residual >= -1e-12
-    assert cert.uv_positive
+    assert cert.u0 > 0.0 and cert.v0 > 0.0
     payload = cert.as_dict()
     assert set(payload) == {"zeta0", "supportMinResidual", "thetaPhiMaxExcess",
                             "u0", "v0", "e"}
@@ -302,4 +302,4 @@ def test_make_certificate_hypothesis_not_applicable(worked_instance):
     cert = make_certificate(worked_instance, sol, tight.curve, n=128)
     assert cert.zeta0 is None and cert.theta_phi_max_excess is None
     assert cert.e == pytest.approx(2.0 / sol.radius)
-    assert cert.uv_positive
+    assert cert.u0 > 0.0 and cert.v0 > 0.0

@@ -46,6 +46,23 @@ def test_solve_files_and_svg(tmp_path, capsys):
     ET.fromstring(svg.read_text())
 
 
+def test_solve_invalid_offset_writes_nothing(tmp_path, capsys):
+    # the SVG, which checks --offset, is rendered before any output
+    svg = tmp_path / "sol.svg"
+    code, out, err = run(capsys, "solve", "--input", WORKED, "--svg", str(svg),
+                         "--offset", "-1")
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"]["type"] == "InvalidInput"
+    assert not svg.exists()
+
+
+def test_solve_offset_requires_svg(capsys):
+    code, out, err = run(capsys, "solve", "--input", WORKED, "--offset", "0.1")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "UsageError" and "--svg" in error["message"]
+
+
 def test_solve_unreverses_output(capsys):
     # swapped endpoints: the library normalizes, the CLI reports the curve
     # back in the caller's orientation (clockwise arcs)

@@ -18,13 +18,12 @@ from arcline import (
     heading,
     make_instance,
     max_curvature,
-    numeric_curvature,
     principal_angle,
-    sample_polyline,
     similarity_transform,
     synthesize,
 )
-from conftest import WORKED_RA, instances, rigid_motion
+from conftest import WORKED_RA, instances, rigid_motion, sample_points
+from oracles import numeric_curvature
 
 
 def quarter_arc():
@@ -173,21 +172,20 @@ def test_build_to_closes_on_target_or_raises_internal_error():
 
 
 def test_sample_polyline_counts():
+    # equally spaced samples through sample_at include both ends
     seg = PiecewiseCurve([Segment(Vec2(0, 0), Vec2(4, 0))])
-    rows = sample_polyline(seg, 1)
-    assert len(rows) == 2 and rows[0][0] == 0.0 and rows[1][0] == 4.0
-    rows = sample_polyline(seg, 4)
-    assert [r[0] for r in rows] == [0.0, 1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(InvalidInput):
-        sample_polyline(seg, 0)
+    assert sample_points(seg, 1) == [Vec2(0.0, 0.0), Vec2(4.0, 0.0)]
+    assert [p.x for p in sample_points(seg, 4)] == [0.0, 1.0, 2.0, 3.0, 4.0]
+    pts, tans, curv = seg.sample_at(np.array([]))
+    assert pts.shape == (0, 2) and tans.shape == (0, 2) and curv.shape == (0,)
 
 
 def test_sample_polyline_chord_convergence():
     arc = quarter_arc()
     errs = []
     for n in (16, 32, 64):
-        rows = sample_polyline(arc, n)
-        chord_sum = sum((q[1] - p[1]).norm() for p, q in zip(rows, rows[1:]))
+        pts = sample_points(arc, n)
+        chord_sum = sum((q - p).norm() for p, q in zip(pts, pts[1:]))
         errs.append(arc.length - chord_sum)
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -199,8 +197,7 @@ def test_numeric_curvature_on_arc_second_order():
     arc = PiecewiseCurve([Arc(Vec2(0.2, -0.1), radius, 0.3, sweep)])
     errors = []
     for n in (200, 400):
-        pts = [row[1] for row in sample_polyline(arc, n)]
-        kappa = numeric_curvature(pts)
+        kappa = numeric_curvature(sample_points(arc, n))
         errors.append(max(abs(k - 1.0 / radius) for k in kappa))
     h = arc.length / 200
     assert errors[0] <= 2.0 * h * h / (24.0 * radius ** 3) + 1e-12
@@ -211,9 +208,8 @@ def test_numeric_curvature_on_arc_second_order():
 def test_max_curvature_matches_numeric_estimate(worked_instance):
     sol = synthesize(worked_instance)
     n = 2000
-    pts = [row[1] for row in sample_polyline(sol.curve, n)]
     h = sol.curve.length / n
-    estimate = max(abs(k) for k in numeric_curvature(pts))
+    estimate = max(abs(k) for k in numeric_curvature(sample_points(sol.curve, n)))
     exact = max_curvature(sol.curve)
     # chordal normalization overestimates |kappa| by h^2/(24 R^2) relative
     assert abs(estimate - exact) <= 2.0 * exact * h * h / (24.0 * sol.radius ** 2)
@@ -252,7 +248,7 @@ def test_sample_at_out_of_range():
     assert pts.shape == (3, 2) and tans.shape == (3, 2) and curv.shape == (3,)
 
 
-@pytest.mark.parametrize("name", ["evaluate", "point_at", "turning", "turning_at", "sample_at"])
+@pytest.mark.parametrize("name", ["evaluate", "turning", "turning_at", "sample_at"])
 def test_nan_arc_length_out_of_range(name):
     curve = PathBuilder().line(1.0).arc(1.0, 1.0).build()
     method = getattr(curve, name)

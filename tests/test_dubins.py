@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcline import (
+    Arc,
     InternalError,
     InvalidInput,
     RadiusNotAdmissible,
@@ -27,14 +28,14 @@ from conftest import instances, sampled_hausdorff, symmetric_instances
 def test_limit_curve_equals_optimal(worked_instance):
     sol = synthesize(worked_instance)
     g = dubins_curve(worked_instance, sol.radius)
-    assert g.case == "limit"
+    assert g.radius == sol.radius and max_curvature(g.curve) == pytest.approx(1.0 / sol.radius)
     assert sampled_hausdorff(g.curve, sol.curve) <= 1e-9 * worked_instance.diameter
 
 
 def test_interior_curve_membership(worked_instance):
     ra = arc_radius(worked_instance)
     g = dubins_curve(worked_instance, ra / 2.0)
-    assert g.case == "interior"
+    assert g.radius < ra
     assert check_membership(g.curve, worked_instance).in_e
     assert max_curvature(g.curve) == pytest.approx(2.0 / ra)
     # two arcs joined by one segment, total turning omega
@@ -129,8 +130,8 @@ def test_composite_membership_and_closure_randomized():
             assert comp is not None
             assert (comp.curve.end_point - inst.B).norm() <= 1e-9 * inst.diameter
             assert check_membership(comp.curve, inst).in_e, (inst, r1, r2)
-            assert comp.sweep1 == pytest.approx(inst.omega / 2.0)
-            assert comp.sweep2 == pytest.approx(inst.omega / 2.0)
+            sweeps = [p.sweep for p in comp.curve.primitives if isinstance(p, Arc)]
+            assert sweeps == pytest.approx([inst.omega / 2.0] * 2)
 
 
 def test_composite_mirrored_chain_runs_backwards(worked_instance):
@@ -160,16 +161,6 @@ def test_composite_equal_radii_on_symmetric_instances():
         assert check_membership(comp.curve, inst).in_e
         tol = 1e-9 * inst.diameter
         assert all(d == 0.0 or d > tol for d in (comp.d1, comp.d2, comp.d3))
-
-
-def test_composite_custom_split(worked_instance):
-    ra = arc_radius(worked_instance)
-    comp = composite_solve(worked_instance, 0.7 * ra, 0.6 * ra, split=0.3)
-    assert comp is not None
-    assert comp.sweep1 == pytest.approx(0.3 * worked_instance.omega)
-    assert check_membership(comp.curve, worked_instance).in_e
-    with pytest.raises(InvalidInput):
-        composite_solve(worked_instance, ra, ra, split=0.0)
 
 
 def test_composite_bad_radii(worked_instance):

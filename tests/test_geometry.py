@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from arcline import Frame, InvalidInput, Vec2, oriented_angle, principal_angle, rot90
+from arcline import InvalidInput, Vec2, oriented_angle, principal_angle, rot90
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -71,30 +71,3 @@ def test_vec2_rejects_non_finite():
     with pytest.raises(InvalidInput):
         Vec2(0.0, math.inf)
 
-
-def test_frame_identity_and_roundtrip():
-    ident = Frame(Vec2(0, 0), Vec2(1, 0))
-    p = Vec2(3.25, -7.5)
-    assert ident.to_frame(p) == p
-    f = Frame(Vec2(1.5, -2.0), Vec2(math.cos(0.7), math.sin(0.7)))
-    q = f.from_frame(f.to_frame(p))
-    assert abs(q.x - p.x) < 1e-12 and abs(q.y - p.y) < 1e-12
-
-
-def test_frame_worked_example():
-    # frame at A along the inward tangent maps the apex to (sqrt(2)/2, 0):
-    # fixed by hand from the two dot products
-    r = math.sqrt(2.0) / 2.0
-    f = Frame(Vec2(0.5, -0.5), Vec2(-r, r))
-    img = f.to_frame(Vec2(0.0, 0.0))
-    assert img.x == pytest.approx(r, abs=1e-15)
-    assert img.y == pytest.approx(0.0, abs=1e-15)
-
-
-@given(coords, coords, coords, coords, angles)
-def test_frame_is_rigid(px, py, qx, qy, theta):
-    f = Frame(Vec2(0.3, -1.1), Vec2(math.cos(theta), math.sin(theta)))
-    p, q = Vec2(px, py), Vec2(qx, qy)
-    d_world = (p - q).norm()
-    d_frame = (f.to_frame(p) - f.to_frame(q)).norm()
-    assert d_frame == pytest.approx(d_world, abs=1e-9 * max(1.0, d_world))

@@ -176,7 +176,7 @@ def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     feasible = 0
     for r1 in radii:
         for r2 in radii:
-            params = dubins._composite_params(view, r1, r2, 0.5, tol)
+            params = dubins._composite_params(view, r1, r2, tol)
             if params is None:
                 continue
             feasible += 1
@@ -304,7 +304,7 @@ def test_family_sweep_full_row_fallback():
         grid.half_width = None
         for i, r1 in enumerate(radii):
             loop = [j for j, r2 in enumerate(radii)
-                    if dubins._composite_params(view, r1, r2, 0.5, tol) is not None]
+                    if dubins._composite_params(view, r1, r2, tol) is not None]
             for runs in (frontier[i], grid.row_runs(i)):
                 assert [j for start, stop in runs for j in range(start, stop)] == loop
         assert_sweep_matches_reference(inst, grid_n, r_lo, r_hi)

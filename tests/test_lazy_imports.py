@@ -15,7 +15,7 @@ WORKED = {"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}
 
 PUBLIC_NAMES = [
     "Arc", "ArclineError", "Certificate", "ComparisonReport", "CompositeCurve",
-    "DegenerateInput", "DubinsCurve", "Frame", "HypothesisViolated", "IllPosedAngle",
+    "DegenerateInput", "DubinsCurve", "HypothesisViolated", "IllPosedAngle",
     "InternalError", "InvalidInput", "MembershipReport", "NoAdmissibleCurve",
     "OffsetResult", "OptimalSolution", "OutOfRange", "PathBuilder", "PiecewiseCurve",
     "Point2", "ProblemInstance", "QuadraticBezier", "RadiusNotAdmissible", "Segment",
@@ -24,11 +24,10 @@ PUBLIC_NAMES = [
     "curve_to_json", "dubins_curve", "family_sweep", "frame_gap_profiles", "heading",
     "illposed_demo", "instance_from_json", "instance_from_tangents", "instance_to_json",
     "is_feasible_radius", "make_certificate", "make_instance", "max_curvature",
-    "numeric_curvature", "offset", "oriented_angle", "principal_angle",
-    "random_instance", "rot90", "sample_polyline", "similarity_transform",
-    "support_min", "synthesize", "tangency_oracle", "tangent_intercepts",
+    "offset", "oriented_angle", "principal_angle", "random_instance", "rot90",
+    "similarity_transform", "support_min", "synthesize", "tangent_intercepts",
     "theta_phi_bound", "to_svg", "zeta0_closed_form", "zeta0_coefficients",
-    "zeta0_geometric", "zeta_profile",
+    "zeta_profile",
 ]
 
 #: runs one CLI invocation, then reports which of the heavy modules it loaded

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from arcline import (
     Arc,
     DegenerateInput,
-    Frame,
     InternalError,
     InvalidInput,
     NoAdmissibleCurve,
@@ -26,10 +25,10 @@ from arcline import (
     random_instance,
     similarity_transform,
     synthesize,
-    tangency_oracle,
 )
 from arcline.synthesis import canonical_frame
 from conftest import WORKED_RA, instances, rigid_motion, symmetric_instances
+from oracles import tangency_oracle
 
 
 def test_radius_worked_example(worked_instance):
@@ -78,12 +77,13 @@ def test_arc_first_closed_form(arc_first_instance):
     # in the frame (A, alpha) the arc reads (R sin(s/R), R (1 - cos(s/R)))
     sol = synthesize(arc_first_instance)
     assert sol.arc_first
-    frame = Frame(arc_first_instance.A, arc_first_instance.alpha)
+    frame = canonical_frame(arc_first_instance)
+    assert not frame.mirrored
     ra = sol.radius
     for s in np.linspace(0.0, ra * arc_first_instance.omega, 13):
-        p = frame.to_frame(sol.curve.point_at(float(s)))
-        assert p.x == pytest.approx(ra * math.sin(s / ra), abs=1e-12)
-        assert p.y == pytest.approx(ra * (1.0 - math.cos(s / ra)), abs=1e-12)
+        d = sol.curve.evaluate(float(s))[0] - frame.origin
+        assert d.dot(frame.x_axis) == pytest.approx(ra * math.sin(s / ra), abs=1e-12)
+        assert d.dot(frame.y_axis) == pytest.approx(ra * (1.0 - math.cos(s / ra)), abs=1e-12)
 
 
 def test_oracle_agrees_with_closed_form():
