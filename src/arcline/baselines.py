@@ -8,26 +8,27 @@ makes the improvement factor of the optimal curve a one-line report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidInput
-from .geometry import ROUND_REL, Point2, Vec2, dist
+from .geometry import ROUND_REL, Frozen, Point2, Vec2, dist
 from .instance import ProblemInstance
 from .synthesis import arc_radius
 
 
-@dataclass(frozen=True)
-class QuadraticBezier:
+class QuadraticBezier(Frozen):
     """Control points p0, p1, p2; tangent at p0 along p1-p0, at p2 along p2-p1."""
 
-    p0: Point2
-    p1: Point2
-    p2: Point2
+    __slots__ = ("p0", "p1", "p2")
+    _fields = ("p0", "p1", "p2")
 
-    def __post_init__(self) -> None:
-        if min(dist(self.p0, self.p1), dist(self.p1, self.p2),
-               dist(self.p0, self.p2)) == 0.0:
+    def __init__(self, p0: Point2, p1: Point2, p2: Point2) -> None:
+        if min(dist(p0, p1), dist(p1, p2), dist(p0, p2)) == 0.0:
             raise InvalidInput("control points must be pairwise distinct")
+        _set = object.__setattr__
+        _set(self, "p0", p0)
+        _set(self, "p1", p1)
+        _set(self, "p2", p2)
 
     def velocity(self, t: float) -> Vec2:
         return ((self.p1 - self.p0) * (2.0 * (1.0 - t))
@@ -58,8 +59,7 @@ def bezier_min_radius(bez: QuadraticBezier) -> tuple[float, float]:
     return speed ** 3 / abs(cr), t_star
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Optimal arc radius versus the parabola's minimum radius."""
 
     bezier_min_radius: float

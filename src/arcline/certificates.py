@@ -25,7 +25,7 @@ reversed and mirrored into that picture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,8 +245,7 @@ def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
     return u, v
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Numerical optimality evidence for a competitor curve."""
 
     zeta0: float | None
@@ -271,11 +270,13 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
                      z: PiecewiseCurve, n: int = 512) -> Certificate:
     """Bundle every certificate quantity for a competitor curve.
 
-    n (at least 2) is the sample count of the zeta profile and the
-    heading-gap bound; the support-line minimum is exact and ignores it.
-    The zeta and heading-gap entries require max curvature at most
-    1/R_a; they are None when that hypothesis fails (the certificate
-    then simply does not apply, which is not an error here).
+    n (at least 2) is the sample count of the heading-gap bound.  zeta_0
+    is the last entry of every zeta profile, the gap at s = l exactly, so
+    it is read from the one-step profile; like the exact support-line
+    minimum it does not depend on n.  The zeta and heading-gap entries
+    require max curvature at most 1/R_a; they are None when that
+    hypothesis fails (the certificate then simply does not apply, which
+    is not an error here).
     """
     if n < 2:
         raise InvalidInput(f"need n >= 2 samples, got {n!r}")
@@ -286,7 +287,7 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
     except UndefinedHeading:
         u0 = v0 = None
     try:
-        zeta0 = float(zeta_profile(inst, sol, z, n=n)[-1])
+        zeta0 = float(zeta_profile(inst, sol, z, n=1)[-1])
         excess = theta_phi_bound(inst, sol, z, n=n)
     except HypothesisViolated:
         zeta0 = None

@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="instance+curve JSON -> membership and certificate")
     p.add_argument("--samples", type=int, default=512,
-                   help="zeta / theta-phi sample count (the support check is exact)")
+                   help="theta-phi sample count (zeta0 and the support check do not sample)")
     p.set_defaults(func=_cmd_verify, needs_input=True)
 
     p = sub.add_parser("sweep", parents=[common],

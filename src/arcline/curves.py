@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import InternalError, InvalidInput, OutOfRange
 from .geometry import (
@@ -20,14 +19,13 @@ from .geometry import (
     POS_REL,
     ROUND_REL,
     TWO_PI,
+    Frozen,
     Point2,
     Vec2,
     dist,
     from_polar,
-    normalized,
     oriented_angle,
     principal_angle,
-    rot90,
 )
 from .instance import ProblemInstance, point_from_json
 
@@ -35,22 +33,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class Segment:
-    start: Point2
-    end: Point2
+class Segment(Frozen):
+    """Line segment from `start` to `end`.
 
-    def __post_init__(self) -> None:
-        if dist(self.start, self.end) == 0.0:
+    Its length and unit direction are computed once, at construction.
+    """
+
+    __slots__ = ("start", "end", "length", "direction")
+    _fields = ("start", "end")
+    #: a segment does not turn
+    sweep_angle = 0.0
+
+    def __init__(self, start: Point2, end: Point2) -> None:
+        length = dist(start, end)
+        if length == 0.0:
             raise InvalidInput("segment endpoints coincide")
-
-    @property
-    def length(self) -> float:
-        return dist(self.start, self.end)
-
-    @property
-    def direction(self) -> Vec2:
-        return normalized(self.end - self.start)
+        _set = object.__setattr__
+        _set(self, "start", start)
+        _set(self, "end", end)
+        _set(self, "length", length)
+        # normalized(end - start), reusing its norm: |end - start| = length
+        _set(self, "direction", Vec2((end.x - start.x) / length, (end.y - start.y) / length))
 
     def point_at(self, s: float) -> Point2:
         return self.start + self.direction * s
@@ -61,86 +64,67 @@ class Segment:
     def curvature_at(self, s: float) -> float:
         return 0.0
 
-    @property
-    def start_point(self) -> Point2:
-        return self.start
-
-    @property
-    def end_point(self) -> Point2:
-        return self.end
-
-    @property
-    def start_tangent(self) -> Vec2:
-        return self.direction
-
-    @property
-    def end_tangent(self) -> Vec2:
-        return self.direction
-
-    @property
-    def sweep_angle(self) -> float:
-        return 0.0
+    # the end data every primitive provides, here the stored fields
+    start_point = property(lambda self: self.start)
+    end_point = property(lambda self: self.end)
+    start_tangent = property(lambda self: self.direction)
+    end_tangent = property(lambda self: self.direction)
 
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Frozen):
     """Circular arc: center, radius, start angle and signed sweep.
 
     The point at arc length s is center + radius*e(start_angle + sweep*s/L)
-    where L = radius*|sweep|; sweep > 0 turns counterclockwise.
+    where L = radius*|sweep|; sweep > 0 turns counterclockwise.  The
+    length and the end points and tangents are computed once, at
+    construction, by the same expressions `point_at` and `tangent_at`
+    evaluate at s = 0 and s = L.
     """
 
-    center: Point2
-    radius: float
-    start_angle: float
-    sweep: float
+    __slots__ = ("center", "radius", "start_angle", "sweep", "length",
+                 "start_point", "end_point", "start_tangent", "end_tangent")
+    _fields = ("center", "radius", "start_angle", "sweep")
 
-    def __post_init__(self) -> None:
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise InvalidInput(f"arc radius must be positive, got {self.radius!r}")
-        if not (0.0 < abs(self.sweep) < TWO_PI):
-            raise InvalidInput(f"arc |sweep| must lie in (0, 2*pi), got {self.sweep!r}")
-
-    @property
-    def length(self) -> float:
-        return self.radius * abs(self.sweep)
+    def __init__(self, center: Point2, radius: float, start_angle: float,
+                 sweep: float) -> None:
+        if not (radius > 0.0 and math.isfinite(radius)):
+            raise InvalidInput(f"arc radius must be positive, got {radius!r}")
+        if not (0.0 < abs(sweep) < TWO_PI):
+            raise InvalidInput(f"arc |sweep| must lie in (0, 2*pi), got {sweep!r}")
+        if not math.isfinite(start_angle):
+            raise InvalidInput(f"arc start angle must be finite, got {start_angle!r}")
+        _set = object.__setattr__
+        _set(self, "center", center)
+        _set(self, "radius", radius)
+        _set(self, "start_angle", start_angle)
+        _set(self, "sweep", sweep)
+        length = radius * abs(sweep)
+        _set(self, "length", length)
+        _set(self, "start_point", self.point_at(0.0))
+        _set(self, "end_point", self.point_at(length))
+        _set(self, "start_tangent", self.tangent_at(0.0))
+        _set(self, "end_tangent", self.tangent_at(length))
 
     def angle_at(self, s: float) -> float:
         return self.start_angle + self.sweep * (s / self.length)
 
     def point_at(self, s: float) -> Point2:
-        return self.center + from_polar(self.angle_at(s), self.radius)
+        psi = self.angle_at(s)
+        return Vec2(self.center.x + self.radius * math.cos(psi),
+                    self.center.y + self.radius * math.sin(psi))
 
     def tangent_at(self, s: float) -> Vec2:
-        radial = from_polar(self.angle_at(s))
-        t = rot90(radial)
-        return t if self.sweep > 0 else -t
+        psi = self.angle_at(s)
+        sign = 1.0 if self.sweep > 0 else -1.0
+        return Vec2(-sign * math.sin(psi), sign * math.cos(psi))
 
     def curvature_at(self, s: float) -> float:
         return (1.0 if self.sweep > 0 else -1.0) / self.radius
 
-    @property
-    def start_point(self) -> Point2:
-        return self.point_at(0.0)
-
-    @property
-    def end_point(self) -> Point2:
-        return self.point_at(self.length)
-
-    @property
-    def start_tangent(self) -> Vec2:
-        return self.tangent_at(0.0)
-
-    @property
-    def end_tangent(self) -> Vec2:
-        return self.tangent_at(self.length)
-
-    @property
-    def sweep_angle(self) -> float:
-        return self.sweep
+    sweep_angle = property(lambda self: self.sweep)
 
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius,
@@ -370,8 +354,7 @@ def max_curvature(curve: PiecewiseCurve) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """Per-condition residuals for the admissibility check."""
 
     endpoint_a_residual: float

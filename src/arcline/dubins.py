@@ -22,7 +22,7 @@ only reverses the order of the composite's pieces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
@@ -37,8 +37,7 @@ def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
     return 0.0 < radius <= arc_radius(inst) * (1.0 + ROUND_REL)
 
 
-@dataclass(frozen=True)
-class DubinsCurve:
+class DubinsCurve(NamedTuple):
     radius: float
     curve: PiecewiseCurve
 
@@ -111,8 +110,7 @@ def _composite_params(frame: CanonicalFrame, r1: float, r2: float, tol: float):
     return (d1 if d1 > tol else 0.0), (d2 if d2 > tol else 0.0), (d3 if d3 > tol else 0.0)
 
 
-@dataclass(frozen=True)
-class CompositeCurve:
+class CompositeCurve(NamedTuple):
     """Five-piece competitor curve, parameters in arc-first convention."""
 
     r1: float
@@ -162,8 +160,7 @@ def _p2_params(frame: CanonicalFrame, r: float, tol: float):
     return max(d1, 0.0), max(d3, 0.0)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     """Outcome of the empirical min-max check over the curve families."""
 
     min_max_curvature: float

@@ -8,7 +8,6 @@ not modulo 2*pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InvalidInput
 
@@ -36,16 +35,59 @@ def principal_angle(value: float) -> float:
     return wrapped
 
 
-@dataclass(frozen=True)
-class Vec2:
+class Frozen:
+    """Base of the immutable value types.
+
+    A subclass lists its fields in `__slots__` and sets each once in its
+    `__init__` through `object.__setattr__`; any later assignment raises
+    AttributeError.  Instances compare, hash, print and pickle by the
+    subclass's `_fields`, its constructor's arguments; fields derived from
+    them are left out.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({args})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: restoring the
+        # slots one by one would assign to them
+        return type(self), self._key()
+
+
+class Vec2(Frozen):
     """Immutable 2D vector / point with finite components."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+    _fields = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInput(f"non-finite components ({self.x!r}, {self.y!r})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InvalidInput(f"non-finite components ({x!r}, {y!r})")
+        # the slots' own setters: the hottest constructor skips the
+        # attribute lookup of object.__setattr__
+        _set_x(self, x)
+        _set_y(self, y)
 
     def __add__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x + other.x, self.y + other.y)
@@ -74,6 +116,9 @@ class Vec2:
         """Direction angle in (-pi, pi] (atan2 convention)."""
         return math.atan2(self.y, self.x)
 
+
+_set_x = Vec2.x.__set__
+_set_y = Vec2.y.__set__
 
 #: points and vectors share one representation
 Point2 = Vec2

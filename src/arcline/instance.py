@@ -11,12 +11,12 @@ remembers this in its ``reversed`` flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from .errors import DegenerateInput, IllPosedAngle, InvalidInput, NoAdmissibleCurve
 from .geometry import (
     ANG_TOL,
     POS_REL,
+    Frozen,
     Point2,
     Vec2,
     dist,
@@ -28,36 +28,30 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Normalized boundary data (O, A, B, alpha, beta, Omega)."""
+class ProblemInstance(Frozen):
+    """Normalized boundary data (O, A, B, alpha, beta, Omega).
 
-    A: Point2
-    B: Point2
-    O: Point2
-    alpha: Vec2
-    beta: Vec2
-    omega: float
-    symmetric: bool
-    reversed: bool
+    The leg lengths `oa` = |OA| and `ob` = |OB|, the scene `diameter`
+    (the largest pairwise distance among O, A, B) and the scene's position
+    tolerance `pos_tol` (POS_REL times the diameter) are computed once, at
+    construction.
+    """
 
-    @property
-    def oa(self) -> float:
-        return dist(self.O, self.A)
+    __slots__ = ("A", "B", "O", "alpha", "beta", "omega", "symmetric", "reversed",
+                 "oa", "ob", "diameter", "pos_tol")
+    _fields = ("A", "B", "O", "alpha", "beta", "omega", "symmetric", "reversed")
 
-    @property
-    def ob(self) -> float:
-        return dist(self.O, self.B)
-
-    @property
-    def diameter(self) -> float:
-        """Scene scale: largest pairwise distance among O, A, B."""
-        return max(dist(self.O, self.A), dist(self.O, self.B), dist(self.A, self.B))
-
-    @property
-    def pos_tol(self) -> float:
-        """Position tolerance of the scene: POS_REL times its diameter."""
-        return POS_REL * self.diameter
+    def __init__(self, A: Point2, B: Point2, O: Point2, alpha: Vec2, beta: Vec2,
+                 omega: float, symmetric: bool, reversed: bool) -> None:
+        _set = object.__setattr__
+        for name, value in zip(self._fields, (A, B, O, alpha, beta, omega, symmetric, reversed)):
+            _set(self, name, value)
+        oa, ob = dist(O, A), dist(O, B)
+        diameter = max(oa, ob, dist(A, B))
+        _set(self, "oa", oa)
+        _set(self, "ob", ob)
+        _set(self, "diameter", diameter)
+        _set(self, "pos_tol", POS_REL * diameter)
 
 
 def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
@@ -127,8 +121,8 @@ def similarity_transform(inst: ProblemInstance, rotation: float, scale: float,
     def rot(v: Vec2) -> Vec2:
         return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
 
-    return replace(inst, A=mov(inst.A), B=mov(inst.B), O=mov(inst.O),
-                   alpha=rot(inst.alpha), beta=rot(inst.beta))
+    return ProblemInstance(mov(inst.A), mov(inst.B), mov(inst.O), rot(inst.alpha),
+                           rot(inst.beta), inst.omega, inst.symmetric, inst.reversed)
 
 
 def random_instance(rng, omega: float | None = None) -> ProblemInstance:

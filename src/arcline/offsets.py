@@ -11,15 +11,14 @@ keeps every point of the locus).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import Arc, PiecewiseCurve, Segment
 from .errors import InvalidInput
 from .geometry import POS_REL, rot90
 
 
-@dataclass(frozen=True)
-class OffsetResult:
+class OffsetResult(NamedTuple):
     left: PiecewiseCurve
     right: PiecewiseCurve
     distance: float

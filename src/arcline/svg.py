@@ -26,13 +26,18 @@ def _primitive_bounds(p) -> tuple[float, float, float, float]:
     xs = [p.start_point.x, p.end_point.x]
     ys = [p.start_point.y, p.end_point.y]
     if isinstance(p, Arc):
-        # axis-aligned extremes reached inside the swept angle range
+        # axis-aligned extremes reached inside the swept angle range; a
+        # range narrower than 2*pi holds at most four quarter turns, and
+        # the cap also ends the walk where adding pi/2 no longer moves a
+        # huge angle
         a0 = p.start_angle
         a1 = p.start_angle + p.sweep
         lo, hi = min(a0, a1), max(a0, a1)
         k = math.ceil(lo / (0.5 * math.pi))
         angle = k * 0.5 * math.pi
-        while angle <= hi:
+        for _ in range(4):
+            if angle > hi:
+                break
             xs.append(p.center.x + p.radius * math.cos(angle))
             ys.append(p.center.y + p.radius * math.sin(angle))
             angle += 0.5 * math.pi

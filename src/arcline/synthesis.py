@@ -10,7 +10,7 @@ over all admissible curves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import DegenerateInput, InvalidInput
@@ -35,8 +35,7 @@ def arc_radius(inst: ProblemInstance) -> float:
     return min(inst.oa, inst.ob) * math.tan((math.pi - inst.omega) / 2.0)
 
 
-@dataclass(frozen=True)
-class CanonicalFrame:
+class CanonicalFrame(NamedTuple):
     """The instance in the picture the certificates are stated in.
 
     The optimal arc leaves the origin along +x and turns counterclockwise
@@ -73,8 +72,7 @@ def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     return CanonicalFrame(om, ra, xb, yb, False, inst.A, x_axis, rot90(x_axis))
 
 
-@dataclass(frozen=True)
-class OptimalSolution:
+class OptimalSolution(NamedTuple):
     """The optimal curve and its construction data."""
 
     curve: PiecewiseCurve

@@ -296,6 +296,21 @@ def test_make_certificate_optimal(worked_instance):
                             "u0", "v0", "e"}
 
 
+def test_make_certificate_zeta0_is_the_profile_end(worked_instance, arc_first_instance):
+    # make_certificate reads zeta_0 from a one-step profile; it must be the
+    # last entry of the sampled profile, bit for bit
+    cases = []
+    for inst in (worked_instance, arc_first_instance):
+        sol = synthesize(inst)
+        cases.append((inst, sol, sol.curve))
+    sol = synthesize(worked_instance)
+    comp = composite_solve(worked_instance, sol.radius, sol.radius)
+    cases.append((worked_instance, sol, comp.curve))
+    for inst, sol, z in cases:
+        zeta0 = make_certificate(inst, sol, z).zeta0
+        assert zeta0.hex() == float(zeta_profile(inst, sol, z, n=512)[-1]).hex()
+
+
 def test_make_certificate_hypothesis_not_applicable(worked_instance):
     sol = synthesize(worked_instance)
     tight = dubins_curve(worked_instance, 0.5 * sol.radius)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -158,6 +161,34 @@ def test_export_with_offsets(tmp_path, capsys):
     assert len([el for el in root if el.tag.endswith("path")]) == 3
     code, out, _ = run(capsys, "export", "--input", str(path))
     assert len([el for el in ET.fromstring(out) if el.tag.endswith("path")]) == 1
+
+
+def export_process(start_angle: str):
+    """`arcline export` of one unit arc in a new process, killed after 60 s."""
+    curve = ('{"primitives": [{"type": "arc", "center": [0, 0], "radius": 1, '
+             f'"startAngle": {start_angle}, "sweep": 1}}]}}')
+    src = os.path.dirname(os.path.dirname(arcline.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "arcline.cli", "export", "--input", curve],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+@pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
+def test_export_rejects_non_finite_start_angle(angle):
+    proc = export_process(angle)
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "InvalidInput" and "start angle" in error["message"]
+
+
+@pytest.mark.parametrize("angle", ["1e17", "-1e300"])
+def test_export_huge_start_angle_returns(angle):
+    # beyond 2**53 a quarter-turn step no longer moves the angle; the SVG
+    # bounds visit at most four of them
+    proc = export_process(angle)
+    assert proc.returncode == 0, proc.stderr
+    ET.fromstring(proc.stdout)
 
 
 def test_demo_illposed(capsys):

@@ -1,4 +1,8 @@
-"""The package and the CLI load submodules, and numpy, only on demand."""
+"""The package and the CLI load submodules, and numpy, only on demand.
+
+No subcommand loads `dataclasses` either: the value types are plain
+`__slots__` classes and named tuples.
+"""
 
 import importlib
 import json
@@ -35,7 +39,7 @@ CHILD = """
 import json, sys
 from arcline.cli import main
 code = main(sys.argv[1:])
-heavy = [m for m in ("numpy", "arcline.certificates") if m in sys.modules]
+heavy = [m for m in ("numpy", "arcline.certificates", "dataclasses") if m in sys.modules]
 sys.stderr.write(json.dumps({"code": code, "loaded": heavy}) + "\\n")
 """
 
