@@ -25,6 +25,7 @@ reversed and mirrored into that picture.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -53,6 +54,37 @@ def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float
     return hits
 
 
+def _point_tangents(curve: PiecewiseCurve, svals) -> dict[float, tuple]:
+    """Point and unit tangent (x, y, tx, ty) at each distinct arc length in svals.
+
+    The operations of `PiecewiseCurve.evaluate` and `sample_at`, in
+    `math` floats and without `Vec2`: s is clipped to [0, L], and at a
+    joint the right-hand primitive wins.  Every value is `evaluate`'s bit
+    for bit, and `sample_at`'s wherever numpy's float64 sin and cos agree
+    with `math`'s.
+    """
+    prims, breaks, length = curve.primitives, curve.breaks, curve.length
+    last = len(prims) - 1
+    out: dict[float, tuple] = {}
+    for s in svals:
+        if s in out:
+            continue
+        c = min(max(s, 0.0), length)
+        i = min(bisect_right(breaks, c) - 1, last)
+        local = c - breaks[i]
+        p = prims[i]
+        if isinstance(p, Arc):
+            psi = p.start_angle + p.sweep * (local / p.length)
+            sign = 1.0 if p.sweep > 0 else -1.0
+            cos, sin = math.cos(psi), math.sin(psi)
+            out[s] = (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
+                      -sign * sin, sign * cos)
+        else:
+            d = p.direction
+            out[s] = (p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y)
+    return out
+
+
 def support_min(curve: PiecewiseCurve) -> float:
     """Exact minimum of gamma(s, t) = <X(t) - X(s), rot90(X'(s))> on [0, L]^2.
 
@@ -75,20 +107,18 @@ def support_min(curve: PiecewiseCurve) -> float:
 
     A segment j needs no interior t: for each s, gamma is linear in t,
     so its minimum over t lies at an end of j.  Every candidate s is
-    paired with every candidate t of the pair, and all of them are
-    evaluated in one `PiecewiseCurve.sample_at` call, so the result is
-    the true minimum up to rounding, independent of any sample count.
-    There are O(k^2) candidates for k primitives, built in a Python loop
-    over the pairs, and `sample_at` masks them once per primitive, so
-    the work grows faster than k^2: cheap for the few primitives of an
-    optimal curve or competitor, slower than an n = 512 grid beyond
-    about 20 primitives.
+    paired with every candidate t of the pair, so the result is the true
+    minimum up to rounding, independent of any sample count.  The curve
+    is evaluated once per distinct candidate arc length, in `math`
+    floats (`_point_tangents`), with no numpy.  There are O(k^2)
+    candidates for k primitives, built in a Python loop over the pairs:
+    cheap for the few primitives of an optimal curve or competitor,
+    slower than an n = 512 grid beyond about 20 primitives.
     """
     prims = curve.primitives
     breaks = curve.breaks
     ends = [(p.start_point, p.end_point) for p in prims]
-    s_all: list[float] = []
-    t_all: list[float] = []
+    pairs: list[tuple[list[float], list[float]]] = []
     for i, p in enumerate(prims):
         if isinstance(p, Arc):
             # the normal at either end of an arc is radial
@@ -109,13 +139,18 @@ def support_min(curve: PiecewiseCurve) -> float:
             ts = [breaks[j], breaks[j + 1]]
             if isinstance(q, Arc):
                 ts += [t for _, t in _radial_hits(q, breaks[j], phis)]
-            s_all += [s for s in ss for _ in ts]
-            t_all += ts * len(ss)
-    m = len(s_all)
-    pts, tans, _ = curve.sample_at(np.array(s_all + t_all))
-    d = pts[m:] - pts[:m]
-    gamma = d[:, 0] * -tans[:m, 1] + d[:, 1] * tans[:m, 0]
-    return float(gamma.min())
+            pairs.append((ss, ts))
+    at = _point_tangents(curve, [v for ss, ts in pairs for v in ss + ts])
+    best = math.inf
+    for ss, ts in pairs:
+        targets = [at[t] for t in ts]
+        for s in ss:
+            xs, ys, tx, ty = at[s]
+            for xt, yt, _, _ in targets:
+                gamma = (xt - xs) * -ty + (yt - ys) * tx
+                if gamma <= best:
+                    best = gamma
+    return best
 
 
 def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
@@ -135,17 +170,14 @@ def _arc_samples(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
                  n: int):
     """n + 1 samples of z on [0, l] in the canonical frame.
 
-    Checks n and the certificate hypothesis, then returns z's max
-    curvature e, the arc lengths s, phi = s / R_a, and z's frame
-    coordinates (n + 1, 2) and headings theta at s.  In a mirrored frame
-    z is evaluated backwards, at L - s, which swaps the roles of the
-    endpoints and flips the curvature sign twice; its heading is then
-    measured from the far end, omega - theta.
+    Checks n and the certificate hypothesis, then returns phi = s / R_a
+    at the sample arc lengths s and z's frame coordinates (n + 1, 2)
+    there.  In a mirrored frame z is evaluated backwards, at L - s.
     """
     if n < 1:
         raise InvalidInput(f"need n >= 1 samples, got {n!r}")
     ra = sol.radius
-    e = _check_hypothesis(inst, z, ra)
+    _check_hypothesis(inst, z, ra)
     svals = np.linspace(0.0, min(ra * inst.omega, z.length), n + 1)
     frame = canonical_frame(inst)
     s = z.length - svals if frame.mirrored else svals
@@ -155,10 +187,7 @@ def _arc_samples(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     # elementwise, not `d @ axis`: BLAS may fuse the multiply-add, and
     # whether it does depends on the CPU
     xy = np.column_stack([d[:, 0] * ex.x + d[:, 1] * ex.y, d[:, 0] * ey.x + d[:, 1] * ey.y])
-    theta = oriented_angle(inst.alpha, z.start_tangent) + z.turning_at(s)
-    if frame.mirrored:
-        theta = frame.omega - theta
-    return e, svals, svals / ra, xy, theta
+    return svals / ra, xy
 
 
 def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
@@ -169,7 +198,7 @@ def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     certificate value zeta_0, nonpositive whenever the hypotheses hold.
     Requires max curvature of z at most 1/R_a and length at least l.
     """
-    _, _, phi, xy, _ = _arc_samples(inst, sol, z, n)
+    phi, xy = _arc_samples(inst, sol, z, n)
     ra = sol.radius
     x = ra * np.sin(phi)
     y = ra * (1.0 - np.cos(phi))
@@ -185,18 +214,48 @@ def frame_gap_profiles(inst: ProblemInstance, sol: OptimalSolution, z: Piecewise
     nonincreasing whenever the turning angle is below pi/2; both vanish
     identically only for the optimal curve itself.
     """
-    _, _, phi, xy, _ = _arc_samples(inst, sol, z, n)
+    phi, xy = _arc_samples(inst, sol, z, n)
     ra = sol.radius
     return (xy[:, 0] - ra * np.sin(phi),
             xy[:, 1] - ra * (1.0 - np.cos(phi)))
 
 
-def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
-                    n: int = 2048) -> float:
-    """Largest excess of theta(s) - phi(s) over (e - 1/R_a) s on (0, l]."""
-    e, svals, phi, _, theta = _arc_samples(inst, sol, z, n)
-    excess = theta[1:] - phi[1:] - (e - 1.0 / sol.radius) * svals[1:]
-    return float(excess.max())
+def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve) -> float:
+    """Supremum of g(s) = theta(s) - phi(s) - (e - 1/R_a) s on (0, l], exactly.
+
+    theta is z's heading in the canonical frame, phi = s / R_a the
+    optimal arc's, e z's max curvature and l = min(R_a * Omega, L).  g is
+    linear on each primitive, so its supremum is the largest of: the
+    limit at s -> 0+, which is g(0) as the turning is continuous; g at
+    each break of z inside (0, l); and g(l).  In a mirrored frame z runs
+    backwards from its end: frame arc length s is z's L - s, and the
+    heading is omega minus z's.  As theta' = kappa <= e, g never
+    increases and the value is g(0+) up to rounding; the breaks are still
+    evaluated, so that the rounding shows instead of being assumed away.
+    Requires max curvature of z at most 1/R_a and length at least
+    R_a * Omega.
+    """
+    ra = sol.radius
+    e = _check_hypothesis(inst, z, ra)
+    frame = canonical_frame(inst)
+    length = z.length
+    end = min(ra * inst.omega, length)
+    inner = z.breaks[1:-1]
+    # (frame arc length, z's arc length) at 0, at l and at the breaks between
+    if frame.mirrored:
+        points = [(0.0, length), (end, length - end)]
+        points += [(length - b, b) for b in inner if length - b < end]
+    else:
+        points = [(0.0, 0.0), (end, end)] + [(b, b) for b in inner if b < end]
+    theta0 = oriented_angle(inst.alpha, z.start_tangent)
+    slope = e - 1.0 / ra
+    excess = []
+    for s, sz in points:
+        theta = theta0 + z.turning(sz)
+        if frame.mirrored:
+            theta = frame.omega - theta
+        excess.append(theta - s / ra - slope * s)
+    return max(excess)
 
 
 def zeta0_coefficients(omega: float) -> tuple[float, float, float, float]:
@@ -270,16 +329,14 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
                      z: PiecewiseCurve, n: int = 512) -> Certificate:
     """Bundle every certificate quantity for a competitor curve.
 
-    n (at least 2) is the sample count of the heading-gap bound.  zeta_0
-    is the last entry of every zeta profile, the gap at s = l exactly, so
-    it is read from the one-step profile; like the exact support-line
-    minimum it does not depend on n.  The zeta and heading-gap entries
-    require max curvature at most 1/R_a; they are None when that
-    hypothesis fails (the certificate then simply does not apply, which
-    is not an error here).
+    Every quantity is exact up to rounding, so no value depends on n,
+    which is accepted and ignored.  zeta_0 is the last entry of every
+    zeta profile, the gap at s = l exactly, so it is read from the
+    one-step profile.  The zeta and heading-gap entries require max
+    curvature at most 1/R_a; they are None when that hypothesis fails
+    (the certificate then simply does not apply, which is not an error
+    here).
     """
-    if n < 2:
-        raise InvalidInput(f"need n >= 2 samples, got {n!r}")
     e = max_curvature(z)
     sup = support_min(z)
     try:
@@ -288,7 +345,7 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
         u0 = v0 = None
     try:
         zeta0 = float(zeta_profile(inst, sol, z, n=1)[-1])
-        excess = theta_phi_bound(inst, sol, z, n=n)
+        excess = theta_phi_bound(inst, sol, z)
     except HypothesisViolated:
         zeta0 = None
         excess = None

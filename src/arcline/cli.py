@@ -114,7 +114,7 @@ def _cmd_verify(args) -> None:
         z = z.reversed_copy()
     sol = synthesize(inst)
     report = check_membership(z, inst)
-    cert = make_certificate(inst, sol, z, n=args.samples)
+    cert = make_certificate(inst, sol, z)
     _write(_dump_json({"membership": report.as_dict(),
                        "certificate": cert.as_dict()}), args.output)
 
@@ -170,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="instance+curve JSON -> membership and certificate")
-    p.add_argument("--samples", type=int, default=512,
-                   help="theta-phi sample count (zeta0 and the support check do not sample)")
     p.set_defaults(func=_cmd_verify, needs_input=True)
 
     p = sub.add_parser("sweep", parents=[common],

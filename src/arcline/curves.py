@@ -74,6 +74,11 @@ class Segment(Frozen):
         return Segment(self.end, self.start)
 
 
+#: bound on |start angle| of an arc: from 2**23 on, one unit in the last
+#: place exceeds ANG_TOL, so the angles along the arc lose their tolerance
+MAX_START_ANGLE = 2.0**23
+
+
 class Arc(Frozen):
     """Circular arc: center, radius, start angle and signed sweep.
 
@@ -94,8 +99,9 @@ class Arc(Frozen):
             raise InvalidInput(f"arc radius must be positive, got {radius!r}")
         if not (0.0 < abs(sweep) < TWO_PI):
             raise InvalidInput(f"arc |sweep| must lie in (0, 2*pi), got {sweep!r}")
-        if not math.isfinite(start_angle):
-            raise InvalidInput(f"arc start angle must be finite, got {start_angle!r}")
+        if not abs(start_angle) < MAX_START_ANGLE:
+            raise InvalidInput(
+                f"arc start angle must be finite with |a| < 2**23, got {start_angle!r}")
         _set = object.__setattr__
         _set(self, "center", center)
         _set(self, "radius", radius)

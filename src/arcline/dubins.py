@@ -193,17 +193,17 @@ _FRONTIER_CAP = 8
 class _CompositeGrid:
     """Feasibility of the composite cells (radii[i], radii[j]).
 
-    `feasible` is `_composite_params`'s test `d2 >= -tol` unrolled, with
-    the constants and the per-column products hoisted; every remaining
-    operation keeps its operands and association, so a cell is decided
-    bit for bit as there.
+    The cell test in `row_runs` is `_composite_params`'s test `d2 >= -tol`
+    unrolled, with the constants and the per-column products hoisted;
+    every remaining operation keeps its operands and association, so a
+    cell is decided bit for bit as there.
 
     With r1 fixed, p2 and the unclipped t are affine in r2, so d2 = p2 +
     k2 max(0, t) is piecewise affine with its kink at t = 0.  A row's
     predicate can therefore change only near three roots: t = 0, p2 =
     -tol and p2 + k2 t = -tol.  `row_runs` finds them in closed form,
-    evaluates `feasible` on every column within `half_width` of each and
-    one probe column in each gap between those windows.
+    tests every column within `half_width` of each and one probe column
+    in each gap between those windows.
     """
 
     def __init__(self, frame: CanonicalFrame, radii: list[float], tol: float):
@@ -246,19 +246,9 @@ class _CompositeGrid:
             if width <= _FRONTIER_CAP:
                 self.half_width = width
 
-    def feasible(self, ax: float, ay: float, j: int) -> bool:
-        """Whether cell (r1, radii[j]) closes with d2 >= -tol, where
-        ax, ay = r1 sin(omega/2), r1 (1 - cos(omega/2))."""
-        bx, by = self.cols[j]
-        p2 = (self.yb - (ay + by)) / self.sin1
-        t = -((self.xb - (ax + bx)) - p2 * self.cos1) / self.k1
-        if not t > 0.0:
-            t = 0.0
-        return not p2 + self.k2 * t < -self.tol
-
     def roots(self, ax: float, ay: float) -> tuple[float, float, float]:
         """The model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in the
-        row of `feasible`'s ax, ay."""
+        row where ax, ay = r1 sin(omega/2), r1 (1 - cos(omega/2))."""
         p0 = (self.yb - ay) / self.sin1
         t0 = -((self.xb - ax) - p0 * self.cos1) / self.k1
         return (-(p0 + self.tol) / self.p_slope, -t0 / self.t_slope,
@@ -267,42 +257,67 @@ class _CompositeGrid:
     def row_runs(self, i: int) -> list[list[int]]:
         """Feasible columns of row i as runs [start, stop), in order.
 
-        Every column is evaluated when the grid admits no frontier windows
-        (`half_width` is None)."""
+        First the columns to test, as spans [j, stop) in increasing order:
+        column j's verdict holds for the whole span.  Every column is its
+        own span when the grid admits no frontier windows (`half_width` is
+        None)."""
         r1 = self.radii[i]
         ax, ay = r1 * self.sin1, r1 * self.one_cos1
-        n = len(self.radii)
-        feasible = self.feasible
-        runs: list[list[int]] = []
-
-        def mark(start: int, stop: int) -> None:
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
-
+        cols = self.cols
+        n = len(cols)
         w = self.half_width
         if w is None:
-            for j in range(n):
-                if feasible(ax, ay, j):
-                    mark(j, j + 1)
-            return runs
-        first, spacing = self.first, self.spacing
-        cur = 0
-        for center in sorted((root - first) / spacing for root in self.roots(ax, ay)):
-            if center + w < 0.0 or center - w > n - 1:
-                continue
-            lo = max(cur, math.ceil(center - w))
-            hi = min(n - 1, math.floor(center + w))
-            # no root lies in the gap [cur, lo): one probe decides it
-            if cur < lo and feasible(ax, ay, cur):
-                mark(cur, lo)
-            for j in range(lo, hi + 1):
-                if feasible(ax, ay, j):
-                    mark(j, j + 1)
-            cur = max(cur, hi + 1)
-        if cur < n and feasible(ax, ay, cur):
-            mark(cur, n)
+            spans = zip(range(n), range(1, n + 1))
+        else:
+            first, spacing = self.first, self.spacing
+            roots = self.roots(ax, ay)
+            a = (roots[0] - first) / spacing
+            b = (roots[1] - first) / spacing
+            c = (roots[2] - first) / spacing
+            # in order, by compare-and-swap
+            if b < a:
+                a, b = b, a
+            if c < b:
+                b, c = c, b
+                if b < a:
+                    a, b = b, a
+            spans = []
+            cur = 0
+            for center in (a, b, c):
+                if center + w < 0.0 or center - w > n - 1:
+                    continue
+                lo = math.ceil(center - w)
+                if lo < cur:
+                    lo = cur
+                hi = math.floor(center + w)
+                if hi > n - 1:
+                    hi = n - 1
+                # no root lies in the gap [cur, lo): one probe decides it
+                if cur < lo:
+                    spans.append((cur, lo))
+                for j in range(lo, hi + 1):
+                    spans.append((j, j + 1))
+                # the centers are in order, so hi never decreases
+                cur = hi + 1
+            if cur < n:
+                spans.append((cur, n))
+        xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
+        k1, k2, neg_tol = self.k1, self.k2, -self.tol
+        runs: list[list[int]] = []
+        last = -1  # stop of the last run
+        for j, stop in spans:
+            # _composite_params' test d2 >= -tol, operand for operand
+            bx, by = cols[j]
+            p2 = (yb - (ay + by)) / sin1
+            t = -((xb - (ax + bx)) - p2 * cos1) / k1
+            if not t > 0.0:
+                t = 0.0
+            if not p2 + k2 * t < neg_tol:
+                if j == last:
+                    runs[-1][1] = stop
+                else:
+                    runs.append([j, stop])
+                last = stop
         return runs
 
 

@@ -2,16 +2,26 @@
 
 Each one computes a quantity the library has in closed form by a
 different route: the optimal radius by bisection on two tangency
-distances, curvature by finite differences of sampled points, and the
-composite certificate zeta_0 by building the composite.  None of them is
-used by the library itself.
+distances, curvature by finite differences of sampled points, the
+composite certificate zeta_0 by building the composite, and the
+heading-gap excess by sampling.  None of them is used by the library
+itself.
 """
 
 from __future__ import annotations
 
 import math
 
-from arcline import InternalError, InvalidInput, PathBuilder, Point2, ProblemInstance, Vec2
+from arcline import (
+    InternalError,
+    InvalidInput,
+    PathBuilder,
+    Point2,
+    ProblemInstance,
+    Vec2,
+    max_curvature,
+    oriented_angle,
+)
 from arcline.geometry import ROUND_REL, normalized, principal_angle, rot90
 from arcline.synthesis import canonical_frame
 
@@ -117,3 +127,25 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
     builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
     end = builder.point
     return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
+
+
+def theta_phi_sampled(inst: ProblemInstance, sol, z, n: int) -> float:
+    """The heading-gap excess sampled at n equally spaced s in (0, l].
+
+    The largest of theta(s) - phi(s) - (e - 1/R_a) s at s = l k / n,
+    k = 1..n, in the canonical frame, with l = min(R_a * Omega, L):
+    the value `theta_phi_bound` computed before it was exact.  It can
+    only read low, and it misses the supremum at s -> 0+.
+    """
+    import numpy as np
+
+    ra = sol.radius
+    e = max_curvature(z)
+    svals = np.linspace(0.0, min(ra * inst.omega, z.length), n + 1)
+    frame = canonical_frame(inst)
+    s = z.length - svals if frame.mirrored else svals
+    theta = oriented_angle(inst.alpha, z.start_tangent) + z.turning_at(s)
+    if frame.mirrored:
+        theta = frame.omega - theta
+    excess = theta[1:] - svals[1:] / ra - (e - 1.0 / ra) * svals[1:]
+    return float(excess.max())

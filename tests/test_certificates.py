@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
@@ -17,6 +18,8 @@ from arcline import (
     frame_gap_profiles,
     make_certificate,
     make_instance,
+    oriented_angle,
+    random_instance,
     support_min,
     synthesize,
     tangent_intercepts,
@@ -25,8 +28,9 @@ from arcline import (
     zeta0_coefficients,
     zeta_profile,
 )
+from arcline.synthesis import canonical_frame
 from conftest import make_rng, instances
-from oracles import zeta0_geometric
+from oracles import theta_phi_sampled, zeta0_geometric
 
 
 def s_curve(r: float = 1.0) -> PiecewiseCurve:
@@ -88,9 +92,81 @@ def test_zeta_profile_hypothesis_gates(worked_instance):
 def test_theta_phi_bound_identity(worked_instance, arc_first_instance):
     for inst in (worked_instance, arc_first_instance):
         sol = synthesize(inst)
-        assert theta_phi_bound(inst, sol, sol.curve, n=512) <= 1e-9
+        assert theta_phi_bound(inst, sol, sol.curve) <= 1e-9
         comp = composite_solve(inst, sol.radius, sol.radius)
-        assert theta_phi_bound(inst, sol, comp.curve, n=512) <= 1e-9
+        assert theta_phi_bound(inst, sol, comp.curve) <= 1e-9
+
+
+def wide_arc(inst):
+    """Arc of radius 1.5 R_a through the whole turning angle from A, then a
+    segment: it meets the certificate hypothesis but misses B."""
+    ra = arc_radius(inst)
+    builder = PathBuilder(inst.A, inst.alpha.angle())
+    return builder.arc(1.5 * ra, inst.omega).line(ra * inst.omega).build()
+
+
+def test_theta_phi_bound_at_least_sampled(worked_instance, arc_first_instance):
+    # the exact supremum never reads below a sample, up to a few ulps of pi
+    segment_first = make_instance(Vec2(0.0, 0.0), Vec2(-1.5, 1.3), Vec2(1.0, 0.0))
+    insts = (worked_instance, arc_first_instance, segment_first)
+    assert [canonical_frame(inst).mirrored for inst in insts] == [True, False, True]
+    for inst in insts:
+        sol = synthesize(inst)
+        ra = sol.radius
+        curves = [sol.curve, dubins_curve(inst, ra).curve,
+                  composite_solve(inst, ra, ra).curve, wide_arc(inst)]
+        for z in curves:
+            exact = theta_phi_bound(inst, sol, z)
+            for n in (2, 64, 512, 2048):
+                assert exact >= theta_phi_sampled(inst, sol, z, n) - 4 * math.ulp(math.pi)
+
+
+def test_theta_phi_bound_wide_arc_supremum_at_start(worked_instance):
+    # the worked frame is mirrored, so s runs from z's end: along the
+    # segment g falls from g(0+) = 0 at slope kappa - e = -2 / (3 R_a),
+    # and no sample reaches s = 0
+    inst = worked_instance
+    sol = synthesize(inst)
+    z = wide_arc(inst)
+    assert theta_phi_bound(inst, sol, z) == 0.0
+    sampled = theta_phi_sampled(inst, sol, z, 512)
+    assert sampled == pytest.approx(-(2.0 / 3.0) * inst.omega / 512, rel=1e-12)
+    assert format(sampled, ".6g") == "-0.00306796"
+
+
+@st.composite
+def hypothesis_competitors(draw):
+    """An instance and a chain from A with every |curvature| at most
+    1/R_a and length at least R_a * Omega: arcs of radius 1-4 R_a of
+    either sign and segments, from a heading up to 1 rad off alpha."""
+    rng = make_rng(draw(st.integers(0, 2**32)))
+    inst = random_instance(rng, omega=draw(st.floats(0.05, math.pi - 0.05)))
+    ra = arc_radius(inst)
+    builder = PathBuilder(inst.A, inst.alpha.angle() + draw(st.floats(-1.0, 1.0)))
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            builder.line(draw(st.floats(0.01, 2.0)) * ra)
+        else:
+            sweep = draw(st.floats(0.01, 2.5)) * draw(st.sampled_from([-1.0, 1.0]))
+            builder.arc(draw(st.floats(1.0, 4.0)) * ra, sweep)
+    builder.line(ra * inst.omega)
+    return inst, builder.build()
+
+
+@settings(deadline=None, max_examples=150)
+@given(hypothesis_competitors())
+def test_theta_phi_bound_is_the_start_value(case):
+    # kappa <= e makes g nonincreasing, so its supremum is g(0+): the
+    # frame's starting heading, which a mirrored frame takes from z's end
+    inst, z = case
+    sol = synthesize(inst)
+    theta0 = oriented_angle(inst.alpha, z.start_tangent)
+    sweeps = [p.sweep_angle for p in z.primitives]
+    frame = canonical_frame(inst)
+    start = frame.omega - (theta0 + sum(sweeps)) if frame.mirrored else theta0
+    scale = abs(theta0) + sum(abs(w) for w in sweeps) + math.pi
+    got = theta_phi_bound(inst, sol, z)
+    assert abs(got - start) <= 4 * (len(sweeps) + 2) * math.ulp(scale)
 
 
 def test_zeta0_closed_form_identity_case(worked_instance):

@@ -128,9 +128,10 @@ def test_verify_rejects_one_sample(capsys):
     code, out, _ = run(capsys, "solve", "--input", WORKED)
     combined = json.dumps({"instance": json.loads(WORKED),
                            "curve": json.loads(out)["curve"]})
+    # no output depends on a sample count, so the flag is gone
     code, out, err = run(capsys, "verify", "--input", combined, "--samples", "1")
     assert code == 1 and out == ""
-    assert json.loads(err)["error"]["type"] == "InvalidInput"
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_sweep_report(capsys):
@@ -184,11 +185,12 @@ def test_export_rejects_non_finite_start_angle(angle):
 
 @pytest.mark.parametrize("angle", ["1e17", "-1e300"])
 def test_export_huge_start_angle_returns(angle):
-    # beyond 2**53 a quarter-turn step no longer moves the angle; the SVG
-    # bounds visit at most four of them
+    # at 1e17 one unit in the last place is 16 rad and a + 1 == a: the arc
+    # would run from a point to itself, so it is rejected, and promptly
     proc = export_process(angle)
-    assert proc.returncode == 0, proc.stderr
-    ET.fromstring(proc.stdout)
+    assert proc.returncode == 1 and proc.stdout == ""
+    error = json.loads(proc.stderr)["error"]
+    assert error["type"] == "InvalidInput" and "start angle" in error["message"]
 
 
 def test_demo_illposed(capsys):

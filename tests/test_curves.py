@@ -22,6 +22,8 @@ from arcline import (
     similarity_transform,
     synthesize,
 )
+from arcline import curves
+from arcline.geometry import ANG_TOL
 from conftest import WORKED_RA, instances, rigid_motion, sample_points
 from oracles import numeric_curvature
 
@@ -292,6 +294,18 @@ def test_arc_invariants():
         Arc(Vec2(0, 0), 1.0, 0.0, 2.0 * math.pi)
     with pytest.raises(InvalidInput):
         Arc(Vec2(0, 0), 1.0, 0.0, 0.0)
+
+
+def test_arc_start_angle_bound():
+    # the bound is where one unit in the last place outgrows ANG_TOL
+    bound = curves.MAX_START_ANGLE
+    below = math.nextafter(bound, 0.0)
+    assert math.ulp(below) <= ANG_TOL < math.ulp(bound)
+    for a in (below, -below):
+        assert Arc(Vec2(0, 0), 1.0, a, 1.0).start_angle == a
+    for a in (bound, -bound, 1e17, -1e300, math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="start angle"):
+            Arc(Vec2(0, 0), 1.0, a, 1.0)
 
 
 def test_curve_json_roundtrip(worked_instance):

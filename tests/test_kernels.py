@@ -10,7 +10,8 @@ included, on drawn instances across the accepted angle range, on other
 radius windows, and on a grid whose full-row fallback is taken.  The
 exact `support_min` is checked against the sampled (s, t) grid it
 replaced: never above it, and below it by at most the grid's
-second-order error.
+second-order error.  Its scalar curve evaluation returns `evaluate`'s
+values bit for bit, and it makes no `sample_at` call.
 """
 
 import math
@@ -150,6 +151,58 @@ def test_support_min_within_grid_error(curve):
     gap = support_min_oracle(curve, n, joints=True) - certificates.support_min(curve)
     rounding = 1e-12 * rounding_scale(curve)
     assert -rounding <= gap <= bound + rounding
+
+
+def test_point_tangents_match_evaluate():
+    # the scalar evaluation support_min uses returns evaluate's values bit
+    # for bit: at the joints (right-hand piece, as in sample_at), inside,
+    # and within the end slack (clipped)
+    for inst in (arc_first(), segment_first()):
+        for curve in competitors(inst):
+            slack = 1e-13 * curve.length
+            svals = list(curve.breaks) + [-slack, curve.length + slack]
+            svals += np.linspace(0.0, curve.length, 97).tolist()
+            at = certificates._point_tangents(curve, svals)
+            for s in svals:
+                point, tangent, _ = curve.evaluate(s)
+                want = (point.x, point.y, tangent.x, tangent.y)
+                assert [v.hex() for v in at[s]] == [v.hex() for v in want]
+
+
+def count_sample_at(monkeypatch) -> list[int]:
+    calls = [0]
+    inner = curves.PiecewiseCurve.sample_at
+
+    def counting(self, svals):
+        calls[0] += 1
+        return inner(self, svals)
+
+    monkeypatch.setattr(curves.PiecewiseCurve, "sample_at", counting)
+    return calls
+
+
+def test_support_min_does_not_sample(monkeypatch):
+    calls = count_sample_at(monkeypatch)
+    for inst in (arc_first(), segment_first()):
+        for curve in competitors(inst):
+            certificates.support_min(curve)
+    assert calls[0] == 0
+
+
+def test_make_certificate_samples_once(monkeypatch):
+    # the one sampled quantity left is zeta_0, from the one-step profile;
+    # where the hypothesis fails, nothing is sampled at all
+    calls = count_sample_at(monkeypatch)
+    for inst in (arc_first(), segment_first()):
+        sol = synthesize(inst)
+        ra = sol.radius
+        for z in (sol.curve, composite_solve(inst, ra, ra).curve):
+            before = calls[0]
+            assert make_certificate(inst, sol, z).zeta0 is not None
+            assert calls[0] == before + 1
+        before = calls[0]
+        assert make_certificate(inst, sol, dubins_curve(inst, 0.5 * ra).curve).zeta0 is None
+        assert calls[0] == before
 
 
 def test_support_min_memory_is_linear():

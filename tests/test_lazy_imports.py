@@ -64,7 +64,7 @@ def cli_argv(tmp_path):
         "demo-illposed": ["demo-illposed", "--radius", "5", "--output", out],
         "sweep": ["sweep", "--input", inst, "--grid", "8", "--output", out],
         "verify": ["verify", "--input", json.dumps({"instance": WORKED, "curve": json.loads(curve)}),
-                   "--samples", "64", "--output", out],
+                   "--output", out],
     }
 
 
