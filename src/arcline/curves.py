@@ -79,6 +79,19 @@ class Segment(Frozen):
 MAX_START_ANGLE = 2.0**23
 
 
+def turned_start_angle(start_angle: float, turn: float) -> float:
+    """start_angle + turn, the start angle of an arc derived from another.
+
+    Where the sum would reach MAX_START_ANGLE, the same direction one
+    whole turn nearer zero, so that an accepted arc (|turn| <= 2 pi)
+    never derives a rejected one, and every other arc keeps its angle.
+    """
+    angle = start_angle + turn
+    if abs(angle) < MAX_START_ANGLE:
+        return angle
+    return start_angle + (turn - math.copysign(TWO_PI, angle))
+
+
 class Arc(Frozen):
     """Circular arc: center, radius, start angle and signed sweep.
 
@@ -134,7 +147,7 @@ class Arc(Frozen):
 
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius,
-                   self.start_angle + self.sweep, -self.sweep)
+                   turned_start_angle(self.start_angle, self.sweep), -self.sweep)
 
 
 CurvePrimitive = Union[Segment, Arc]

@@ -193,17 +193,27 @@ _FRONTIER_CAP = 8
 class _CompositeGrid:
     """Feasibility of the composite cells (radii[i], radii[j]).
 
-    The cell test in `row_runs` is `_composite_params`'s test `d2 >= -tol`
+    The cell test in `scan` is `_composite_params`'s test `d2 >= -tol`
     unrolled, with the constants and the per-column products hoisted;
     every remaining operation keeps its operands and association, so a
     cell is decided bit for bit as there.
 
-    With r1 fixed, p2 and the unclipped t are affine in r2, so d2 = p2 +
-    k2 max(0, t) is piecewise affine with its kink at t = 0.  A row's
-    predicate can therefore change only near three roots: t = 0, p2 =
-    -tol and p2 + k2 t = -tol.  `row_runs` finds them in closed form,
-    tests every column within `half_width` of each and one probe column
-    in each gap between those windows.
+    With r1 fixed, p2 and the unclipped t are affine in r2, so the model
+    d2 = p2 + k2 max(0, t) is continuous and piecewise affine, with its
+    kink at t = 0.  Being continuous, d2 + tol changes sign only where
+    it is zero: at p2 = -tol on the piece t <= 0 or at p2 + k2 t = -tol
+    on the piece t > 0, each the root of one affine extension.  The kink
+    is no root of its own.  A computed cell is within the rounding bound
+    of the model (max(0, t) moves no value by more than t's own error),
+    so its verdict can differ from the model's only where the model is
+    within that bound of -tol: within `half_width` columns of one of the
+    two roots, a width that covers the error of the computed root column
+    c as well.  `scan` evaluates every column of [ceil(c - w),
+    floor(c + w)], w = `half_width`, around each root.  ceil and floor
+    are exact, so every other column lies more than w from both roots:
+    there the cell's verdict is the model's, and the model's has no root
+    between two windows.  One probe column per gap between windows
+    therefore decides the whole gap.
     """
 
     def __init__(self, frame: CanonicalFrame, radii: list[float], tol: float):
@@ -216,6 +226,7 @@ class _CompositeGrid:
         self.xb, self.yb = frame.xb, frame.yb
         self.tol = tol
         self.radii = radii
+        self.inv = [1.0 / r for r in radii]
         sb, cb = sino - self.sin1, self.cos1 - coso
         self.cols = [(r2 * sb, r2 * cb) for r2 in radii]
 
@@ -234,94 +245,97 @@ class _CompositeGrid:
         self.spacing = (r_max - self.first) / (len(radii) - 1)
         # A cell's computed value is within _FRONTIER_ROUNDING * magnitude
         # of the model's, so its predicate can differ from the model's only
-        # within that / |slope| of a root in r2; the root itself and the
-        # grid's deviation from first + j * spacing carry errors of the same
-        # order and of _FRONTIER_ROUNDING * r_max.  One column more covers
-        # the rounding to whole columns.
+        # within that / |slope| of a root in r2; the root itself, the grid's
+        # deviation from first + j * spacing and c -/+ w carry errors of the
+        # same order and of _FRONTIER_ROUNDING * r_max.
         self.half_width = None
         if all(a < b for a, b in zip(radii, radii[1:])) and \
-                0.0 not in (self.p_slope, self.t_slope, self.d_slope):
+                0.0 not in (self.p_slope, self.d_slope):
             width = max(_FRONTIER_ROUNDING * (magnitude / abs(slope) + r_max) / self.spacing
-                        for slope in (self.p_slope, self.t_slope, self.d_slope)) + 1.0
+                        for slope in (self.p_slope, self.d_slope))
             if width <= _FRONTIER_CAP:
                 self.half_width = width
 
-    def roots(self, ax: float, ay: float) -> tuple[float, float, float]:
-        """The model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in the
-        row where ax, ay = r1 sin(omega/2), r1 (1 - cos(omega/2))."""
-        p0 = (self.yb - ay) / self.sin1
-        t0 = -((self.xb - ax) - p0 * self.cos1) / self.k1
-        return (-(p0 + self.tol) / self.p_slope, -t0 / self.t_slope,
-                -(p0 + self.k2 * t0 + self.tol) / self.d_slope)
+    def scan(self, rows: range,
+             runs: list[tuple[int, int]] | None = None) -> tuple[int, float, int]:
+        """(feasible cells, least score, first row reaching it) over `rows`;
+        the row is -1 when no cell is feasible.
 
-    def row_runs(self, i: int) -> list[list[int]]:
-        """Feasible columns of row i as runs [start, stop), in order.
-
-        First the columns to test, as spans [j, stop) in increasing order:
-        column j's verdict holds for the whole span.  Every column is its
-        own span when the grid admits no frontier windows (`half_width` is
-        None)."""
-        r1 = self.radii[i]
-        ax, ay = r1 * self.sin1, r1 * self.one_cos1
-        cols = self.cols
+        The cell (i, j) scores 1/min(r1, r2) = inv[min(i, j)], which never
+        increases along a row, so a row's least score is inv[min(i, last)]
+        at its last feasible column: each row keeps only its count and that
+        column.  When `runs` is a list, the feasible columns of the rows
+        are appended to it as runs (start, stop); pass it one row at a
+        time.  Every column is its own span when the grid admits no
+        frontier windows (`half_width` is None).
+        """
+        radii, cols, inv = self.radii, self.cols, self.inv
         n = len(cols)
+        xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
+        one_cos1, k1, k2, tol = self.one_cos1, self.k1, self.k2, self.tol
+        neg_tol = -tol
         w = self.half_width
         if w is None:
-            spans = zip(range(n), range(1, n + 1))
+            spans = list(zip(range(n), range(1, n + 1)))
         else:
-            first, spacing = self.first, self.spacing
-            roots = self.roots(ax, ay)
-            a = (roots[0] - first) / spacing
-            b = (roots[1] - first) / spacing
-            c = (roots[2] - first) / spacing
-            # in order, by compare-and-swap
-            if b < a:
-                a, b = b, a
-            if c < b:
-                b, c = c, b
+            first, spacing, p_slope, d_slope = self.first, self.spacing, self.p_slope, self.d_slope
+        feasible = 0
+        best = math.inf
+        best_row = -1
+        for i in rows:
+            r1 = radii[i]
+            ax, ay = r1 * sin1, r1 * one_cos1
+            if w is not None:
+                # the row's two roots in r2, then as columns, in order
+                p0 = (yb - ay) / sin1
+                t0 = -((xb - ax) - p0 * cos1) / k1
+                a = (-(p0 + tol) / p_slope - first) / spacing
+                b = (-(p0 + k2 * t0 + tol) / d_slope - first) / spacing
                 if b < a:
                     a, b = b, a
-            spans = []
-            cur = 0
-            for center in (a, b, c):
-                if center + w < 0.0 or center - w > n - 1:
-                    continue
-                lo = math.ceil(center - w)
-                if lo < cur:
-                    lo = cur
-                hi = math.floor(center + w)
-                if hi > n - 1:
-                    hi = n - 1
-                # no root lies in the gap [cur, lo): one probe decides it
-                if cur < lo:
-                    spans.append((cur, lo))
-                for j in range(lo, hi + 1):
-                    spans.append((j, j + 1))
-                # the centers are in order, so hi never decreases
-                cur = hi + 1
-            if cur < n:
-                spans.append((cur, n))
-        xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
-        k1, k2, neg_tol = self.k1, self.k2, -self.tol
-        runs: list[list[int]] = []
-        last = -1  # stop of the last run
-        for j, stop in spans:
-            # _composite_params' test d2 >= -tol, operand for operand
-            bx, by = cols[j]
-            p2 = (yb - (ay + by)) / sin1
-            t = -((xb - (ax + bx)) - p2 * cos1) / k1
-            if not t > 0.0:
-                t = 0.0
-            if not p2 + k2 * t < neg_tol:
-                if j == last:
-                    runs[-1][1] = stop
-                else:
-                    runs.append([j, stop])
-                last = stop
-        return runs
+                # the columns to test, as spans [j, stop) in increasing
+                # order: column j's verdict holds for the whole span
+                spans = []
+                cur = 0
+                for center in (a, b):
+                    if center + w < 0.0 or center - w > n - 1:
+                        continue
+                    lo = math.ceil(center - w)
+                    if lo < cur:
+                        lo = cur
+                    hi = math.floor(center + w)
+                    if hi > n - 1:
+                        hi = n - 1
+                    if cur < lo:
+                        spans.append((cur, lo))
+                    for j in range(lo, hi + 1):
+                        spans.append((j, j + 1))
+                    # the centers are in order, so hi never decreases
+                    cur = hi + 1
+                if cur < n:
+                    spans.append((cur, n))
+            last = -1
+            for j, stop in spans:
+                # _composite_params' test d2 >= -tol, operand for operand
+                bx, by = cols[j]
+                p2 = (yb - (ay + by)) / sin1
+                t = -((xb - (ax + bx)) - p2 * cos1) / k1
+                if not t > 0.0:
+                    t = 0.0
+                if not p2 + k2 * t < neg_tol:
+                    feasible += stop - j
+                    last = stop - 1
+                    if runs is not None:
+                        runs.append((j, stop))
+            if last >= 0:
+                score = inv[i if i < last else last]
+                if score < best:
+                    best = score
+                    best_row = i
+        return feasible, best, best_row
 
 
-def _first_best(i: int, runs: list[list[int]], inv: list[float]) -> int:
+def _first_best(i: int, runs: list[tuple[int, int]], inv: list[float]) -> int:
     """Column of row i's first feasible cell of least max curvature.
 
     The cell (i, j) scores 1/min(r1, r2) = inv[min(i, j)], which never
@@ -347,15 +361,17 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     Raises RadiusNotAdmissible when the window lies above R_a and no
     curve on it is admissible.
 
-    The composite cells are not all evaluated.  Each row's feasible
-    columns are found from its feasibility frontier (`_CompositeGrid`):
-    the per-cell predicate is evaluated, exactly as a full loop would,
-    on the few columns within a rounding-error bound of the row's three
-    closed-form roots, and once in each gap between them, where the
-    affine model keeps the predicate constant.  The count, the minimum
-    and the first cell reaching it in row-major order are therefore
-    those of the full n x n loop, bit for bit.  A grid whose radii do
-    not strictly increase, or whose slopes are so close to zero that a
+    The composite cells are not all evaluated.  One loop over the rows
+    (`_CompositeGrid.scan`) evaluates the per-cell predicate, exactly as
+    a full loop would, on the columns within a rounding bound of the
+    row's two closed-form roots, and once in each gap between them,
+    where the affine model keeps the predicate constant.  Each row keeps
+    its feasible count and its last feasible column, which fixes its
+    least score; the first cell reaching the overall least score is
+    then found in the one row that first reaches it.  The count, the
+    minimum and that cell, first in row-major order, are therefore those
+    of the full n x n loop, bit for bit.  A grid whose radii do not
+    strictly increase, or whose slopes are so close to zero that a
     window would exceed `_FRONTIER_CAP` columns, is evaluated cell by
     cell with the same predicate.
     """
@@ -368,37 +384,32 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     tol = inst.pos_tol
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
     grid = _CompositeGrid(frame, radii, tol)
-    inv = [1.0 / r for r in radii]
-
-    best = math.inf
-    best_cell = None
-    feasible = 0
-    for i in range(grid_n):
-        runs = grid.row_runs(i)
-        if not runs:
-            continue
-        feasible += sum(stop - start for start, stop in runs)
-        j = _first_best(i, runs, inv)
-        mc = inv[min(i, j)]
-        if mc < best:
-            best = mc
-            best_cell = (radii[i], radii[j])
+    feasible, best, i = grid.scan(range(grid_n))
     argmin: dict = {}
-    if best_cell is not None:
-        r1, r2 = best_cell
+    if i >= 0:
+        runs: list[tuple[int, int]] = []
+        grid.scan(range(i, i + 1), runs)
+        r1, r2 = radii[i], radii[_first_best(i, runs, grid.inv)]
         d1, d2, d3 = _composite_params(frame, r1, r2, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
-    for r in radii:
-        params = _p2_params(frame, r, tol)
-        if params is None:
+    # _p2_params' test, with sin(omega) and cos(omega) hoisted
+    sino, coso = math.sin(frame.omega), math.cos(frame.omega)
+    one_coso = 1.0 - coso
+    xb, yb, neg_tol = frame.xb, frame.yb, -tol
+    p2_radius = None
+    for r, score in zip(radii, grid.inv):
+        d3 = (yb - r * one_coso) / sino
+        d1 = xb - r * sino - d3 * coso
+        if d1 < neg_tol or d3 < neg_tol:
             continue
         feasible += 1
-        mc = 1.0 / r
-        if mc < best:
-            best = mc
-            d1, d3 = params
-            argmin = {"family": "p2", "R1": r, "R2": r,
-                      "d1": d1, "d2": 0.0, "d3": d3}
+        if score < best:
+            best = score
+            p2_radius = r
+    if p2_radius is not None:
+        d1, d3 = _p2_params(frame, p2_radius, tol)
+        argmin = {"family": "p2", "R1": p2_radius, "R2": p2_radius,
+                  "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
         if r_lo > 1.0:
             raise RadiusNotAdmissible(

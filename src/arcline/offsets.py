@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .curves import Arc, PiecewiseCurve, Segment
+from .curves import Arc, PiecewiseCurve, Segment, turned_start_angle
 from .errors import InvalidInput
 from .geometry import POS_REL, rot90
 
@@ -36,7 +36,7 @@ def _offset_arc(arc: Arc, delta: float):
         return None
     if r > 0.0:
         return Arc(arc.center, r, arc.start_angle, arc.sweep)
-    return Arc(arc.center, -r, arc.start_angle + math.pi, arc.sweep)
+    return Arc(arc.center, -r, turned_start_angle(arc.start_angle, math.pi), arc.sweep)
 
 
 def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:

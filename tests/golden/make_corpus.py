@@ -13,8 +13,10 @@ reversed, segment-first and exactly symmetric instances) with the
 worked instance, Dubins competitors at 0.7 R_a, wide-arc competitors
 whose zeta_0 is not rounding noise, an S-curve whose certificate entries
 are null, validation errors, the benchmark's two instances that fail
-today, and the worked instance scaled by 1e-12 (the "tiny/" family: no
-tolerance has an absolute floor).  Every input is written into the
+today, the worked instance scaled by 1e-12 (the "tiny/" family: no
+tolerance has an absolute floor), and sweeps on the benchmark's fine grid
+(300) and the README's grid (2000) for the worked, arc-first and two
+seeded instances (reversed and mirrored; exactly symmetric).  Every input is written into the
 corpus literally, so the test that replays it needs nothing but the
 program.
 """
@@ -46,6 +48,9 @@ OFFSET_FRACTION = 0.25
 WORKED = {"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}
 ARC_FIRST = {"O": [0.0, 0.0], "A": [0.0, 1.0], "B": [2.0, 0.0]}
 TINY_WORKED = {key: [1e-12 * c for c in point] for key, point in WORKED.items()}
+#: larger sweep grids, and the seeded instances (seed 1) swept on them
+SWEEP_GRIDS = (300, 2000)
+SWEEP_SEEDED = (3, 7)
 
 
 def instance_cases(name: str, obj: dict) -> list[tuple[str, list[str]]]:
@@ -114,6 +119,13 @@ def all_cases() -> list[tuple[str, list[str]]]:
     for k, obj in enumerate(inputs.FAILING_INSTANCES):
         cases.append((f"failing/{k}", ["solve", "--input", json.dumps(obj)]))
     cases += [(f"tiny/{name}", argv) for name, argv in instance_cases("worked", TINY_WORKED)]
+    seeded = inputs.instance_set(1, PER_SEED, "cli")
+    swept = [("worked", WORKED), ("arc-first", ARC_FIRST)] + \
+        [(f"s1i{k}", seeded[k]) for k in SWEEP_SEEDED]
+    for grid in SWEEP_GRIDS:
+        cases += [(f"sweep-{grid}/{name}",
+                   ["sweep", "--input", json.dumps(obj), "--grid", str(grid)])
+                  for name, obj in swept]
     return cases
 
 

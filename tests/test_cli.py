@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import arcline
+from arcline import instance_from_json
 from arcline.cli import main
 
 WORKED = '{"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}'
@@ -191,6 +192,28 @@ def test_export_huge_start_angle_returns(angle):
     assert proc.returncode == 1 and proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert error["type"] == "InvalidInput" and "start angle" in error["message"]
+
+
+def test_export_offset_past_the_start_angle_bound(capsys):
+    # the offset through the center turns the start angle by pi, past 2**23
+    curve = ('{"primitives": [{"type": "arc", "center": [0, 0], "radius": 1, '
+             '"startAngle": 8388607.5, "sweep": 1}]}')
+    code, out, err = run(capsys, "export", "--input", curve, "--offset", "1.5")
+    assert code == 0 and err == ""
+    assert len([el for el in ET.fromstring(out) if el.tag.endswith("path")]) == 3
+
+
+def test_verify_reversed_instance_past_the_start_angle_bound(capsys):
+    # a clockwise instance: verify reverses the curve, whose arc would then
+    # start at start + sweep = -8388608.5
+    inst = '{"A": [0.0, -0.5], "O": [0.0, 0.0], "B": [0.5, -0.5]}'
+    curve = ('{"primitives": [{"type": "arc", "center": [0, 0], "radius": 1, '
+             '"startAngle": -8388607.5, "sweep": -1}]}')
+    assert instance_from_json(json.loads(inst)).reversed
+    code, out, err = run(capsys, "verify", "--input",
+                         f'{{"instance": {inst}, "curve": {curve}}}')
+    assert code == 0 and err == ""
+    assert json.loads(out)["membership"]["inE"] is False
 
 
 def test_demo_illposed(capsys):

@@ -143,6 +143,20 @@ def test_reversal_duality(worked_instance):
     assert np.abs(p0 - p1).max() < 1e-12
 
 
+@pytest.mark.parametrize("start, sweep", [(8388607.5, 1.0), (-8388607.5, -1.0),
+                                          (8388606.0, 6.0), (1.0, 2.0), (-8388600.0, -1.0)])
+def test_arc_reversed_near_the_start_angle_bound(start, sweep):
+    # start + sweep may pass 2**23; the reversed arc then starts one whole
+    # turn lower, at the same point, and arcs inside the bound keep start + sweep
+    arc = Arc(Vec2(0.0, 0.0), 1.0, start, sweep)
+    rev = arc.reversed()
+    assert abs(rev.start_angle) < curves.MAX_START_ANGLE
+    if abs(start + sweep) < curves.MAX_START_ANGLE:
+        assert rev.start_angle == start + sweep
+    assert (rev.start_point - arc.end_point).norm() < 1e-8
+    assert (rev.end_point - arc.start_point).norm() < 1e-8
+
+
 def test_max_curvature_examples(worked_instance):
     assert max_curvature(PiecewiseCurve([Segment(Vec2(0, 0), Vec2(1, 0))])) == 0.0
     sol = synthesize(worked_instance)

@@ -309,19 +309,60 @@ def test_family_sweep_matches_reference_wide(inst, grid_n, window):
     assert_sweep_matches_reference(inst, grid_n, *window)
 
 
+def frontier_roots(inst, r1):
+    """The affine model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in
+    the composite row of radius r1."""
+    view = canonical_frame(inst)
+    grid = dubins._CompositeGrid(view, [r1, view.ra], 1e-9 * inst.diameter)
+    p0 = (grid.yb - r1 * grid.one_cos1) / grid.sin1
+    t0 = -((grid.xb - r1 * grid.sin1) - p0 * grid.cos1) / grid.k1
+    return (-(p0 + grid.tol) / grid.p_slope, -t0 / grid.t_slope,
+            -(p0 + grid.k2 * t0 + grid.tol) / grid.d_slope)
+
+
+def row_columns(grid, i):
+    """Feasible columns of row i, from the runs `scan` records."""
+    runs = []
+    grid.scan(range(i, i + 1), runs)
+    return [j for start, stop in runs for j in range(start, stop)]
+
+
 def test_family_sweep_roots_on_grid():
     # windows whose last radius is one of row 0's three roots in closed
-    # form, so that a cell sits within rounding of the frontier
+    # form, so that a cell sits within rounding of the frontier; the sweep
+    # places windows at two of them, and a column on the t = 0 kink must
+    # be decided by a gap probe
     for inst in instances(seed=73, count=12) + symmetric_instances(9, 4):
         view = canonical_frame(inst)
-        tol = 1e-9 * inst.diameter
-        r1 = 0.2 * view.ra
-        grid = dubins._CompositeGrid(view, [r1, view.ra], tol)
-        for root in grid.roots(r1 * grid.sin1, r1 * grid.one_cos1):
+        for root in frontier_roots(inst, 0.2 * view.ra):
             r_hi = root / view.ra
             if r_hi > 0.3:
                 for grid_n in (2, 3, 40):
                     assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+
+
+def test_family_sweep_last_radius_ulps_from_root():
+    # grids whose last radius lies a few ulps to either side of one of row
+    # 0's two frontier roots: rounding decides that column's verdict, so a
+    # gap probe elsewhere in the row can decide it wrongly, and only the
+    # rounding-width window around the root tests it on its own.  A wrong
+    # verdict needs the computed root and the computed cell to round
+    # differently, which few instances do: hence many of them, on small
+    # grids.
+    for inst in instances(seed=74, count=80) + symmetric_instances(10, 10):
+        view = canonical_frame(inst)
+        roots = frontier_roots(inst, 0.2 * view.ra)
+        for root in (roots[0], roots[2]):
+            if not root > 0.3 * view.ra:
+                continue
+            sides = set()
+            for step in range(-4, 5):
+                r_hi = root / view.ra + step * math.ulp(root / view.ra)
+                for grid_n in (2, 3):
+                    last = view.ra * (0.2 + (r_hi - 0.2) * (grid_n - 1) / (grid_n - 1))
+                    sides.add((last > root) - (last < root))
+                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+            assert {-1, 1} <= sides
 
 
 def test_first_best_matches_scan():
@@ -353,13 +394,13 @@ def test_family_sweep_full_row_fallback():
         radii = [view.ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
         grid = dubins._CompositeGrid(view, radii, tol)
         assert (grid.half_width is None) == (r_lo == 1.0)
-        frontier = [grid.row_runs(i) for i in range(grid_n)]
+        frontier = [row_columns(grid, i) for i in range(grid_n)]
         grid.half_width = None
         for i, r1 in enumerate(radii):
             loop = [j for j, r2 in enumerate(radii)
                     if dubins._composite_params(view, r1, r2, tol) is not None]
-            for runs in (frontier[i], grid.row_runs(i)):
-                assert [j for start, stop in runs for j in range(start, stop)] == loop
+            for columns in (frontier[i], row_columns(grid, i)):
+                assert columns == loop
         assert_sweep_matches_reference(inst, grid_n, r_lo, r_hi)
 
 

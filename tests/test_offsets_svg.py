@@ -53,6 +53,18 @@ def test_offset_degenerate_flag(worked_instance):
     assert result.degenerate
 
 
+@pytest.mark.parametrize("start", [8388607.5, -8388607.5, 1.0])
+def test_offset_through_center_near_the_start_angle_bound(start):
+    # past the center the offset arc starts at start + pi, which may pass
+    # 2**23: it then starts one whole turn lower, at the same point
+    arc = Arc(Vec2(0.0, 0.0), 1.0, start, 1.0)
+    inner = offset(PiecewiseCurve([arc]), 1.5).left.primitives[0]
+    assert inner.radius == 0.5 and abs(inner.start_angle) < 2.0**23
+    if start == 1.0:
+        assert inner.start_angle == start + math.pi
+    assert (inner.start_point - arc.start_point * -0.5).norm() < 1e-8
+
+
 def test_offset_distance_exactness():
     for inst in instances(seed=61, count=10):
         sol = synthesize(inst)
