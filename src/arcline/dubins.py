@@ -74,8 +74,10 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
             raise InternalError(f"tangent construction left [0, omega]: {sweep1!r}")
         sweep1 = min(max(sweep1, 0.0), inst.omega)
         sweep2 = inst.omega - sweep1
-        builder.arc(r, sweep1 if sweep1 * r > tiny else 0.0).line(gap)
-        builder.arc(r, sweep2 if sweep2 * r > tiny else 0.0)
+        # an arc is dropped only when its turn and its length are both
+        # negligible: a short arc that still turns carries the heading
+        builder.arc(r, sweep1 if sweep1 > ANG_TOL or sweep1 * r > tiny else 0.0).line(gap)
+        builder.arc(r, sweep2 if sweep2 > ANG_TOL or sweep2 * r > tiny else 0.0)
     return DubinsCurve(radius=radius, curve=builder.build_to(inst.B, inst.pos_tol))
 
 
@@ -185,8 +187,8 @@ class SweepReport(NamedTuple):
 #: is at most one unit of roundoff of a term no larger than the magnitude
 #: bound of `_CompositeGrid`.
 _FRONTIER_ROUNDING = 2.0**-45
-#: widest frontier window, in columns either side of a root; a sweep whose
-#: windows would be wider (a slope near zero) evaluates every cell
+#: widest frontier window, in columns either side of the root; a sweep whose
+#: window would be wider (a slope near zero) evaluates every cell
 _FRONTIER_CAP = 8
 
 
@@ -194,26 +196,28 @@ class _CompositeGrid:
     """Feasibility of the composite cells (radii[i], radii[j]).
 
     The cell test in `scan` is `_composite_params`'s test `d2 >= -tol`
-    unrolled, with the constants and the per-column products hoisted;
-    every remaining operation keeps its operands and association, so a
-    cell is decided bit for bit as there.
+    unrolled, with the constants hoisted; every remaining operation keeps
+    its operands and association, so a cell is decided bit for bit as
+    there.
 
-    With r1 fixed, p2 and the unclipped t are affine in r2, so the model
-    d2 = p2 + k2 max(0, t) is continuous and piecewise affine, with its
-    kink at t = 0.  Being continuous, d2 + tol changes sign only where
-    it is zero: at p2 = -tol on the piece t <= 0 or at p2 + k2 t = -tol
-    on the piece t > 0, each the root of one affine extension.  The kink
-    is no root of its own.  A computed cell is within the rounding bound
-    of the model (max(0, t) moves no value by more than t's own error),
-    so its verdict can differ from the model's only where the model is
-    within that bound of -tol: within `half_width` columns of one of the
-    two roots, a width that covers the error of the computed root column
-    c as well.  `scan` evaluates every column of [ceil(c - w),
-    floor(c + w)], w = `half_width`, around each root.  ceil and floor
-    are exact, so every other column lies more than w from both roots:
-    there the cell's verdict is the model's, and the model's has no root
-    between two windows.  One probe column per gap between windows
-    therefore decides the whole gap.
+    With r1 fixed, p2 and the unclipped t are affine in r2.  Since k2 =
+    -sin(omega) / sin(omega/2) < 0, the model d2 = p2 + k2 max(0, t) is
+    min(p2, p2 + k2 t), the lesser of two affine pieces, and both fall
+    as r2 grows: with c, s = cos, sin of omega/2, their slopes are
+    -(1 - c)(1 + 2c)/s and -tan(omega/4) in closed form.  So d2 falls
+    too, and in the model each row is feasible on a prefix of columns,
+    up to the smaller of the two roots p2 = -tol and p2 + k2 t = -tol.
+    A computed cell is within the rounding bound of the model (max(0, t)
+    moves no value by more than t's own error), so its verdict can
+    differ from the model's only where the model is within that bound of
+    -tol: within `half_width` columns of the smaller root, a width that
+    covers the error of the computed root column x as well.  Below that
+    root both pieces lie above -tol, and above it the falling piece of
+    the smaller root already lies below, each by more than the bound
+    outside the window.  One window per row, [ceil(x - w), floor(x + w)]
+    with w = `half_width`, is therefore all that `scan` tests: ceil and
+    floor are exact, so every column below it is feasible and every
+    column above it is not.
     """
 
     def __init__(self, frame: CanonicalFrame, radii: list[float], tol: float):
@@ -226,12 +230,10 @@ class _CompositeGrid:
         self.xb, self.yb = frame.xb, frame.yb
         self.tol = tol
         self.radii = radii
-        self.inv = [1.0 / r for r in radii]
-        sb, cb = sino - self.sin1, self.cos1 - coso
-        self.cols = [(r2 * sb, r2 * cb) for r2 in radii]
+        self.sb, self.cb = sb, cb = sino - self.sin1, self.cos1 - coso
 
         # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0: the same in
-        # every row, and so is each window's width
+        # every row, and so is the window's width
         self.p_slope = -cb / self.sin1
         self.t_slope = (sb + self.p_slope * self.cos1) / self.k1
         self.d_slope = self.p_slope + self.k2 * self.t_slope
@@ -247,10 +249,11 @@ class _CompositeGrid:
         # of the model's, so its predicate can differ from the model's only
         # within that / |slope| of a root in r2; the root itself, the grid's
         # deviation from first + j * spacing and c -/+ w carry errors of the
-        # same order and of _FRONTIER_ROUNDING * r_max.
+        # same order and of _FRONTIER_ROUNDING * r_max.  The prefix needs
+        # both slopes negative as computed, not only in closed form.
         self.half_width = None
         if all(a < b for a, b in zip(radii, radii[1:])) and \
-                0.0 not in (self.p_slope, self.d_slope):
+                self.p_slope < 0.0 and self.d_slope < 0.0:
             width = max(_FRONTIER_ROUNDING * (magnitude / abs(slope) + r_max) / self.spacing
                         for slope in (self.p_slope, self.d_slope))
             if width <= _FRONTIER_CAP:
@@ -261,91 +264,83 @@ class _CompositeGrid:
         """(feasible cells, least score, first row reaching it) over `rows`;
         the row is -1 when no cell is feasible.
 
-        The cell (i, j) scores 1/min(r1, r2) = inv[min(i, j)], which never
-        increases along a row, so a row's least score is inv[min(i, last)]
-        at its last feasible column: each row keeps only its count and that
-        column.  When `runs` is a list, the feasible columns of the rows
-        are appended to it as runs (start, stop); pass it one row at a
-        time.  Every column is its own span when the grid admits no
-        frontier windows (`half_width` is None).
+        The cell (i, j) scores 1/min(r1, r2) = 1/radii[min(i, j)], which
+        never increases along a row, so a row's least score is at its last
+        feasible column: each row keeps only its count and that column.
+        The radii never decrease, so a row can lower the least score only
+        where that column index exceeds every earlier row's.  When `runs`
+        is a list, the feasible columns of the rows are appended to it as
+        runs (start, stop); pass it one row at a time.  A grid with no
+        frontier window (`half_width` is None) tests every column of every
+        row.
         """
-        radii, cols, inv = self.radii, self.cols, self.inv
-        n = len(cols)
+        radii = self.radii
+        n = len(radii)
         xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
         one_cos1, k1, k2, tol = self.one_cos1, self.k1, self.k2, self.tol
-        neg_tol = -tol
+        sb, cb = self.sb, self.cb
+        neg_tol, neg_k1 = -tol, -k1
         w = self.half_width
-        if w is None:
-            spans = list(zip(range(n), range(1, n + 1)))
-        else:
-            first, spacing, p_slope, d_slope = self.first, self.spacing, self.p_slope, self.d_slope
+        first, spacing = self.first, self.spacing
+        neg_p, neg_d = -self.p_slope, -self.d_slope
+        ceil = math.ceil
         feasible = 0
         best = math.inf
-        best_row = -1
+        best_row = reach = -1
         for i in rows:
             r1 = radii[i]
             ax, ay = r1 * sin1, r1 * one_cos1
-            if w is not None:
-                # the row's two roots in r2, then as columns, in order
+            if w is None:
+                lo, top = 0, n - 1
+            else:
+                # the row's smaller root, as a column x; every column below
+                # ceil(x - w) is feasible, and the window ends at x + w
                 p0 = (yb - ay) / sin1
-                t0 = -((xb - ax) - p0 * cos1) / k1
-                a = (-(p0 + tol) / p_slope - first) / spacing
-                b = (-(p0 + k2 * t0 + tol) / d_slope - first) / spacing
-                if b < a:
-                    a, b = b, a
-                # the columns to test, as spans [j, stop) in increasing
-                # order: column j's verdict holds for the whole span
-                spans = []
-                cur = 0
-                for center in (a, b):
-                    if center + w < 0.0 or center - w > n - 1:
-                        continue
-                    lo = math.ceil(center - w)
-                    if lo < cur:
-                        lo = cur
-                    hi = math.floor(center + w)
-                    if hi > n - 1:
-                        hi = n - 1
-                    if cur < lo:
-                        spans.append((cur, lo))
-                    for j in range(lo, hi + 1):
-                        spans.append((j, j + 1))
-                    # the centers are in order, so hi never decreases
-                    cur = hi + 1
-                if cur < n:
-                    spans.append((cur, n))
-            last = -1
-            for j, stop in spans:
+                root_p = (p0 + tol) / neg_p
+                root_d = (p0 + k2 * (((xb - ax) - p0 * cos1) / neg_k1) + tol) / neg_d
+                x = ((root_d if root_d < root_p else root_p) - first) / spacing
+                lo = x - w
+                lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
+                top = x + w
+                feasible += lo
+                if lo and runs is not None:
+                    runs.append((0, lo))
+            last = lo - 1
+            j = lo
+            while j <= top and j < n:
                 # _composite_params' test d2 >= -tol, operand for operand
-                bx, by = cols[j]
-                p2 = (yb - (ay + by)) / sin1
-                t = -((xb - (ax + bx)) - p2 * cos1) / k1
+                r2 = radii[j]
+                p2 = (yb - (ay + r2 * cb)) / sin1
+                t = -((xb - (ax + r2 * sb)) - p2 * cos1) / k1
                 if not t > 0.0:
                     t = 0.0
                 if not p2 + k2 * t < neg_tol:
-                    feasible += stop - j
-                    last = stop - 1
+                    feasible += 1
+                    last = j
                     if runs is not None:
-                        runs.append((j, stop))
-            if last >= 0:
-                score = inv[i if i < last else last]
+                        runs.append((j, j + 1))
+                j += 1
+            m = i if i < last else last
+            if m > reach:
+                reach = m
+                score = 1.0 / radii[m]
                 if score < best:
                     best = score
                     best_row = i
         return feasible, best, best_row
 
 
-def _first_best(i: int, runs: list[tuple[int, int]], inv: list[float]) -> int:
+def _first_best(i: int, runs: list[tuple[int, int]], radii: list[float]) -> int:
     """Column of row i's first feasible cell of least max curvature.
 
-    The cell (i, j) scores 1/min(r1, r2) = inv[min(i, j)], which never
+    The cell (i, j) scores 1/min(r1, r2) = 1/radii[min(i, j)], which never
     increases along the row and is constant from column i on: the least
     score is at the first feasible j >= i, or else at the last feasible
     j < i.  An earlier column ties with it only where 1/r repeats along
     the grid."""
     j = next((max(start, i) for start, stop in runs if stop > i), runs[-1][1] - 1)
     m = min(i, j)
-    while m > 0 and inv[m - 1] == inv[m]:
+    while m > 0 and 1.0 / radii[m - 1] == 1.0 / radii[m]:
         m -= 1
     return next(max(start, m) for start, stop in runs if stop > m)
 
@@ -361,19 +356,23 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     Raises RadiusNotAdmissible when the window lies above R_a and no
     curve on it is admissible.
 
-    The composite cells are not all evaluated.  One loop over the rows
+    The composite cells are not all evaluated.  With R1 fixed, d2 is
+    the lesser of two affine pieces in R2 whose closed-form slopes,
+    -(1 - c)(1 + 2c)/s and -tan(omega/4) (c, s = cos, sin of omega/2),
+    are both negative, so each row is feasible on a prefix of columns
+    ending near the smaller of the two roots.  One loop over the rows
     (`_CompositeGrid.scan`) evaluates the per-cell predicate, exactly as
-    a full loop would, on the columns within a rounding bound of the
-    row's two closed-form roots, and once in each gap between them,
-    where the affine model keeps the predicate constant.  Each row keeps
-    its feasible count and its last feasible column, which fixes its
-    least score; the first cell reaching the overall least score is
-    then found in the one row that first reaches it.  The count, the
-    minimum and that cell, first in row-major order, are therefore those
-    of the full n x n loop, bit for bit.  A grid whose radii do not
-    strictly increase, or whose slopes are so close to zero that a
-    window would exceed `_FRONTIER_CAP` columns, is evaluated cell by
-    cell with the same predicate.
+    a full loop would, only on the columns within a rounding bound of
+    that root; the columns before them are feasible and those after
+    them are not.  Each row keeps its feasible count and its last
+    feasible column, which fixes its least score; the first cell
+    reaching the overall least score is then found in the one row that
+    first reaches it.  The count, the minimum and that cell, first in
+    row-major order, are therefore those of the full n x n loop, bit for
+    bit.  A grid whose radii do not strictly increase, whose computed
+    slopes are not both negative, or whose slopes are so close to zero
+    that the window would exceed `_FRONTIER_CAP` columns, is evaluated
+    cell by cell with the same predicate.
     """
     if grid_n < 2:
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
@@ -389,7 +388,7 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     if i >= 0:
         runs: list[tuple[int, int]] = []
         grid.scan(range(i, i + 1), runs)
-        r1, r2 = radii[i], radii[_first_best(i, runs, grid.inv)]
+        r1, r2 = radii[i], radii[_first_best(i, runs, radii)]
         d1, d2, d3 = _composite_params(frame, r1, r2, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
     # _p2_params' test, with sin(omega) and cos(omega) hoisted
@@ -397,12 +396,13 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     one_coso = 1.0 - coso
     xb, yb, neg_tol = frame.xb, frame.yb, -tol
     p2_radius = None
-    for r, score in zip(radii, grid.inv):
+    for r in radii:
         d3 = (yb - r * one_coso) / sino
         d1 = xb - r * sino - d3 * coso
         if d1 < neg_tol or d3 < neg_tol:
             continue
         feasible += 1
+        score = 1.0 / r
         if score < best:
             best = score
             p2_radius = r

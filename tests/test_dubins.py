@@ -81,6 +81,17 @@ def test_limit_curve_at_small_omega_is_in_e_or_internal_error(seed, log_omega):
     assert check_membership(g.curve, inst).in_e
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32), st.floats(-8.0, -4.0), st.sampled_from([0.7, 0.999]))
+def test_curve_near_pi_is_in_e(seed, log_gap, frac):
+    # near omega = pi one arc turns by about pi - omega, over a length that
+    # can fall below the rounding slack; it is kept all the same, so the
+    # segment that follows leaves in the right direction
+    inst = random_instance(random.Random(seed), omega=math.pi - 10.0 ** log_gap)
+    g = dubins_curve(inst, frac * arc_radius(inst))
+    assert check_membership(g.curve, inst).in_e
+
+
 def test_continuity_at_the_limit():
     for inst in instances(seed=22, count=5):
         sol = synthesize(inst)

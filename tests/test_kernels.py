@@ -330,8 +330,9 @@ def row_columns(grid, i):
 def test_family_sweep_roots_on_grid():
     # windows whose last radius is one of row 0's three roots in closed
     # form, so that a cell sits within rounding of the frontier; the sweep
-    # places windows at two of them, and a column on the t = 0 kink must
-    # be decided by a gap probe
+    # places its window at the smaller of the two roots, and columns at
+    # the larger root or on the t = 0 kink lie inside the feasible prefix
+    # or past the window
     for inst in instances(seed=73, count=12) + symmetric_instances(9, 4):
         view = canonical_frame(inst)
         for root in frontier_roots(inst, 0.2 * view.ra):
@@ -343,9 +344,10 @@ def test_family_sweep_roots_on_grid():
 
 def test_family_sweep_last_radius_ulps_from_root():
     # grids whose last radius lies a few ulps to either side of one of row
-    # 0's two frontier roots: rounding decides that column's verdict, so a
-    # gap probe elsewhere in the row can decide it wrongly, and only the
-    # rounding-width window around the root tests it on its own.  A wrong
+    # 0's two frontier roots.  At the smaller root rounding decides that
+    # column's verdict, and only the rounding-width window there tests it;
+    # at the larger root the column lies past the window, or inside it
+    # where the two roots nearly meet.  A wrong
     # verdict needs the computed root and the computed cell to round
     # differently, which few instances do: hence many of them, on small
     # grids.
@@ -371,37 +373,53 @@ def test_first_best_matches_scan():
     rng = random.Random(5)
     for _ in range(2000):
         n = rng.randint(1, 8)
-        inv = sorted((rng.choice([1.0, 2.0, 3.0, 4.0]) for _ in range(n)), reverse=True)
+        radii = sorted(rng.choice([1.0, 2.0, 3.0, 4.0]) for _ in range(n))
         cols = [j for j in range(n) if rng.random() < 0.5]
         if not cols:
             continue
         runs = [[j, j + 1] for j in cols]
         i = rng.randrange(n)
-        want = min(cols, key=lambda j: inv[min(i, j)])
-        assert dubins._first_best(i, runs, inv) == want
+        want = min(cols, key=lambda j: 1.0 / radii[min(i, j)])
+        assert dubins._first_best(i, runs, radii) == want
 
 
-def test_family_sweep_full_row_fallback():
-    inst = arc_first()
+#: (r_lo, r_hi, grid_n).  1 + 4e-16 puts two grid radii on each float: not
+#: strictly increasing.  1 + 1e-13 spaces them a few ulps apart, so the
+#: window usually exceeds the cap.
+SWEEP_WINDOWS = [(0.2, 3.0, 60), (0.1, 0.9, 17), (0.5, 1.5, 40), (0.99, 1.01, 3),
+                 (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)]
+
+
+def sweep_grid(inst, r_lo, r_hi, grid_n):
     view = canonical_frame(inst)
-    tol = 1e-9 * inst.diameter
-    # 1 + 4e-16 puts two grid radii on each float: not strictly increasing.
-    # 1 + 1e-13 spaces them a few ulps apart: the windows exceed the cap.
-    # The default window takes the frontier, and with half_width cleared
-    # the same grid evaluates every cell.
-    for r_lo, r_hi, grid_n in ((1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50),
-                               (0.2, 3.0, 60)):
-        radii = [view.ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-        grid = dubins._CompositeGrid(view, radii, tol)
+    radii = [view.ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
+    return view, dubins._CompositeGrid(view, radii, 1e-9 * inst.diameter)
+
+
+def test_family_sweep_fallback_windows():
+    # on arc_first the default window takes the prefix path, and both
+    # narrow windows the cell-by-cell path
+    for r_lo, r_hi, grid_n in ((0.2, 3.0, 60), (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)):
+        _, grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
         assert (grid.half_width is None) == (r_lo == 1.0)
-        frontier = [row_columns(grid, i) for i in range(grid_n)]
-        grid.half_width = None
-        for i, r1 in enumerate(radii):
-            loop = [j for j, r2 in enumerate(radii)
-                    if dubins._composite_params(view, r1, r2, tol) is not None]
-            for columns in (frontier[i], row_columns(grid, i)):
-                assert columns == loop
-        assert_sweep_matches_reference(inst, grid_n, r_lo, r_hi)
+        assert_sweep_matches_reference(arc_first(), grid_n, r_lo, r_hi)
+
+
+@settings(deadline=None, max_examples=100)
+@given(wide_instances(), st.sampled_from(SWEEP_WINDOWS))
+def test_family_sweep_full_row_fallback(inst, window):
+    # every row's feasible columns from the prefix path equal those of the
+    # cell-by-cell path (half_width cleared), and those of the plain loop
+    view, grid = sweep_grid(inst, *window)
+    if window[1] == 1.0 + 4e-16:
+        assert grid.half_width is None
+    n = len(grid.radii)
+    prefix = [row_columns(grid, i) for i in range(n)]
+    grid.half_width = None
+    for i, r1 in enumerate(grid.radii):
+        loop = [j for j, r2 in enumerate(grid.radii)
+                if dubins._composite_params(view, r1, r2, grid.tol) is not None]
+        assert prefix[i] == row_columns(grid, i) == loop
 
 
 def test_turning_at_matches_turning():
