@@ -25,7 +25,6 @@ reversed and mirrored into that picture.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
 import numpy as np
@@ -54,37 +53,6 @@ def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float
     return hits
 
 
-def _point_tangents(curve: PiecewiseCurve, svals) -> dict[float, tuple]:
-    """Point and unit tangent (x, y, tx, ty) at each distinct arc length in svals.
-
-    The operations of `PiecewiseCurve.evaluate` and `sample_at`, in
-    `math` floats and without `Vec2`: s is clipped to [0, L], and at a
-    joint the right-hand primitive wins.  Every value is `evaluate`'s bit
-    for bit, and `sample_at`'s wherever numpy's float64 sin and cos agree
-    with `math`'s.
-    """
-    prims, breaks, length = curve.primitives, curve.breaks, curve.length
-    last = len(prims) - 1
-    out: dict[float, tuple] = {}
-    for s in svals:
-        if s in out:
-            continue
-        c = min(max(s, 0.0), length)
-        i = min(bisect_right(breaks, c) - 1, last)
-        local = c - breaks[i]
-        p = prims[i]
-        if isinstance(p, Arc):
-            psi = p.start_angle + p.sweep * (local / p.length)
-            sign = 1.0 if p.sweep > 0 else -1.0
-            cos, sin = math.cos(psi), math.sin(psi)
-            out[s] = (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
-                      -sign * sin, sign * cos)
-        else:
-            d = p.direction
-            out[s] = (p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y)
-    return out
-
-
 def support_min(curve: PiecewiseCurve) -> float:
     """Exact minimum of gamma(s, t) = <X(t) - X(s), rot90(X'(s))> on [0, L]^2.
 
@@ -110,10 +78,10 @@ def support_min(curve: PiecewiseCurve) -> float:
     paired with every candidate t of the pair, so the result is the true
     minimum up to rounding, independent of any sample count.  The curve
     is evaluated once per distinct candidate arc length, in `math`
-    floats (`_point_tangents`), with no numpy.  There are O(k^2)
-    candidates for k primitives, built in a Python loop over the pairs:
-    cheap for the few primitives of an optimal curve or competitor,
-    slower than an n = 512 grid beyond about 20 primitives.
+    floats (`PiecewiseCurve.evaluate_row`), with no numpy.  There are
+    O(k^2) candidates for k primitives, built in a Python loop over the
+    pairs: cheap for the few primitives of an optimal curve or
+    competitor, slower than an n = 512 grid beyond about 20 primitives.
     """
     prims = curve.primitives
     breaks = curve.breaks
@@ -140,13 +108,17 @@ def support_min(curve: PiecewiseCurve) -> float:
             if isinstance(q, Arc):
                 ts += [t for _, t in _radial_hits(q, breaks[j], phis)]
             pairs.append((ss, ts))
-    at = _point_tangents(curve, [v for ss, ts in pairs for v in ss + ts])
+    at: dict[float, tuple] = {}
+    for ss, ts in pairs:
+        for v in ss + ts:
+            if v not in at:
+                at[v] = curve.evaluate_row(v)
     best = math.inf
     for ss, ts in pairs:
         targets = [at[t] for t in ts]
         for s in ss:
-            xs, ys, tx, ty = at[s]
-            for xt, yt, _, _ in targets:
+            xs, ys, tx, ty, _ = at[s]
+            for xt, yt, _, _, _ in targets:
                 gamma = (xt - xs) * -ty + (yt - ys) * tx
                 if gamma <= best:
                     best = gamma
@@ -166,28 +138,36 @@ def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
     return e
 
 
-def _arc_samples(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
-                 n: int):
-    """n + 1 samples of z on [0, l] in the canonical frame.
+def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
+                n: int) -> list[tuple[float, float, float, float]]:
+    """Gaps between z and the optimal arc at n + 1 arc lengths on [0, l].
 
-    Checks n and the certificate hypothesis, then returns phi = s / R_a
-    at the sample arc lengths s and z's frame coordinates (n + 1, 2)
-    there.  In a mirrored frame z is evaluated backwards, at L - s.
+    Checks n and the certificate hypothesis.  The arc lengths are
+    s = i * (l / n) for i < n, then l (the values of np.linspace), and
+    phi = s / R_a.  Returns (sin phi, cos phi, xhat - x, yhat - y) per
+    sample, with (xhat, yhat) z's point and (x, y) the optimal arc's in
+    the canonical frame, in `math` floats.  In a mirrored frame z is
+    evaluated backwards, at L - s.
     """
     if n < 1:
         raise InvalidInput(f"need n >= 1 samples, got {n!r}")
     ra = sol.radius
     _check_hypothesis(inst, z, ra)
-    svals = np.linspace(0.0, min(ra * inst.omega, z.length), n + 1)
+    end = min(ra * inst.omega, z.length)
+    step = end / n
+    svals = [i * step for i in range(n)] + [end]
     frame = canonical_frame(inst)
-    s = z.length - svals if frame.mirrored else svals
-    pts, _, _ = z.sample_at(s)
-    d = pts - np.array([frame.origin.x, frame.origin.y])
+    pts, _, _ = z.sample_at([z.length - s for s in svals] if frame.mirrored else svals)
+    ox, oy = frame.origin.x, frame.origin.y
     ex, ey = frame.x_axis, frame.y_axis
-    # elementwise, not `d @ axis`: BLAS may fuse the multiply-add, and
-    # whether it does depends on the CPU
-    xy = np.column_stack([d[:, 0] * ex.x + d[:, 1] * ex.y, d[:, 0] * ey.x + d[:, 1] * ey.y])
-    return svals / ra, xy
+    rows = []
+    for s, (px, py) in zip(svals, pts.tolist()):
+        dx, dy = px - ox, py - oy
+        phi = s / ra
+        sin, cos = math.sin(phi), math.cos(phi)
+        rows.append((sin, cos, dx * ex.x + dy * ex.y - ra * sin,
+                     dx * ey.x + dy * ey.y - ra * (1.0 - cos)))
+    return rows
 
 
 def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
@@ -198,11 +178,7 @@ def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     certificate value zeta_0, nonpositive whenever the hypotheses hold.
     Requires max curvature of z at most 1/R_a and length at least l.
     """
-    phi, xy = _arc_samples(inst, sol, z, n)
-    ra = sol.radius
-    x = ra * np.sin(phi)
-    y = ra * (1.0 - np.cos(phi))
-    return -(xy[:, 0] - x) * np.sin(phi) + (xy[:, 1] - y) * np.cos(phi)
+    return np.array([-gx * sin + gy * cos for sin, cos, gx, gy in _frame_gaps(inst, sol, z, n)])
 
 
 def frame_gap_profiles(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
@@ -214,10 +190,8 @@ def frame_gap_profiles(inst: ProblemInstance, sol: OptimalSolution, z: Piecewise
     nonincreasing whenever the turning angle is below pi/2; both vanish
     identically only for the optimal curve itself.
     """
-    phi, xy = _arc_samples(inst, sol, z, n)
-    ra = sol.radius
-    return (xy[:, 0] - ra * np.sin(phi),
-            xy[:, 1] - ra * (1.0 - np.cos(phi)))
+    rows = _frame_gaps(inst, sol, z, n)
+    return np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
 
 
 def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve) -> float:

@@ -235,57 +235,31 @@ class PiecewiseCurve:
     def reversed_copy(self) -> "PiecewiseCurve":
         return PiecewiseCurve([p.reversed() for p in reversed(self.primitives)])
 
-    def _locate_many(self, svals) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized `_locate`: primitive index and local arc length per sample."""
+    def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
+        """`evaluate` in plain floats: (x, y, tx, ty, kappa) at arc length s.
+
+        The same checks and operations as `evaluate`, bit for bit, without
+        building `Vec2`s: s is clipped to [0, L], and at a joint the
+        right-hand primitive wins.
+        """
+        i, local = self._locate(s)
+        p = self.primitives[i]
+        if isinstance(p, Arc):
+            psi = p.start_angle + p.sweep * (local / p.length)
+            sign = 1.0 if p.sweep > 0 else -1.0
+            cos, sin = math.cos(psi), math.sin(psi)
+            return (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
+                    -sign * sin, sign * cos, sign / p.radius)
+        d = p.direction
+        return p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y, 0.0
+
+    def sample_at(self, svals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`evaluate_row` at each sample: points (n,2), tangents (n,2), curvature (n,)."""
         import numpy as np
 
-        svals = np.asarray(svals, dtype=float)
-        if self._outside(svals.min(initial=0.0), svals.max(initial=0.0)):
-            raise OutOfRange("sample arc length outside [0, L]")
-        s = np.clip(svals, 0.0, self.length)
-        breaks = np.asarray(self.breaks)
-        idx = np.clip(np.searchsorted(breaks, s, side="right") - 1,
-                      0, len(self.primitives) - 1)
-        return idx, s - breaks[idx]
-
-    def turning_at(self, svals) -> np.ndarray:
-        """Vectorized `turning`: the same value, bit for bit, at each sample."""
-        import numpy as np
-
-        idx, local = self._locate_many(svals)
-        sweeps = np.array([p.sweep_angle for p in self.primitives])
-        lengths = np.array([p.length for p in self.primitives])
-        return np.asarray(self._turn_breaks)[idx] + sweeps[idx] * (local / lengths[idx])
-
-    def sample_at(self, svals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized evaluation: points (n,2), tangents (n,2), curvature (n,)."""
-        import numpy as np
-
-        idx, local_all = self._locate_many(svals)
-        pts = np.empty((idx.size, 2))
-        tans = np.empty((idx.size, 2))
-        curv = np.empty(idx.size)
-        for i, prim in enumerate(self.primitives):
-            mask = idx == i
-            if not mask.any():
-                continue
-            local = local_all[mask]
-            if isinstance(prim, Segment):
-                d = prim.direction
-                pts[mask, 0] = prim.start.x + d.x * local
-                pts[mask, 1] = prim.start.y + d.y * local
-                tans[mask, 0] = d.x
-                tans[mask, 1] = d.y
-                curv[mask] = 0.0
-            else:
-                psi = prim.start_angle + prim.sweep * (local / prim.length)
-                sign = 1.0 if prim.sweep > 0 else -1.0
-                pts[mask, 0] = prim.center.x + prim.radius * np.cos(psi)
-                pts[mask, 1] = prim.center.y + prim.radius * np.sin(psi)
-                tans[mask, 0] = -sign * np.sin(psi)
-                tans[mask, 1] = sign * np.cos(psi)
-                curv[mask] = sign / prim.radius
-        return pts, tans, curv
+        rows = [self.evaluate_row(s) for s in np.asarray(svals, dtype=float).tolist()]
+        table = np.array(rows, dtype=float).reshape(-1, 5)
+        return table[:, 0:2], table[:, 2:4], table[:, 4]
 
 
 class PathBuilder:

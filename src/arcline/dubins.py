@@ -147,7 +147,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
         builder.line(d3).arc(r2, s2).line(d2).arc(r1, s1).line(d1)
     else:
         builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
-    curve = builder.build_to(inst.B, 10.0 * tol)
+    curve = builder.build_to(inst.B, tol)
     return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3, curve=curve)
 
 

@@ -4,8 +4,11 @@ Each one computes a quantity the library has in closed form by a
 different route: the optimal radius by bisection on two tangency
 distances, curvature by finite differences of sampled points, the
 composite certificate zeta_0 by building the composite, and the
-heading-gap excess by sampling.  None of them is used by the library
-itself.
+heading-gap excess by sampling.  Two more restate a library routine in
+another form, to be compared with it bit for bit: the turning as a
+numpy computation over many samples, and the certificate gap profiles
+one point at a time through `evaluate`.  None of them is used by the
+library itself.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import math
 from arcline import (
     InternalError,
     InvalidInput,
+    OutOfRange,
     PathBuilder,
+    PiecewiseCurve,
     Point2,
     ProblemInstance,
     Vec2,
@@ -129,6 +134,46 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
     return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
 
 
+def turning_at(curve: PiecewiseCurve, svals):
+    """`curve.turning` at each sample, vectorized: the same operations,
+    so the same value bit for bit, as a numpy array."""
+    import numpy as np
+
+    svals = np.asarray(svals, dtype=float)
+    if curve._outside(svals.min(initial=0.0), svals.max(initial=0.0)):
+        raise OutOfRange("sample arc length outside [0, L]")
+    s = np.clip(svals, 0.0, curve.length)
+    breaks = np.asarray(curve.breaks)
+    idx = np.clip(np.searchsorted(breaks, s, side="right") - 1, 0, len(curve.primitives) - 1)
+    sweeps = np.array([p.sweep_angle for p in curve.primitives])
+    lengths = np.array([p.length for p in curve.primitives])
+    return np.asarray(curve._turn_breaks)[idx] + sweeps[idx] * ((s - breaks[idx]) / lengths[idx])
+
+
+def frame_gaps_pointwise(inst: ProblemInstance, sol, z, n: int) -> list[tuple[float, float, float]]:
+    """(zeta, xhat - x, yhat - y) at the n + 1 samples of `zeta_profile`.
+
+    One point at a time: s = i * (l / n) for i < n, then l, with
+    l = min(R_a * Omega, L); z's point from `evaluate` (at L - s in a
+    mirrored frame), projected on the canonical frame's axes with `Vec2`,
+    and the optimal arc's point (R_a sin phi, R_a (1 - cos phi)) at
+    phi = s / R_a in `math` floats.
+    """
+    ra = sol.radius
+    end = min(ra * inst.omega, z.length)
+    frame = canonical_frame(inst)
+    out = []
+    for i in range(n + 1):
+        s = end if i == n else i * (end / n)
+        point, _, _ = z.evaluate(z.length - s if frame.mirrored else s)
+        d = point - frame.origin
+        phi = s / ra
+        gx = d.dot(frame.x_axis) - ra * math.sin(phi)
+        gy = d.dot(frame.y_axis) - ra * (1.0 - math.cos(phi))
+        out.append((-gx * math.sin(phi) + gy * math.cos(phi), gx, gy))
+    return out
+
+
 def theta_phi_sampled(inst: ProblemInstance, sol, z, n: int) -> float:
     """The heading-gap excess sampled at n equally spaced s in (0, l].
 
@@ -144,7 +189,7 @@ def theta_phi_sampled(inst: ProblemInstance, sol, z, n: int) -> float:
     svals = np.linspace(0.0, min(ra * inst.omega, z.length), n + 1)
     frame = canonical_frame(inst)
     s = z.length - svals if frame.mirrored else svals
-    theta = oriented_angle(inst.alpha, z.start_tangent) + z.turning_at(s)
+    theta = oriented_angle(inst.alpha, z.start_tangent) + turning_at(z, s)
     if frame.mirrored:
         theta = frame.omega - theta
     excess = theta[1:] - svals[1:] / ra - (e - 1.0 / ra) * svals[1:]

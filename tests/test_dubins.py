@@ -145,6 +145,25 @@ def test_composite_membership_and_closure_randomized():
             assert sweeps == pytest.approx([inst.omega / 2.0] * 2)
 
 
+def test_composite_at_small_omega_is_in_e_or_internal_error():
+    # the composite closes at pos_tol, the tolerance membership demands,
+    # so a chain that misses B by more is an InternalError, not a curve
+    # outside E
+    rng = random.Random(5)
+    for _ in range(300):
+        inst = random_instance(rng, omega=10.0 ** rng.uniform(-7.0, -6.0))
+        try:
+            synthesize(inst)
+        except InternalError:
+            continue
+        ra = arc_radius(inst)
+        try:
+            comp = composite_solve(inst, 0.6 * ra, 0.8 * ra)
+        except InternalError:
+            continue
+        assert comp is None or check_membership(comp.curve, inst).in_e, inst
+
+
 def test_composite_mirrored_chain_runs_backwards(worked_instance):
     # OA > OB mirrors the frame, which reverses the chain: from A it runs
     # d3, the R2 arc, d2, the R1 arc, d1

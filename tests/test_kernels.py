@@ -1,8 +1,10 @@
 """The evidence kernels against their plain reference loops.
 
-`PiecewiseCurve.turning_at` computes the same floating-point operations
-as the straightforward version kept here, so their results must compare
-equal with `==`, not approximately.  `family_sweep` evaluates only the
+`PiecewiseCurve.turning` and the vectorized oracle `turning_at` compute
+the same floating-point operations, so their results must compare
+equal with `==`, not approximately.  So must `sample_at`, the scalar
+`evaluate_row` and `evaluate`, and the certificate profiles and their
+per-point oracle.  `family_sweep` evaluates only the
 composite cells near each row's feasibility frontier, with the same
 per-cell expression as the reference loop here, which evaluates every
 cell: the two reports must also compare equal with `==`, zero signs
@@ -10,8 +12,7 @@ included, on drawn instances across the accepted angle range, on other
 radius windows, and on a grid whose full-row fallback is taken.  The
 exact `support_min` is checked against the sampled (s, t) grid it
 replaced: never above it, and below it by at most the grid's
-second-order error.  Its scalar curve evaluation returns `evaluate`'s
-values bit for bit, and it makes no `sample_at` call.
+second-order error.  It makes no `sample_at` call.
 """
 
 import math
@@ -41,6 +42,7 @@ from arcline import (
 )
 from arcline.synthesis import canonical_frame
 from conftest import instances, symmetric_instances
+from oracles import frame_gaps_pointwise, turning_at
 
 
 def arc_first():
@@ -154,19 +156,45 @@ def test_support_min_within_grid_error(curve):
 
 
 def test_point_tangents_match_evaluate():
-    # the scalar evaluation support_min uses returns evaluate's values bit
-    # for bit: at the joints (right-hand piece, as in sample_at), inside,
-    # and within the end slack (clipped)
+    # sample_at's rows, evaluate_row (which support_min and the profiles
+    # use) and evaluate agree bit for bit: at the joints (right-hand
+    # piece), inside the pieces, and within the end slack (clipped)
     for inst in (arc_first(), segment_first()):
         for curve in competitors(inst):
             slack = 1e-13 * curve.length
             svals = list(curve.breaks) + [-slack, curve.length + slack]
             svals += np.linspace(0.0, curve.length, 97).tolist()
-            at = certificates._point_tangents(curve, svals)
-            for s in svals:
-                point, tangent, _ = curve.evaluate(s)
-                want = (point.x, point.y, tangent.x, tangent.y)
-                assert [v.hex() for v in at[s]] == [v.hex() for v in want]
+            pts, tans, curv = curve.sample_at(np.array(svals))
+            for k, s in enumerate(svals):
+                point, tangent, kappa = curve.evaluate(s)
+                want = [point.x, point.y, tangent.x, tangent.y, kappa]
+                row = [pts[k, 0], pts[k, 1], tans[k, 0], tans[k, 1], curv[k]]
+                assert [v.hex() for v in curve.evaluate_row(s)] == [v.hex() for v in want]
+                assert [float(v).hex() for v in row] == [v.hex() for v in want]
+
+
+def hypothesis_curves(inst) -> list[PiecewiseCurve]:
+    """Curves that meet the zeta hypothesis: the optimum, the composite
+    at R_a, and a wider chain from A that need not end on B."""
+    sol = synthesize(inst)
+    ra = sol.radius
+    wide = PathBuilder(inst.A, inst.alpha.angle())
+    wide.arc(2.0 * ra, 0.5 * inst.omega).line(0.3 * ra).arc(1.5 * ra, 0.4 * inst.omega)
+    wide.line(ra * inst.omega)
+    return [sol.curve, composite_solve(inst, ra, ra).curve, wide.build()]
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_profiles_match_pointwise_oracle(n):
+    for inst in [arc_first(), segment_first()] + instances(seed=75, count=4):
+        sol = synthesize(inst)
+        for z in hypothesis_curves(inst):
+            want = frame_gaps_pointwise(inst, sol, z, n)
+            zeta = certificates.zeta_profile(inst, sol, z, n=n)
+            gx, gy = certificates.frame_gap_profiles(inst, sol, z, n=n)
+            assert zeta.shape == gx.shape == gy.shape == (n + 1,)
+            for got, col in ((zeta, 0), (gx, 1), (gy, 2)):
+                assert [float(v).hex() for v in got] == [row[col].hex() for row in want]
 
 
 def count_sample_at(monkeypatch) -> list[int]:
@@ -432,12 +460,12 @@ def test_turning_at_matches_turning():
                 np.linspace(0.0, length, 257),
                 [-0.5 * slack, length + 0.5 * slack],
             ])
-            got = curve.turning_at(svals)
+            got = turning_at(curve, svals)
             want = np.array([curve.turning(float(s)) for s in svals])
             assert got.tobytes() == want.tobytes()
             for bad in (-2.0 * slack, length + 2.0 * slack):
                 with pytest.raises(OutOfRange):
-                    curve.turning_at(np.array([0.0, bad]))
+                    turning_at(curve, np.array([0.0, bad]))
                 with pytest.raises(OutOfRange):
                     curve.turning(bad)
 
