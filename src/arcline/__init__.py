@@ -7,9 +7,9 @@ as possible, together with the bounded-radius curve families, numerical
 optimality certificates, a parabola baseline, constant-distance offsets
 and SVG export.
 
-Importing the package is cheap: each public name is loaded from its
-submodule on first access (PEP 562), so numpy is imported only once
-sampling or certificate code is used.
+The package is pure Python, with no dependencies, and importing it is
+cheap: each public name is loaded from its submodule on first access
+(PEP 562).
 """
 
 from importlib import import_module as _import_module
@@ -22,9 +22,8 @@ _EXPORTS = {
         ("ComparisonReport", "QuadraticBezier", "bezier_min_radius", "compare_report"),
         "baselines"),
     **dict.fromkeys(
-        ("Certificate", "frame_gap_profiles", "make_certificate", "support_min",
-         "tangent_intercepts", "theta_phi_bound", "zeta0_closed_form",
-         "zeta0_coefficients", "zeta_profile"),
+        ("Certificate", "make_certificate", "support_min", "tangent_intercepts",
+         "theta_phi_bound", "zeta0_closed_form", "zeta0_coefficients", "zeta_profile"),
         "certificates"),
     **dict.fromkeys(
         ("Arc", "MembershipReport", "PathBuilder", "PiecewiseCurve", "Segment",

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .curves import Arc, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
 from .geometry import ROUND_REL, TWO_PI, normalized, oriented_angle, rot90
@@ -78,7 +76,7 @@ def support_min(curve: PiecewiseCurve) -> float:
     paired with every candidate t of the pair, so the result is the true
     minimum up to rounding, independent of any sample count.  The curve
     is evaluated once per distinct candidate arc length, in `math`
-    floats (`PiecewiseCurve.evaluate_row`), with no numpy.  There are
+    floats (`PiecewiseCurve.evaluate_row`).  There are
     O(k^2) candidates for k primitives, built in a Python loop over the
     pairs: cheap for the few primitives of an optimal curve or
     competitor, slower than an n = 512 grid beyond about 20 primitives.
@@ -143,11 +141,11 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     """Gaps between z and the optimal arc at n + 1 arc lengths on [0, l].
 
     Checks n and the certificate hypothesis.  The arc lengths are
-    s = i * (l / n) for i < n, then l (the values of np.linspace), and
-    phi = s / R_a.  Returns (sin phi, cos phi, xhat - x, yhat - y) per
-    sample, with (xhat, yhat) z's point and (x, y) the optimal arc's in
-    the canonical frame, in `math` floats.  In a mirrored frame z is
-    evaluated backwards, at L - s.
+    s = i * (l / n) for i < n, then l, and phi = s / R_a.  Returns
+    (sin phi, cos phi, xhat - x, yhat - y) per sample, with (xhat, yhat)
+    z's point and (x, y) the optimal arc's in the canonical frame, in
+    `math` floats.  In a mirrored frame z is evaluated backwards, at
+    L - s.
     """
     if n < 1:
         raise InvalidInput(f"need n >= 1 samples, got {n!r}")
@@ -157,11 +155,11 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     step = end / n
     svals = [i * step for i in range(n)] + [end]
     frame = canonical_frame(inst)
-    pts, _, _ = z.sample_at([z.length - s for s in svals] if frame.mirrored else svals)
+    points = z.sample_at([z.length - s for s in svals] if frame.mirrored else svals)
     ox, oy = frame.origin.x, frame.origin.y
     ex, ey = frame.x_axis, frame.y_axis
     rows = []
-    for s, (px, py) in zip(svals, pts.tolist()):
+    for s, (px, py, _, _, _) in zip(svals, points):
         dx, dy = px - ox, py - oy
         phi = s / ra
         sin, cos = math.sin(phi), math.cos(phi)
@@ -171,27 +169,14 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
 
 
 def zeta_profile(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
-                 n: int = 2048) -> np.ndarray:
+                 n: int = 2048) -> list[float]:
     """Normal gap zeta(s) between z and the optimal curve on [0, l].
 
     l = R_a * Omega is the optimal arc length; the last entry is the
     certificate value zeta_0, nonpositive whenever the hypotheses hold.
     Requires max curvature of z at most 1/R_a and length at least l.
     """
-    return np.array([-gx * sin + gy * cos for sin, cos, gx, gy in _frame_gaps(inst, sol, z, n)])
-
-
-def frame_gap_profiles(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
-                       n: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate gaps (xhat - x, yhat - y) between z and the optimal arc.
-
-    Sampled on [0, l] in the canonical frame.  Under the certificate
-    hypothesis the first gap is nondecreasing and the second
-    nonincreasing whenever the turning angle is below pi/2; both vanish
-    identically only for the optimal curve itself.
-    """
-    rows = _frame_gaps(inst, sol, z, n)
-    return np.array([row[2] for row in rows]), np.array([row[3] for row in rows])
+    return [-gx * sin + gy * cos for sin, cos, gx, gy in _frame_gaps(inst, sol, z, n)]
 
 
 def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve) -> float:
@@ -318,7 +303,7 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
     except UndefinedHeading:
         u0 = v0 = None
     try:
-        zeta0 = float(zeta_profile(inst, sol, z, n=1)[-1])
+        zeta0 = zeta_profile(inst, sol, z, n=1)[-1]
         excess = theta_phi_bound(inst, sol, z)
     except HypothesisViolated:
         zeta0 = None

@@ -6,8 +6,8 @@ All numeric JSON output is rounded to 15 significant digits and keys
 are sorted, so identical inputs give byte-identical outputs.
 
 Each subcommand imports the modules it needs when it runs, so a process
-loads only its own subcommand's code: numpy and the certificate module
-are imported by ``verify`` alone.
+loads only its own subcommand's code: the certificate module is
+imported by ``verify`` alone.
 """
 
 from __future__ import annotations

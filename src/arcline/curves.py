@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import InternalError, InvalidInput, OutOfRange
 from .geometry import (
@@ -28,9 +28,6 @@ from .geometry import (
     principal_angle,
 )
 from .instance import ProblemInstance, point_from_json
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class Segment(Frozen):
@@ -60,9 +57,6 @@ class Segment(Frozen):
 
     def tangent_at(self, s: float) -> Vec2:
         return self.direction
-
-    def curvature_at(self, s: float) -> float:
-        return 0.0
 
     # the end data every primitive provides, here the stored fields
     start_point = property(lambda self: self.start)
@@ -140,9 +134,6 @@ class Arc(Frozen):
         sign = 1.0 if self.sweep > 0 else -1.0
         return Vec2(-sign * math.sin(psi), sign * math.cos(psi))
 
-    def curvature_at(self, s: float) -> float:
-        return (1.0 if self.sweep > 0 else -1.0) / self.radius
-
     sweep_angle = property(lambda self: self.sweep)
 
     def reversed(self) -> "Arc":
@@ -199,15 +190,33 @@ class PiecewiseCurve:
         i = min(bisect_right(self.breaks, s) - 1, len(self.primitives) - 1)
         return i, s - self.breaks[i]
 
-    def evaluate(self, s: float) -> tuple[Point2, Vec2, float]:
-        """Point, unit tangent and signed curvature at arc length s.
+    def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
+        """Point, unit tangent and signed curvature at arc length s, as
+        plain floats (x, y, tx, ty, kappa).
 
-        At an interior joint the right-hand primitive wins, so curvature
-        jumps are sampled from the later piece.
+        s is clipped to [0, L], and at an interior joint the right-hand
+        primitive wins, so curvature jumps are sampled from the later piece.
         """
         i, local = self._locate(s)
         p = self.primitives[i]
-        return p.point_at(local), p.tangent_at(local), p.curvature_at(local)
+        if isinstance(p, Arc):
+            psi = p.start_angle + p.sweep * (local / p.length)
+            sign = 1.0 if p.sweep > 0 else -1.0
+            cos, sin = math.cos(psi), math.sin(psi)
+            return (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
+                    -sign * sin, sign * cos, sign / p.radius)
+        d = p.direction
+        return p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y, 0.0
+
+    def evaluate(self, s: float) -> tuple[Point2, Vec2, float]:
+        """Point, unit tangent and signed curvature at arc length s:
+        `evaluate_row`'s values as `Vec2`s."""
+        x, y, tx, ty, kappa = self.evaluate_row(s)
+        return Vec2(x, y), Vec2(tx, ty), kappa
+
+    def sample_at(self, svals: Iterable[float]) -> list[tuple]:
+        """`evaluate_row` at each arc length: one (x, y, tx, ty, kappa) row each."""
+        return [self.evaluate_row(s) for s in svals]
 
     def turning(self, s: float) -> float:
         """Accumulated signed turning (unwrapped heading change) on [0, s]."""
@@ -234,32 +243,6 @@ class PiecewiseCurve:
 
     def reversed_copy(self) -> "PiecewiseCurve":
         return PiecewiseCurve([p.reversed() for p in reversed(self.primitives)])
-
-    def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
-        """`evaluate` in plain floats: (x, y, tx, ty, kappa) at arc length s.
-
-        The same checks and operations as `evaluate`, bit for bit, without
-        building `Vec2`s: s is clipped to [0, L], and at a joint the
-        right-hand primitive wins.
-        """
-        i, local = self._locate(s)
-        p = self.primitives[i]
-        if isinstance(p, Arc):
-            psi = p.start_angle + p.sweep * (local / p.length)
-            sign = 1.0 if p.sweep > 0 else -1.0
-            cos, sin = math.cos(psi), math.sin(psi)
-            return (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
-                    -sign * sin, sign * cos, sign / p.radius)
-        d = p.direction
-        return p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y, 0.0
-
-    def sample_at(self, svals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`evaluate_row` at each sample: points (n,2), tangents (n,2), curvature (n,)."""
-        import numpy as np
-
-        rows = [self.evaluate_row(s) for s in np.asarray(svals, dtype=float).tolist()]
-        table = np.array(rows, dtype=float).reshape(-1, 5)
-        return table[:, 0:2], table[:, 2:4], table[:, 4]
 
 
 class PathBuilder:

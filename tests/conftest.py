@@ -4,6 +4,7 @@ import random
 import pytest
 
 from arcline import Arc, PiecewiseCurve, Segment, Vec2, make_instance, random_instance
+from oracles import sample_arrays
 
 #: the worked configuration: right isoceles triangle, turning angle 3*pi/4
 WORKED_A = Vec2(0.5, -0.5)
@@ -92,14 +93,14 @@ def sample_points(curve: PiecewiseCurve, n: int) -> list[Vec2]:
     """n + 1 points at equal arc-length spacing, both ends included."""
     import numpy as np
 
-    pts, _, _ = curve.sample_at(np.linspace(0.0, curve.length, n + 1))
+    pts, _, _ = sample_arrays(curve, np.linspace(0.0, curve.length, n + 1))
     return [Vec2(x, y) for x, y in pts.tolist()]
 
 
 def sampled_hausdorff(c1: PiecewiseCurve, c2: PiecewiseCurve, n: int = 400) -> float:
     import numpy as np
 
-    p1, _, _ = c1.sample_at(np.linspace(0.0, c1.length, n))
-    p2, _, _ = c2.sample_at(np.linspace(0.0, c2.length, n))
+    p1, _, _ = sample_arrays(c1, np.linspace(0.0, c1.length, n))
+    p2, _, _ = sample_arrays(c2, np.linspace(0.0, c2.length, n))
     d = np.hypot(p1[:, None, 0] - p2[None, :, 0], p1[:, None, 1] - p2[None, :, 1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -7,8 +7,9 @@ composite certificate zeta_0 by building the composite, and the
 heading-gap excess by sampling.  Two more restate a library routine in
 another form, to be compared with it bit for bit: the turning as a
 numpy computation over many samples, and the certificate gap profiles
-one point at a time through `evaluate`.  None of them is used by the
-library itself.
+one point at a time through `evaluate`.  `sample_arrays` packs
+`sample_at`'s rows into numpy arrays for the tests that compute on
+them.  None of them is used by the library itself, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -132,6 +133,16 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
     builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
     end = builder.point
     return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
+
+
+def sample_arrays(curve: PiecewiseCurve, svals):
+    """`curve.sample_at` as numpy arrays, the same values: points (n, 2),
+    tangents (n, 2) and curvatures (n,)."""
+    import numpy as np
+
+    rows = curve.sample_at(np.asarray(svals, dtype=float).tolist())
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    return table[:, 0:2], table[:, 2:4], table[:, 4]
 
 
 def turning_at(curve: PiecewiseCurve, svals):

@@ -37,7 +37,7 @@ from arcline.curves import Arc, PiecewiseCurve
 from arcline.dubins import family_sweep
 from arcline.instance import random_instance
 from conftest import make_rng, sample_points, sampled_hausdorff
-from oracles import numeric_curvature, zeta0_geometric
+from oracles import numeric_curvature, sample_arrays, zeta0_geometric
 
 RA_EXACT = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -151,7 +151,7 @@ def test_criterion_07_support_line_property():
             assert value >= -1e-9 * inst.diameter
     b = PathBuilder()
     s_curve = b.arc(1.0, math.pi / 2).arc(1.0, -math.pi / 2).build()
-    pts, _, _ = s_curve.sample_at(np.linspace(0.0, s_curve.length, 200))
+    pts, _, _ = sample_arrays(s_curve, np.linspace(0.0, s_curve.length, 200))
     extent = float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
     violation = support_min(s_curve)
     assert violation < -1e-3 * extent

@@ -15,7 +15,6 @@ from arcline import (
     check_membership,
     composite_solve,
     dubins_curve,
-    frame_gap_profiles,
     make_certificate,
     make_instance,
     oriented_angle,
@@ -30,7 +29,7 @@ from arcline import (
 )
 from arcline.synthesis import canonical_frame
 from conftest import make_rng, instances
-from oracles import theta_phi_sampled, zeta0_geometric
+from oracles import frame_gaps_pointwise, sample_arrays, theta_phi_sampled, zeta0_geometric
 
 
 def s_curve(r: float = 1.0) -> PiecewiseCurve:
@@ -41,7 +40,7 @@ def s_curve(r: float = 1.0) -> PiecewiseCurve:
 
 
 def curve_extent(curve) -> float:
-    pts, _, _ = curve.sample_at(np.linspace(0.0, curve.length, 200))
+    pts, _, _ = sample_arrays(curve, np.linspace(0.0, curve.length, 200))
     return float(max(np.ptp(pts[:, 0]), np.ptp(pts[:, 1])))
 
 
@@ -329,19 +328,13 @@ def test_monotone_gap_functions_narrow_angle():
                          Vec2(2.0 * math.cos(-0.3), 2.0 * math.sin(-0.3)))
     assert inst.omega < math.pi / 2.0
     sol = synthesize(inst)
-    gx, gy = frame_gap_profiles(inst, sol, sol.curve, n=256)
+    gaps = frame_gaps_pointwise(inst, sol, sol.curve, 256)
+    gx, gy = np.array([row[1] for row in gaps]), np.array([row[2] for row in gaps])
     assert np.all(np.diff(gx) >= -1e-9)
     assert np.all(np.diff(gy) <= 1e-9)
     assert np.abs(gx).max() <= 1e-12 and np.abs(gy).max() <= 1e-12
     prof = zeta_profile(inst, sol, sol.curve, n=256)
     assert np.abs(prof).max() <= 1e-12
-
-
-def test_gap_profiles_hypothesis_gate(worked_instance):
-    sol = synthesize(worked_instance)
-    tight = dubins_curve(worked_instance, 0.5 * sol.radius)
-    with pytest.raises(HypothesisViolated):
-        frame_gap_profiles(worked_instance, sol, tight.curve)
 
 
 def test_boundary_angle_both_certificate_paths(arc_first_instance):

@@ -3,8 +3,8 @@
 `PiecewiseCurve.turning` and the vectorized oracle `turning_at` compute
 the same floating-point operations, so their results must compare
 equal with `==`, not approximately.  So must `sample_at`, the scalar
-`evaluate_row` and `evaluate`, and the certificate profiles and their
-per-point oracle.  `family_sweep` evaluates only the
+`evaluate_row` and `evaluate`, and the certificate's zeta profile and
+frame gaps and their per-point oracle.  `family_sweep` evaluates only the
 composite cells near each row's feasibility frontier, with the same
 per-cell expression as the reference loop here, which evaluates every
 cell: the two reports must also compare equal with `==`, zero signs
@@ -42,7 +42,7 @@ from arcline import (
 )
 from arcline.synthesis import canonical_frame
 from conftest import instances, symmetric_instances
-from oracles import frame_gaps_pointwise, turning_at
+from oracles import frame_gaps_pointwise, sample_arrays, turning_at
 
 
 def arc_first():
@@ -73,7 +73,7 @@ def support_min_oracle(curve: PiecewiseCurve, n: int, joints: bool = False) -> f
     svals = np.linspace(0.0, curve.length, n)
     if joints:
         svals = np.union1d(svals, curve.breaks)
-    pts, tans, _ = curve.sample_at(svals)
+    pts, tans, _ = sample_arrays(curve, svals)
     px, py = pts[:, 0], pts[:, 1]
     nx, ny = -tans[:, 1], tans[:, 0]
     return min(float(((px - px[s]) * nx[s] + (py - py[s]) * ny[s]).min())
@@ -156,19 +156,19 @@ def test_support_min_within_grid_error(curve):
 
 
 def test_point_tangents_match_evaluate():
-    # sample_at's rows, evaluate_row (which support_min and the profiles
-    # use) and evaluate agree bit for bit: at the joints (right-hand
-    # piece), inside the pieces, and within the end slack (clipped)
+    # sample_at's rows, evaluate_row (which support_min uses) and
+    # evaluate agree bit for bit: at the joints (right-hand piece),
+    # inside the pieces, and within the end slack (clipped)
     for inst in (arc_first(), segment_first()):
         for curve in competitors(inst):
             slack = 1e-13 * curve.length
             svals = list(curve.breaks) + [-slack, curve.length + slack]
             svals += np.linspace(0.0, curve.length, 97).tolist()
-            pts, tans, curv = curve.sample_at(np.array(svals))
-            for k, s in enumerate(svals):
+            rows = curve.sample_at(svals)
+            assert len(rows) == len(svals)
+            for s, row in zip(svals, rows):
                 point, tangent, kappa = curve.evaluate(s)
                 want = [point.x, point.y, tangent.x, tangent.y, kappa]
-                row = [pts[k, 0], pts[k, 1], tans[k, 0], tans[k, 1], curv[k]]
                 assert [v.hex() for v in curve.evaluate_row(s)] == [v.hex() for v in want]
                 assert [float(v).hex() for v in row] == [v.hex() for v in want]
 
@@ -191,8 +191,9 @@ def test_profiles_match_pointwise_oracle(n):
         for z in hypothesis_curves(inst):
             want = frame_gaps_pointwise(inst, sol, z, n)
             zeta = certificates.zeta_profile(inst, sol, z, n=n)
-            gx, gy = certificates.frame_gap_profiles(inst, sol, z, n=n)
-            assert zeta.shape == gx.shape == gy.shape == (n + 1,)
+            gaps = certificates._frame_gaps(inst, sol, z, n)
+            gx, gy = [row[2] for row in gaps], [row[3] for row in gaps]
+            assert len(zeta) == len(gx) == len(gy) == n + 1
             for got, col in ((zeta, 0), (gx, 1), (gy, 2)):
                 assert [float(v).hex() for v in got] == [row[col].hex() for row in want]
 
@@ -235,7 +236,6 @@ def test_make_certificate_samples_once(monkeypatch):
 
 def test_support_min_memory_is_linear():
     curve = competitors(arc_first())[3]
-    certificates.support_min(curve)  # load numpy outside the trace
     tracemalloc.start()
     try:
         certificates.support_min(curve)

@@ -1,7 +1,9 @@
-"""The package and the CLI load submodules, and numpy, only on demand.
+"""The package and the CLI load submodules only on demand, and run without numpy.
 
-No subcommand loads `dataclasses` either: the value types are plain
-`__slots__` classes and named tuples.
+No subcommand loads numpy or `dataclasses`: the library computes in
+`math` floats, and the value types are plain `__slots__` classes and
+named tuples.  With numpy made unimportable, every subcommand and the
+sampling entry points still succeed.
 """
 
 import importlib
@@ -25,7 +27,7 @@ PUBLIC_NAMES = [
     "Point2", "ProblemInstance", "QuadraticBezier", "RadiusNotAdmissible", "Segment",
     "SweepReport", "UndefinedHeading", "Vec2", "arc_radius", "bezier_min_radius",
     "check_membership", "compare_report", "composite_solve", "curve_from_json",
-    "curve_to_json", "dubins_curve", "family_sweep", "frame_gap_profiles", "heading",
+    "curve_to_json", "dubins_curve", "family_sweep", "heading",
     "illposed_demo", "instance_from_json", "instance_from_tangents", "instance_to_json",
     "is_feasible_radius", "make_certificate", "make_instance", "max_curvature",
     "offset", "oriented_angle", "principal_angle", "random_instance", "rot90",
@@ -44,11 +46,31 @@ sys.stderr.write(json.dumps({"code": code, "loaded": heavy}) + "\\n")
 """
 
 
-def run_cli_child(argv):
+#: blocks numpy, runs every CLI invocation given, then certifies and samples
+#: the worked optimum, and reports each step's result
+NO_NUMPY_CHILD = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from arcline import instance_from_json, make_certificate, synthesize, zeta_profile
+from arcline.cli import main
+argvs, worked = json.loads(sys.argv[1])
+report = {"codes": [main(argv) for argv in argvs]}
+inst = instance_from_json(worked)
+sol = synthesize(inst)
+report["zeta0"] = make_certificate(inst, sol, sol.curve).zeta0
+rows = sol.curve.sample_at([0.0, 0.5 * sol.curve.length, sol.curve.length])
+report["rows"] = [[type(v).__name__ for v in row] for row in rows]
+report["zeta"] = [type(v).__name__ for v in zeta_profile(inst, sol, sol.curve, n=4)]
+sys.stderr.write(json.dumps(report) + "\\n")
+"""
+
+
+def run_child(code, args):
     src = os.path.dirname(os.path.dirname(arcline.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stderr.strip().splitlines()[-1])
 
 
@@ -70,15 +92,24 @@ def cli_argv(tmp_path):
 
 @pytest.mark.parametrize("command", ["solve", "compare", "export", "demo-illposed", "sweep"])
 def test_subcommand_does_not_load_numpy(tmp_path, command):
-    report = run_cli_child(cli_argv(tmp_path)[command])
+    report = run_child(CHILD, cli_argv(tmp_path)[command])
     assert report == {"code": 0, "loaded": []}
 
 
 def test_verify_still_loads_certificates(tmp_path):
-    report = run_cli_child(cli_argv(tmp_path)["verify"])
-    assert report == {"code": 0, "loaded": ["numpy", "arcline.certificates"]}
+    report = run_child(CHILD, cli_argv(tmp_path)["verify"])
+    assert report == {"code": 0, "loaded": ["arcline.certificates"]}
     payload = json.loads((tmp_path / "out").read_text())
     assert payload["membership"]["inE"] is True
+
+
+def test_runs_with_numpy_blocked(tmp_path):
+    argvs = list(cli_argv(tmp_path).values())
+    report = run_child(NO_NUMPY_CHILD, [json.dumps([argvs, WORKED])])
+    assert report["codes"] == [0] * 6
+    assert abs(report["zeta0"]) <= 1e-12
+    assert report["rows"] == [["float"] * 5] * 3
+    assert report["zeta"] == ["float"] * 5
 
 
 def test_package_surface():

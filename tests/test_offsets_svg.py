@@ -17,6 +17,7 @@ from arcline import (
     to_svg,
 )
 from conftest import WORKED_RA, instances
+from oracles import sample_arrays
 
 
 def test_offset_segment():
@@ -105,8 +106,8 @@ def test_offset_roundtrip(worked_instance):
     sol = synthesize(worked_instance)
     back = offset(offset(sol.curve, 0.1).left, 0.1).right
     s = np.linspace(0.0, 1.0, 100)
-    p0, _, _ = sol.curve.sample_at(s * sol.curve.length)
-    p1, _, _ = back.sample_at(s * back.length)
+    p0, _, _ = sample_arrays(sol.curve, s * sol.curve.length)
+    p1, _, _ = sample_arrays(back, s * back.length)
     assert np.abs(p0 - p1).max() <= 1e-9 * worked_instance.diameter
 
 
@@ -202,8 +203,8 @@ def _nine_digit_copy(curve: PiecewiseCurve) -> PiecewiseCurve:
 def _roundtrip_gap(curve: PiecewiseCurve) -> float:
     again = _nine_digit_copy(curve)
     s = np.linspace(0.0, 1.0, 128)
-    p0, _, _ = curve.sample_at(s * curve.length)
-    p1, _, _ = again.sample_at(s * again.length)
+    p0, _, _ = sample_arrays(curve, s * curve.length)
+    p1, _, _ = sample_arrays(again, s * again.length)
     return float(np.abs(p0 - p1).max())
 
 
