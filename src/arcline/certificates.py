@@ -34,93 +34,75 @@ from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius, canonical_frame
 
 
-def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float, float]]:
-    """Where the radius of `arc` points along +-e(a), for each a in `angles`.
-
-    Returns (angle, curve arc length) for every such point strictly
-    inside the sweep; `base` is the curve arc length at the arc's start.
-    """
-    sign = 1.0 if arc.sweep > 0 else -1.0
-    span = abs(arc.sweep)
-    hits = []
-    for a in angles:
-        for b in (a, a + math.pi):
-            u = (sign * (b - arc.start_angle)) % TWO_PI
-            if 0.0 < u < span:
-                hits.append((b, base + arc.radius * u))
-    return hits
-
-
 def support_min(curve: PiecewiseCurve) -> float:
-    """Exact minimum of gamma(s, t) = <X(t) - X(s), rot90(X'(s))> on [0, L]^2.
+    """Exact minimum of gamma(s, t) = <X(t) - X(s), N(s)> on [0, L]^2.
 
-    gamma is nonnegative everywhere for admissible curves; a clearly
-    negative minimum certifies the curve leaves the support half-plane
-    of one of its tangents.
+    N = rot90(X') is the normal.  gamma is nonnegative everywhere for
+    admissible curves; a clearly negative minimum certifies the curve
+    leaves the support half-plane of one of its tangents.
 
-    The minimum is taken per ordered primitive pair (i, j), over a
-    finite candidate set on that pair's rectangle, with psi the radial
-    angle of arc i and phi that of arc j:
+    On each rectangle of a primitive pair (i, j) gamma has a closed form.
+    An arc is X = c + r e(psi), N = -sigma e(psi), with center c, radius
+    r, orientation sigma = +-1 and radial angle psi; on a segment N is
+    constant and gamma linear in t.  So the minimum is the least of four
+    kinds of candidates, each kept only where its angle lies strictly
+    inside the arc's sweep:
 
-    * the ends of i and of j (the corners);
-    * psi with e(psi) parallel to X(t0) - c_i for an end t0 of j (the
-      minimum over psi along the edge t = t0), and, for an arc j, to
-      c_j - c_i (where the interior minimum lies);
-    * phi with e(phi) parallel to the normal at an end of i (the
-      minimum over phi along the edge s = s0; for a segment i, gamma
-      does not depend on s at all), and, for an arc i, to e(psi) for
-      each psi above (the interior minimum over phi given psi).
+    * (a) corners, s and t at ends of primitives:
+      <X(t) - X(s), N(s)>, from the stored end points and tangents;
+    * (b) s at an end, t inside an arc j where e(phi) = -N(s):
+      <c_j - X(s), N(s)> - r_j; the angle of -N(s) is psi or psi + pi at
+      an arc end and the heading - pi/2 on a segment;
+    * (c) t at an end, s inside an arc i where sigma_i e(psi) points
+      along X(t) - c_i: sigma_i r_i - |X(t) - c_i|;
+    * (d) s and t inside arcs i and j with c_i != c_j, where
+      sigma_i e(psi) = e(phi) points along c_j - c_i:
+      sigma_i r_i - r_j - |c_j - c_i|.  With equal centers gamma's
+      least value given psi does not depend on psi, so the minimum lies
+      on an edge, in (b) or (c).
 
-    A segment j needs no interior t: for each s, gamma is linear in t,
-    so its minimum over t lies at an end of j.  Every candidate s is
-    paired with every candidate t of the pair, so the result is the true
-    minimum up to rounding, independent of any sample count.  The curve
-    is evaluated once per distinct candidate arc length, in `math`
-    floats (`PiecewiseCurve.evaluate_row`).  There are
-    O(k^2) candidates for k primitives, built in a Python loop over the
-    pairs: cheap for the few primitives of an optimal curve or
-    competitor, slower than an n = 512 grid beyond about 20 primitives.
+    A segment i needs only the ends of i, since gamma does not depend
+    on s there, and a segment j only the ends of j.  The union over all
+    pairs is a product over the curve's 2k primitive ends and its arcs,
+    so the check takes O(k^2) closed-form terms for k primitives and
+    evaluates the curve nowhere; the result is the true minimum up to
+    rounding, independent of any sample count.
     """
-    prims = curve.primitives
-    breaks = curve.breaks
-    ends = [(p.start_point, p.end_point) for p in prims]
-    pairs: list[tuple[list[float], list[float]]] = []
-    for i, p in enumerate(prims):
+    ends = []  # (x, y, N, angle of -N) at both ends of every primitive
+    arcs = []  # (center x, y, radius, sigma, start angle, |sweep|)
+    for p in curve.primitives:
         if isinstance(p, Arc):
-            # the normal at either end of an arc is radial
-            normals = [p.start_angle, p.start_angle + p.sweep]
+            sign = 1.0 if p.sweep > 0 else -1.0
+            # -N = sigma e(psi): at psi, or at psi + pi on a clockwise arc
+            down0 = p.start_angle if sign > 0 else p.start_angle + math.pi
+            down1 = down0 + p.sweep
+            arcs.append((p.center.x, p.center.y, p.radius, sign, p.start_angle, abs(p.sweep)))
         else:
-            normals = [p.direction.angle() + 0.5 * math.pi]
-        for j, q in enumerate(prims):
-            ss = [breaks[i], breaks[i + 1]]
-            phis = list(normals)
-            if isinstance(p, Arc):
-                c = p.center
-                dirs = [math.atan2(e.y - c.y, e.x - c.x) for e in ends[j]]
-                if isinstance(q, Arc):
-                    dirs.append(math.atan2(q.center.y - c.y, q.center.x - c.x))
-                for psi, s in _radial_hits(p, breaks[i], dirs):
-                    ss.append(s)
-                    phis.append(psi)
-            ts = [breaks[j], breaks[j + 1]]
-            if isinstance(q, Arc):
-                ts += [t for _, t in _radial_hits(q, breaks[j], phis)]
-            pairs.append((ss, ts))
-    at: dict[float, tuple] = {}
-    for ss, ts in pairs:
-        for v in ss + ts:
-            if v not in at:
-                at[v] = curve.evaluate_row(v)
-    best = math.inf
-    for ss, ts in pairs:
-        targets = [at[t] for t in ts]
-        for s in ss:
-            xs, ys, tx, ty, _ = at[s]
-            for xt, yt, _, _, _ in targets:
-                gamma = (xt - xs) * -ty + (yt - ys) * tx
-                if gamma <= best:
-                    best = gamma
-    return best
+            down0 = down1 = p.direction.angle() - 0.5 * math.pi
+        q, t = p.start_point, p.start_tangent
+        ends.append((q.x, q.y, -t.y, t.x, down0))
+        q, t = p.end_point, p.end_tangent
+        ends.append((q.x, q.y, -t.y, t.x, down1))
+    points = [(x, y) for x, y, _, _, _ in ends]
+    gammas = []
+    for xs, ys, nx, ny, down in ends:
+        gammas += [(xt - xs) * nx + (yt - ys) * ny for xt, yt in points]  # (a)
+        for cx, cy, r, sign, a0, span in arcs:
+            if 0.0 < (sign * (down - a0)) % TWO_PI < span:
+                gammas.append((cx - xs) * nx + (cy - ys) * ny - r)  # (b)
+    for cx, cy, r, sign, a0, span in arcs:
+        for xt, yt in points:
+            dx, dy = xt - cx, yt - cy
+            if 0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span:
+                gammas.append(sign * r - math.hypot(dx, dy))  # (c)
+        for cxj, cyj, rj, signj, a0j, spanj in arcs:
+            dx, dy = cxj - cx, cyj - cy
+            if dx == 0.0 and dy == 0.0:
+                continue
+            if (0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span
+                    and 0.0 < (signj * (math.atan2(dy, dx) - a0j)) % TWO_PI < spanj):
+                gammas.append(sign * r - rj - math.hypot(dx, dy))  # (d)
+    return min(gammas)
 
 
 def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,

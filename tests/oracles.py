@@ -4,12 +4,14 @@ Each one computes a quantity the library has in closed form by a
 different route: the optimal radius by bisection on two tangency
 distances, curvature by finite differences of sampled points, the
 composite certificate zeta_0 by building the composite, and the
-heading-gap excess by sampling.  Two more restate a library routine in
-another form, to be compared with it bit for bit: the turning as a
-numpy computation over many samples, and the certificate gap profiles
-one point at a time through `evaluate`.  `sample_arrays` packs
-`sample_at`'s rows into numpy arrays for the tests that compute on
-them.  None of them is used by the library itself, which needs no numpy.
+heading-gap excess by sampling, and the support check's minimum from
+curve points evaluated at candidate arc lengths, per primitive pair.
+Two more restate a library routine in another form, to be compared
+with it bit for bit: the turning as a numpy computation over many
+samples, and the certificate gap profiles one point at a time through
+`evaluate`.  `sample_arrays` packs `sample_at`'s rows into numpy arrays
+for the tests that compute on them.  None of them is used by the
+library itself, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 from arcline import (
+    Arc,
     InternalError,
     InvalidInput,
     OutOfRange,
@@ -28,7 +31,7 @@ from arcline import (
     max_curvature,
     oriented_angle,
 )
-from arcline.geometry import ROUND_REL, normalized, principal_angle, rot90
+from arcline.geometry import ROUND_REL, TWO_PI, normalized, principal_angle, rot90
 from arcline.synthesis import canonical_frame
 
 
@@ -133,6 +136,78 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
     builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
     end = builder.point
     return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
+
+
+def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float, float]]:
+    """Where the radius of `arc` points along +-e(a), for each a in `angles`.
+
+    Returns (angle, curve arc length) for every such point strictly
+    inside the sweep; `base` is the curve arc length at the arc's start.
+    """
+    sign = 1.0 if arc.sweep > 0 else -1.0
+    span = abs(arc.sweep)
+    hits = []
+    for a in angles:
+        for b in (a, a + math.pi):
+            u = (sign * (b - arc.start_angle)) % TWO_PI
+            if 0.0 < u < span:
+                hits.append((b, base + arc.radius * u))
+    return hits
+
+
+def support_min_pairs(curve: PiecewiseCurve) -> float:
+    """Minimum of gamma(s, t) = <X(t) - X(s), rot90(X'(s))> over candidate points.
+
+    The pairwise form of `support_min`: per ordered primitive pair
+    (i, j), with psi the radial angle of arc i and phi that of arc j,
+    the candidates are the ends of i and of j; psi along +-(X(t0) - c_i)
+    for each end t0 of j and, for an arc j, along +-(c_j - c_i); phi
+    along +-N(s0) for each end s0 of i and along +-e(psi) for each psi
+    above.  Every candidate s is paired with every candidate t of the
+    pair, and the curve is evaluated once per distinct candidate arc
+    length through `evaluate_row`, so the value comes from evaluated
+    points, not from the closed forms the library uses.
+    """
+    prims = curve.primitives
+    breaks = curve.breaks
+    ends = [(p.start_point, p.end_point) for p in prims]
+    pairs: list[tuple[list[float], list[float]]] = []
+    for i, p in enumerate(prims):
+        if isinstance(p, Arc):
+            # the normal at either end of an arc is radial
+            normals = [p.start_angle, p.start_angle + p.sweep]
+        else:
+            normals = [p.direction.angle() + 0.5 * math.pi]
+        for j, q in enumerate(prims):
+            ss = [breaks[i], breaks[i + 1]]
+            phis = list(normals)
+            if isinstance(p, Arc):
+                c = p.center
+                dirs = [math.atan2(e.y - c.y, e.x - c.x) for e in ends[j]]
+                if isinstance(q, Arc):
+                    dirs.append(math.atan2(q.center.y - c.y, q.center.x - c.x))
+                for psi, s in _radial_hits(p, breaks[i], dirs):
+                    ss.append(s)
+                    phis.append(psi)
+            ts = [breaks[j], breaks[j + 1]]
+            if isinstance(q, Arc):
+                ts += [t for _, t in _radial_hits(q, breaks[j], phis)]
+            pairs.append((ss, ts))
+    at: dict[float, tuple] = {}
+    for ss, ts in pairs:
+        for v in ss + ts:
+            if v not in at:
+                at[v] = curve.evaluate_row(v)
+    best = math.inf
+    for ss, ts in pairs:
+        targets = [at[t] for t in ts]
+        for s in ss:
+            xs, ys, tx, ty, _ = at[s]
+            for xt, yt, _, _, _ in targets:
+                gamma = (xt - xs) * -ty + (yt - ys) * tx
+                if gamma <= best:
+                    best = gamma
+    return best
 
 
 def sample_arrays(curve: PiecewiseCurve, svals):

@@ -10,9 +10,12 @@ per-cell expression as the reference loop here, which evaluates every
 cell: the two reports must also compare equal with `==`, zero signs
 included, on drawn instances across the accepted angle range, on other
 radius windows, and on a grid whose full-row fallback is taken.  The
-exact `support_min` is checked against the sampled (s, t) grid it
-replaced: never above it, and below it by at most the grid's
-second-order error.  It makes no `sample_at` call.
+exact `support_min`, which takes its minimum from closed-form candidates
+and evaluates the curve nowhere, is checked against the sampled (s, t)
+grid it replaced: never above it, and below it by at most the grid's
+second-order error.  It also agrees, up to rounding, with the pairwise
+oracle `support_min_pairs`, which evaluates the curve at candidate arc
+lengths per primitive pair.  It makes no `sample_at` call.
 """
 
 import math
@@ -42,7 +45,7 @@ from arcline import (
 )
 from arcline.synthesis import canonical_frame
 from conftest import instances, symmetric_instances
-from oracles import frame_gaps_pointwise, sample_arrays, turning_at
+from oracles import frame_gaps_pointwise, sample_arrays, support_min_pairs, turning_at
 
 
 def arc_first():
@@ -121,6 +124,15 @@ def test_support_min_exact_values():
     for radius in (0.5, 1.0, 3.0):
         s_curve = PathBuilder().arc(radius, 0.5 * math.pi).arc(radius, -0.5 * math.pi).build()
         assert certificates.support_min(s_curve) == pytest.approx(-2.0 * radius, abs=1e-12 * radius)
+    # one clockwise unit arc of three quarters of a turn: the outward
+    # normal at one point reaches 2 beyond the antipodal point of the arc
+    curve = PathBuilder().arc(1.0, -1.5 * math.pi).build()
+    assert certificates.support_min(curve) == pytest.approx(-2.0, abs=1e-12)
+    # two clockwise unit arcs on one circle: their centers agree up to
+    # rounding, so the minimum -2 lies on an edge, not at a both-inside
+    # candidate on the line of centers
+    curve = PathBuilder().arc(1.0, -2.0).arc(1.0, -2.0).build()
+    assert certificates.support_min(curve) == pytest.approx(-2.0, abs=1e-12)
 
 
 @st.composite
@@ -155,9 +167,38 @@ def test_support_min_within_grid_error(curve):
     assert -rounding <= gap <= bound + rounding
 
 
+def alternating_chain(k: int) -> PiecewiseCurve:
+    """k pieces, arcs and segments in turn, the arcs turning both ways."""
+    b = PathBuilder()
+    for i in range(k):
+        if i % 2:
+            b.line(0.5)
+        else:
+            b.arc(1.0, 0.7 if (i // 2) % 2 else -0.9)
+    return b.build()
+
+
+def assert_matches_pairs(curve: PiecewiseCurve) -> None:
+    gap = certificates.support_min(curve) - support_min_pairs(curve)
+    assert abs(gap) <= 1e-12 * rounding_scale(curve)
+
+
+@settings(deadline=None, max_examples=200)
+@given(chains())
+def test_support_min_matches_pairwise_candidates(curve):
+    # the closed-form candidates against the curve evaluated at the
+    # pairwise candidate arc lengths
+    assert_matches_pairs(curve)
+
+
+@pytest.mark.parametrize("k", [20, 100])
+def test_support_min_matches_pairwise_candidates_on_long_chains(k):
+    assert_matches_pairs(alternating_chain(k))
+
+
 def test_point_tangents_match_evaluate():
-    # sample_at's rows, evaluate_row (which support_min uses) and
-    # evaluate agree bit for bit: at the joints (right-hand piece),
+    # sample_at's rows, evaluate_row (which sample_at and
+    # support_min_pairs use) and evaluate agree bit for bit: at the joints (right-hand piece),
     # inside the pieces, and within the end slack (clipped)
     for inst in (arc_first(), segment_first()):
         for curve in competitors(inst):
