@@ -2,8 +2,11 @@
 
 JSON in, JSON or SVG out.  Exit codes: 0 success, 1 validation error,
 2 internal error.  Errors are written to stderr as one JSON object.
-All numeric JSON output is rounded to 15 significant digits and keys
-are sorted, so identical inputs give byte-identical outputs.
+Keys are sorted, and report scalars are rounded to 15 significant
+digits, so identical inputs give byte-identical outputs.  Curves (the
+`curve` member of `solve`, and the output of `demo-illposed`) are written
+with Python's shortest round-trip float repr instead, so that `verify`
+and `export` read back exactly the curve that was built.
 
 Each subcommand imports the modules it needs when it runs, so a process
 loads only its own subcommand's code: the certificate module is
@@ -42,8 +45,11 @@ def _round_floats(obj):
     return obj
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), sort_keys=True, indent=2) + "\n"
+def _dump_json(payload: dict, exact: str | None = None) -> str:
+    """The payload as sorted, indented JSON; the member named `exact`
+    keeps every float as is."""
+    rounded = {k: v if k == exact else _round_floats(v) for k, v in payload.items()}
+    return json.dumps(rounded, sort_keys=True, indent=2) + "\n"
 
 
 def _load_json(source: str) -> dict:
@@ -95,7 +101,7 @@ def _cmd_solve(args) -> None:
     if inst.reversed:
         # report the curve in the caller's traversal direction
         payload["curve"] = curve_to_json(sol.curve.reversed_copy())
-    _write(_dump_json(payload), args.output)
+    _write(_dump_json(payload, exact="curve"), args.output)
     if svg is not None:
         _write(svg, args.svg)
 
@@ -150,7 +156,7 @@ def _cmd_demo_illposed(args) -> None:
     data = _load_json(args.input) if args.input else dict(_DEMO_DATA)
     A, alpha, B, beta = (point_from_json(data, key) for key in ("A", "alpha", "B", "beta"))
     curve = illposed_demo(A, alpha, B, beta, args.radius)
-    _write(_dump_json(curve_to_json(curve)), args.output)
+    _write(_dump_json(curve_to_json(curve), exact="primitives"), args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

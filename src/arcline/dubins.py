@@ -21,8 +21,10 @@ only reverses the order of the composite's pieces.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
@@ -162,15 +164,32 @@ def _p2_params(frame: CanonicalFrame, r: float, tol: float):
     return max(d1, 0.0), max(d3, 0.0)
 
 
-class SweepReport(NamedTuple):
-    """Outcome of the empirical min-max check over the curve families."""
+class SweepReport:
+    """Outcome of the empirical min-max check over the curve families.
 
-    min_max_curvature: float
-    argmin: dict
-    margin: float
-    grid_size: tuple[int, int]
-    feasible_count: int
-    ra: float
+    `feasible_count`, the number of admissible curves on the grid, is
+    counted by the row scan the first time it is read and kept from then
+    on; `as_dict`, and so the CLI, never reads it.
+    """
+
+    __slots__ = ("min_max_curvature", "argmin", "margin", "grid_size", "ra",
+                 "_count", "_feasible")
+
+    def __init__(self, min_max_curvature: float, argmin: dict, margin: float,
+                 grid_size: tuple[int, int], ra: float, count: Callable[[], int]) -> None:
+        self.min_max_curvature = min_max_curvature
+        self.argmin = argmin
+        self.margin = margin
+        self.grid_size = grid_size
+        self.ra = ra
+        self._count = count
+        self._feasible: int | None = None
+
+    @property
+    def feasible_count(self) -> int:
+        if self._feasible is None:
+            self._feasible = self._count()
+        return self._feasible
 
     def as_dict(self) -> dict:
         return {
@@ -192,88 +211,184 @@ _FRONTIER_ROUNDING = 2.0**-45
 _FRONTIER_CAP = 8
 
 
+def _prefix_end(x: float, w: float, n: int, feasible: Callable[[int], bool]) -> int:
+    """Last of the indices 0..n-1 that passes `feasible`, or -1, where every
+    index below ceil(x - w) passes and every index above floor(x + w) fails:
+    only the indices between are tested, from the top."""
+    lo = math.ceil(x - w)
+    k = min(math.floor(x + w), n - 1)
+    while k >= lo and k >= 0 and not feasible(k):
+        k -= 1
+    return max(k, -1)
+
+
 class _CompositeGrid:
-    """Feasibility of the composite cells (radii[i], radii[j]).
+    """The sweep's radius grid: composite cells (radii[i], radii[j]) and
+    single-arc radii radii[i], with radii[i] = `radius(i)`.
 
-    The cell test in `scan` is `_composite_params`'s test `d2 >= -tol`
-    unrolled, with the constants hoisted; every remaining operation keeps
-    its operands and association, so a cell is decided bit for bit as
-    there.
+    The composite cell test is `_composite_params`'s test d2 >= -tol.
+    With c, s = cos, sin of omega/2, p2 and the unclipped t are affine in
+    (r1, r2), and since k2 = -sin(omega) / s < 0, the model d2 = p2 + k2
+    max(0, t) is min(p2, p2 + k2 t), the lesser of two affine pieces.
+    Both fall in r2, with slopes -(1 - c)(1 + 2c)/s and -tan(omega/4),
+    and both fall in r1, with slopes -tan(omega/4) and -(1 - c)(1 + 2c)/s
+    (t rises in r1 at tan(omega/4), and k2 = -2c).  All four are checked
+    negative as computed.  A computed cell is within the rounding bound
+    of the model (max(0, t) moves no value by more than t's own error),
+    so its verdict can differ from the model's only where the model is
+    within that bound of -tol.
 
-    With r1 fixed, p2 and the unclipped t are affine in r2.  Since k2 =
-    -sin(omega) / sin(omega/2) < 0, the model d2 = p2 + k2 max(0, t) is
-    min(p2, p2 + k2 t), the lesser of two affine pieces, and both fall
-    as r2 grows: with c, s = cos, sin of omega/2, their slopes are
-    -(1 - c)(1 + 2c)/s and -tan(omega/4) in closed form.  So d2 falls
-    too, and in the model each row is feasible on a prefix of columns,
-    up to the smaller of the two roots p2 = -tol and p2 + k2 t = -tol.
-    A computed cell is within the rounding bound of the model (max(0, t)
-    moves no value by more than t's own error), so its verdict can
-    differ from the model's only where the model is within that bound of
-    -tol: within `half_width` columns of the smaller root, a width that
-    covers the error of the computed root column x as well.  Below that
-    root both pieces lie above -tol, and above it the falling piece of
-    the smaller root already lies below, each by more than the bound
-    outside the window.  One window per row, [ceil(x - w), floor(x + w)]
-    with w = `half_width`, is therefore all that `scan` tests: ceil and
-    floor are exact, so every column below it is feasible and every
-    column above it is not.
+    Row argument (`scan`, which counts the cells and decides where the
+    closed form does not apply).  In each row the model is feasible on a
+    prefix of columns, up to the smaller of the two roots p2 = -tol and
+    p2 + k2 t = -tol.  Below that root both pieces lie above -tol, and
+    above it the falling piece of the smaller root already lies below,
+    each by more than the bound outside `half_width` columns of the root,
+    a width that covers the error of the computed root column x as well.
+    One window per row, [ceil(x - w), floor(x + w)] with w = `half_width`,
+    is therefore all that `scan` tests, with the per-cell test unrolled
+    and its constants hoisted but every operand and association kept:
+    ceil and floor are exact, so every column below it is feasible and
+    every column above it is not.
+
+    Diagonal argument (`closed_form`).  On the diagonal r1 = r2 = r both
+    pieces fall at -2s and d2 vanishes at r = R_a, so their smaller root,
+    d2 = -tol, is R_a + tol / (2s) in exact arithmetic.  The same kind of
+    window at that root, w wide, decides every diagonal cell but those
+    inside it, which are tested; let m be the last feasible one.  In the
+    model every cell (i, j) lies at or below the diagonal cell of k =
+    min(i, j), so no cell with k above the window is feasible.  A cell
+    off the diagonal with k at or above the window's start lies at least
+    s_min * spacing below (k, k), s_min the shallowest of the four
+    slopes, and (k, k) lies at most 2 sigma w spacing above -tol, sigma
+    the steeper diagonal slope (w also covers the computed root's error).
+    Where 2 (sigma w + rounding * magnitude / spacing) < s_min, as
+    computed, every such cell lies below -tol by more than the rounding
+    bound and is infeasible, so every feasible cell has k <= m.  The same
+    condition gives w < 1/4, so the window holds at most one cell, and
+    spacing > 4 * rounding * r_max, far more than the few ulps of r_max
+    each radius is rounded by: the radii strictly increase and their
+    reciprocals differ.  The least score 1/min(r1, r2) is then 1/radii[m],
+    and the first cell in row-major order reaching it is (m, m): every
+    earlier row, and every earlier column of row m, has a smaller k.  The
+    single-arc lengths d1 and d3 both fall in r at -tan(omega/2), and
+    their smaller root is R_a + tol / tan(omega/2); the same window there,
+    no wider than `_FRONTIER_CAP` (which also keeps the reciprocals
+    apart), gives the last admissible radius, the first of least score.
+    A window with r_lo > 1, or one where these conditions fail as
+    computed, is left to the scan.
     """
 
-    def __init__(self, frame: CanonicalFrame, radii: list[float], tol: float):
+    def __init__(self, frame: CanonicalFrame, tol: float, grid_n: int,
+                 r_lo: float, r_hi: float):
         om = frame.omega
-        self.sin1, self.cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
-        sino, coso = math.sin(om), math.cos(om)
-        self.one_cos1 = 1.0 - self.cos1
-        self.k1 = math.sin(om - 0.5 * om) / self.sin1
-        self.k2 = -sino / self.sin1
-        self.xb, self.yb = frame.xb, frame.yb
-        self.tol = tol
-        self.radii = radii
-        self.sb, self.cb = sb, cb = sino - self.sin1, self.cos1 - coso
+        self.frame, self.tol, self.n = frame, tol, grid_n
+        self.r_lo, self.r_hi = r_lo, r_hi
+        self.sin1, self.cos1 = sin1, cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
+        self.sino, self.coso = sino, coso = math.sin(om), math.cos(om)
+        self.one_cos1 = one_cos1 = 1.0 - cos1
+        self.k1 = k1 = math.sin(om - 0.5 * om) / sin1
+        self.k2 = k2 = -sino / sin1
+        self.xb, self.yb = xb, yb = frame.xb, frame.yb
+        self.sb, self.cb = sb, cb = sino - sin1, cos1 - coso
 
-        # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0: the same in
-        # every row, and so is the window's width
-        self.p_slope = -cb / self.sin1
-        self.t_slope = (sb + self.p_slope * self.cos1) / self.k1
-        self.d_slope = self.p_slope + self.k2 * self.t_slope
+        # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0, the same in
+        # every row, and so is the window's width; then the same in r1
+        self.p_slope = p_slope = -cb / sin1
+        self.t_slope = t_slope = (sb + p_slope * cos1) / k1
+        self.d_slope = p_slope + k2 * t_slope
+        self.p_slope1 = p_slope1 = -one_cos1 / sin1
+        self.d_slope1 = p_slope1 + k2 * ((sin1 + p_slope1 * cos1) / k1)
         # a bound on every term of p2, t and d2 over the grid
-        r_max = radii[-1]
-        p_mag = (abs(self.yb) + r_max * (self.one_cos1 + abs(cb))) / self.sin1
-        t_mag = (abs(self.xb) + r_max * (self.sin1 + abs(sb)) + p_mag * abs(self.cos1)) \
-            / abs(self.k1)
-        magnitude = p_mag + abs(self.k2) * t_mag + tol
-        self.first = radii[0]
-        self.spacing = (r_max - self.first) / (len(radii) - 1)
-        # A cell's computed value is within _FRONTIER_ROUNDING * magnitude
-        # of the model's, so its predicate can differ from the model's only
-        # within that / |slope| of a root in r2; the root itself, the grid's
-        # deviation from first + j * spacing and c -/+ w carry errors of the
-        # same order and of _FRONTIER_ROUNDING * r_max.  The prefix needs
-        # both slopes negative as computed, not only in closed form.
-        self.half_width = None
-        if all(a < b for a, b in zip(radii, radii[1:])) and \
-                self.p_slope < 0.0 and self.d_slope < 0.0:
-            width = max(_FRONTIER_ROUNDING * (magnitude / abs(slope) + r_max) / self.spacing
-                        for slope in (self.p_slope, self.d_slope))
+        self.first, self.r_max = r_first, r_max = self.radius(0), self.radius(grid_n - 1)
+        p_mag = (abs(yb) + r_max * (one_cos1 + abs(cb))) / sin1
+        t_mag = (abs(xb) + r_max * (sin1 + abs(sb)) + p_mag * abs(cos1)) / abs(k1)
+        self.magnitude = p_mag + abs(k2) * t_mag + tol
+        self.spacing = (r_max - r_first) / (grid_n - 1)
+        # each radius is a few ulps of r_max from its exact value, so a
+        # spacing above the rounding bound shows that the radii strictly
+        # increase and that their reciprocals differ
+        self.increasing = self.spacing > _FRONTIER_ROUNDING * r_max
+
+    def radius(self, i: int) -> float:
+        return self.frame.ra * (self.r_lo + (self.r_hi - self.r_lo) * i / (self.n - 1))
+
+    @functools.cached_property
+    def radii(self) -> list[float]:
+        return [self.radius(i) for i in range(self.n)]
+
+    def _width(self, magnitude: float, slope_a: float, slope_b: float) -> float:
+        """Half-width, in columns, of the window at a root of two affine
+        pieces falling at slope_a and slope_b.
+
+        A cell's computed value is within _FRONTIER_ROUNDING * magnitude of
+        the model's, so its predicate can differ from the model's only
+        within that / |slope| of a root; the root itself, the grid's
+        deviation from first + j * spacing and x -/+ w carry errors of the
+        same order and of _FRONTIER_ROUNDING * r_max."""
+        shallow = -slope_a if slope_a > slope_b else -slope_b
+        return _FRONTIER_ROUNDING * (magnitude / shallow + self.r_max) / self.spacing
+
+    def _column(self, root_a: float, root_b: float) -> float:
+        """The smaller of two roots, as a column."""
+        return ((root_a if root_a < root_b else root_b) - self.first) / self.spacing
+
+    @functools.cached_property
+    def half_width(self) -> float | None:
+        """The row window's half-width, or None where the rows are tested
+        cell by cell: radii not shown to increase, a computed slope that
+        is not negative, or a window wider than `_FRONTIER_CAP`."""
+        if self.increasing and self.p_slope < 0.0 and self.d_slope < 0.0:
+            width = self._width(self.magnitude, self.p_slope, self.d_slope)
             if width <= _FRONTIER_CAP:
-                self.half_width = width
+                return width
+        return None
 
-    def scan(self, rows: range,
-             runs: list[tuple[int, int]] | None = None) -> tuple[int, float, int]:
-        """(feasible cells, least score, first row reaching it) over `rows`;
-        the row is -1 when no cell is feasible.
+    def closed_form(self) -> tuple[tuple[int, int] | None, int | None] | None:
+        """(first best composite cell, first best single-arc index) by the
+        diagonal argument, each None where its family has no feasible
+        curve; None where the argument's conditions fail as computed."""
+        frame, tol, n = self.frame, self.tol, self.n
+        shallow = -max(self.p_slope, self.d_slope, self.p_slope1, self.d_slope1)
+        if self.r_lo > 1.0 or not self.increasing or not shallow > 0.0:
+            return None
+        # the two pieces on the diagonal: at r = 0, and per unit of r
+        xb, yb, sin1 = self.xb, self.yb, self.sin1
+        p0 = yb / sin1
+        d0 = p0 + self.k2 * ((xb - p0 * self.cos1) / -self.k1)
+        p_diag, d_diag = self.p_slope + self.p_slope1, self.d_slope + self.d_slope1
+        w = self._width(self.magnitude, p_diag, d_diag)
+        steep = -p_diag if p_diag < d_diag else -d_diag
+        if not 2.0 * (steep * w + _FRONTIER_ROUNDING * self.magnitude / self.spacing) < shallow:
+            return None
+        x = self._column((p0 + tol) / -p_diag, (d0 + tol) / -d_diag)
 
-        The cell (i, j) scores 1/min(r1, r2) = 1/radii[min(i, j)], which
-        never increases along a row, so a row's least score is at its last
-        feasible column: each row keeps only its count and that column.
-        The radii never decrease, so a row can lower the least score only
-        where that column index exceeds every earlier row's.  When `runs`
-        is a list, the feasible columns of the rows are appended to it as
-        runs (start, stop); pass it one row at a time.  A grid with no
-        frontier window (`half_width` is None) tests every column of every
-        row.
-        """
+        def composite(k: int) -> bool:
+            r = self.radius(k)
+            return _composite_params(frame, r, r, tol) is not None
+
+        m = _prefix_end(x, w, n, composite)
+        # the single arc's d3 and d1, as `_p2_params` computes them
+        sino, coso, r_max = self.sino, self.coso, self.r_max
+        d3_slope = -(1.0 - coso) / sino
+        d1_slope = -sino - d3_slope * coso
+        if not (d3_slope < 0.0 and d1_slope < 0.0):
+            return None
+        d3_0 = yb / sino
+        d3_mag = (abs(yb) + r_max * (1.0 - coso)) / sino
+        w = self._width(d3_mag * (1.0 + abs(coso)) + abs(xb) + r_max * sino + tol,
+                        d3_slope, d1_slope)
+        if w > _FRONTIER_CAP:
+            return None
+        x = self._column((d3_0 + tol) / -d3_slope, (xb - d3_0 * coso + tol) / -d1_slope)
+        q = _prefix_end(x, w, n, lambda k: _p2_params(frame, self.radius(k), tol) is not None)
+        return ((m, m) if m >= 0 else None), (q if q >= 0 else None)
+
+    def scan(self) -> Iterator[tuple[int, list[int]]]:
+        """Each row's feasible columns as (lo, cols), row by row: every
+        column below lo, and the columns listed in cols, all at or above
+        lo.  A grid with no frontier window (`half_width` is None) tests
+        every column of every row."""
         radii = self.radii
         n = len(radii)
         xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
@@ -284,11 +399,7 @@ class _CompositeGrid:
         first, spacing = self.first, self.spacing
         neg_p, neg_d = -self.p_slope, -self.d_slope
         ceil = math.ceil
-        feasible = 0
-        best = math.inf
-        best_row = reach = -1
-        for i in rows:
-            r1 = radii[i]
+        for r1 in radii:
             ax, ay = r1 * sin1, r1 * one_cos1
             if w is None:
                 lo, top = 0, n - 1
@@ -302,10 +413,7 @@ class _CompositeGrid:
                 lo = x - w
                 lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
                 top = x + w
-                feasible += lo
-                if lo and runs is not None:
-                    runs.append((0, lo))
-            last = lo - 1
+            cols = []
             j = lo
             while j <= top and j < n:
                 # _composite_params' test d2 >= -tol, operand for operand
@@ -315,34 +423,51 @@ class _CompositeGrid:
                 if not t > 0.0:
                     t = 0.0
                 if not p2 + k2 * t < neg_tol:
-                    feasible += 1
-                    last = j
-                    if runs is not None:
-                        runs.append((j, j + 1))
+                    cols.append(j)
                 j += 1
-            m = i if i < last else last
-            if m > reach:
-                reach = m
-                score = 1.0 / radii[m]
-                if score < best:
-                    best = score
-                    best_row = i
-        return feasible, best, best_row
+            yield lo, cols
 
+    def singles(self) -> list[int]:
+        """Indices of the admissible single-arc radii: `_p2_params`' test,
+        with sin(omega) and cos(omega) hoisted."""
+        sino, coso = self.sino, self.coso
+        one_coso = 1.0 - coso
+        xb, yb, neg_tol = self.xb, self.yb, -self.tol
+        found = []
+        for k, r in enumerate(self.radii):
+            d3 = (yb - r * one_coso) / sino
+            d1 = xb - r * sino - d3 * coso
+            if not (d1 < neg_tol or d3 < neg_tol):
+                found.append(k)
+        return found
 
-def _first_best(i: int, runs: list[tuple[int, int]], radii: list[float]) -> int:
-    """Column of row i's first feasible cell of least max curvature.
+    def count(self) -> int:
+        """Feasible composite cells and single-arc radii."""
+        return sum(lo + len(cols) for lo, cols in self.scan()) + len(self.singles())
 
-    The cell (i, j) scores 1/min(r1, r2) = 1/radii[min(i, j)], which never
-    increases along the row and is constant from column i on: the least
-    score is at the first feasible j >= i, or else at the last feasible
-    j < i.  An earlier column ties with it only where 1/r repeats along
-    the grid."""
-    j = next((max(start, i) for start, stop in runs if stop > i), runs[-1][1] - 1)
-    m = min(i, j)
-    while m > 0 and 1.0 / radii[m - 1] == 1.0 / radii[m]:
-        m -= 1
-    return next(max(start, m) for start, stop in runs if stop > m)
+    def scanned(self) -> tuple[tuple[int, int] | None, int | None]:
+        """`closed_form`'s result from the scan, for any grid.
+
+        A cell scores 1/min(r1, r2) = 1/radii[min(i, j)], which never
+        increases along a row, so a row's least score is at its last
+        feasible column; the first cell reaching the least score over all
+        rows is the first column of the first such row that ties it."""
+        radii, rows = self.radii, list(self.scan())
+
+        def least(i: int) -> float:
+            lo, cols = rows[i]
+            last = cols[-1] if cols else lo - 1
+            return 1.0 / radii[min(i, last)] if last >= 0 else math.inf
+
+        i = min(range(self.n), key=least)
+        best = least(i)
+        cell = None
+        if best < math.inf:
+            lo, cols = rows[i]
+            cell = i, next(j for j in itertools.chain(range(lo), cols)
+                           if 1.0 / radii[min(i, j)] == best)
+        singles = self.singles()
+        return cell, (min(singles, key=lambda k: 1.0 / radii[k]) if singles else None)
 
 
 def family_sweep(inst: ProblemInstance, grid_n: int = 60,
@@ -352,27 +477,24 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     Every admissible composite and single-arc curve on an n x n radius
     grid spanning [r_lo, r_hi] * R_a is scored by its max curvature
     1/min(R1, R2); the report carries the minimum, the parameters
-    achieving it and the margin against the theoretical bound 1/R_a.
-    Raises RadiusNotAdmissible when the window lies above R_a and no
-    curve on it is admissible.
+    achieving it (the first in row-major order, composites before single
+    arcs) and the margin against the theoretical bound 1/R_a.  Raises
+    RadiusNotAdmissible when the window lies above R_a and no curve on it
+    is admissible.
 
-    The composite cells are not all evaluated.  With R1 fixed, d2 is
-    the lesser of two affine pieces in R2 whose closed-form slopes,
-    -(1 - c)(1 + 2c)/s and -tan(omega/4) (c, s = cos, sin of omega/2),
-    are both negative, so each row is feasible on a prefix of columns
-    ending near the smaller of the two roots.  One loop over the rows
-    (`_CompositeGrid.scan`) evaluates the per-cell predicate, exactly as
-    a full loop would, only on the columns within a rounding bound of
-    that root; the columns before them are feasible and those after
-    them are not.  Each row keeps its feasible count and its last
-    feasible column, which fixes its least score; the first cell
-    reaching the overall least score is then found in the one row that
-    first reaches it.  The count, the minimum and that cell, first in
-    row-major order, are therefore those of the full n x n loop, bit for
-    bit.  A grid whose radii do not strictly increase, whose computed
-    slopes are not both negative, or whose slopes are so close to zero
-    that the window would exceed `_FRONTIER_CAP` columns, is evaluated
-    cell by cell with the same predicate.
+    No cell is scored one by one.  Both families are feasible on a
+    prefix of the radii, which ends at R_a in exact arithmetic, moved out
+    by the closing tolerance.  So the answer is the diagonal composite at
+    the last grid radius before the composite prefix ends, or the single
+    arc where its own prefix reaches a radius further.
+    `_CompositeGrid.closed_form` finds both ends from closed-form roots
+    and tests the per-cell predicates only on the radii within a rounding
+    bound of them, which on ordinary grids is none: O(1) per sweep.  Where its conditions fail as computed (radii
+    that do not strictly increase, a slope that is not negative, a window
+    too wide, or r_lo > 1), the row scan `_CompositeGrid.scan` decides
+    instead.  Either way the minimum and the argmin are those of the full
+    loop over every cell, bit for bit.  `feasible_count` is counted by
+    the same scan, on demand, the first time it is read.
     """
     if grid_n < 2:
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
@@ -381,46 +503,25 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     frame = canonical_frame(inst)
     ra = frame.ra
     tol = inst.pos_tol
-    radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-    grid = _CompositeGrid(frame, radii, tol)
-    feasible, best, i = grid.scan(range(grid_n))
+    grid = _CompositeGrid(frame, tol, grid_n, r_lo, r_hi)
+    cell, single = grid.closed_form() or grid.scanned()
+    best = math.inf
     argmin: dict = {}
-    if i >= 0:
-        runs: list[tuple[int, int]] = []
-        grid.scan(range(i, i + 1), runs)
-        r1, r2 = radii[i], radii[_first_best(i, runs, radii)]
+    if cell is not None:
+        r1, r2 = grid.radius(cell[0]), grid.radius(cell[1])
+        best = 1.0 / min(r1, r2)
         d1, d2, d3 = _composite_params(frame, r1, r2, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
-    # _p2_params' test, with sin(omega) and cos(omega) hoisted
-    sino, coso = math.sin(frame.omega), math.cos(frame.omega)
-    one_coso = 1.0 - coso
-    xb, yb, neg_tol = frame.xb, frame.yb, -tol
-    p2_radius = None
-    for r in radii:
-        d3 = (yb - r * one_coso) / sino
-        d1 = xb - r * sino - d3 * coso
-        if d1 < neg_tol or d3 < neg_tol:
-            continue
-        feasible += 1
-        score = 1.0 / r
-        if score < best:
-            best = score
-            p2_radius = r
-    if p2_radius is not None:
-        d1, d3 = _p2_params(frame, p2_radius, tol)
-        argmin = {"family": "p2", "R1": p2_radius, "R2": p2_radius,
-                  "d1": d1, "d2": 0.0, "d3": d3}
+    r = None if single is None else grid.radius(single)
+    if r is not None and 1.0 / r < best:
+        best = 1.0 / r
+        d1, d3 = _p2_params(frame, r, tol)
+        argmin = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
         if r_lo > 1.0:
             raise RadiusNotAdmissible(
                 f"no admissible curve with radii in [{r_lo!r}, {r_hi!r}] * R_a: "
                 f"every one exceeds R_a = {ra!r}")
         raise InternalError("no admissible curve found on the sweep grid")
-    return SweepReport(
-        min_max_curvature=best,
-        argmin=argmin,
-        margin=best - 1.0 / ra,
-        grid_size=(grid_n, grid_n),
-        feasible_count=feasible,
-        ra=ra,
-    )
+    return SweepReport(min_max_curvature=best, argmin=argmin, margin=best - 1.0 / ra,
+                       grid_size=(grid_n, grid_n), ra=ra, count=grid.count)

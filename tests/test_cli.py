@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,9 +8,10 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arcline
-from arcline import instance_from_json
+from arcline import dubins, instance_from_json
 from arcline.cli import main
 
 WORKED = '{"A": [0.5, -0.5], "O": [0.0, 0.0], "B": [0.0, -0.5]}'
@@ -142,6 +145,82 @@ def test_sweep_report(capsys):
     assert set(payload) == {"minMaxCurvature", "argmin", "margin", "gridSize"}
     assert payload["gridSize"] == [30, 30]
     assert payload["margin"] >= -1e-6
+
+
+def test_sweep_never_counts_feasible_cells(monkeypatch):
+    # no subcommand reads feasible_count, and the corpus sweeps take the
+    # closed form: with the row scan, which counts, made to raise, their
+    # stdout is still the corpus's, byte for byte
+    def refuse(self):
+        raise AssertionError("the row scan ran")
+
+    monkeypatch.setattr(dubins._CompositeGrid, "scan", refuse)
+    monkeypatch.setattr(dubins._CompositeGrid, "singles", refuse)
+    corpus = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+    with open(corpus, encoding="utf-8") as fh:
+        cases = [c for c in json.load(fh)["cases"] if c["argv"][0] == "sweep"]
+    assert len(cases) > 40
+    for case in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(case["argv"]) == case["exit"] == 0
+        assert out.getvalue() == "".join(case["stdout"])
+
+
+@st.composite
+def far_thin_instances(draw):
+    """Instance JSON with omega down to 1e-6, legs equal or differing by
+    down to 1e-6 of their length, scale 1e-3..1e3, random pose, and the
+    apex up to 1e6 diameters from the origin."""
+    omega = draw(st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, math.pi - 1e-3)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ratio = draw(st.one_of(st.just(1.0), st.floats(1e-6, 1e-3).map(lambda d: 1.0 + d),
+                           st.floats(0.25, 4.0)))
+    oa, ob = scale, scale * ratio
+    if draw(st.booleans()):
+        oa, ob = ob, oa
+    pose = draw(st.floats(-math.pi, math.pi))
+    turn = omega * draw(st.sampled_from([-1.0, 1.0]))
+    far = 10.0 ** draw(st.floats(0.0, 6.0)) * 2.0 * max(oa, ob)
+    heading = draw(st.floats(-math.pi, math.pi))
+    ox, oy = far * math.cos(heading), far * math.sin(heading)
+    return {"O": [ox, oy],
+            "A": [ox - oa * math.cos(pose), oy - oa * math.sin(pose)],
+            "B": [ox + ob * math.cos(pose + turn), oy + ob * math.sin(pose + turn)]}
+
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=150)
+@given(far_thin_instances())
+def test_solve_verify_round_trip_is_in_e(obj):
+    # the curve solve prints is the curve it built, float for float, so
+    # wherever solve succeeds, verify accepts that curve as a member of E
+    code, out, _ = run_quiet("solve", "--input", json.dumps(obj))
+    if code != 0:
+        return
+    code, out, err = run_quiet("verify", "--input", json.dumps(
+        {"instance": obj, "curve": json.loads(out)["curve"]}))
+    assert code == 0, err
+    assert json.loads(out)["membership"]["inE"] is True
+
+
+def test_solve_verify_round_trip_examples():
+    # both lost a bit in the curve's last printed digit at 15 significant
+    # digits: a position gap at a joint, and a tangent gap far from the origin
+    for obj in ({"A": [-1, 0], "O": [0, 0], "B": [1.29999999999935, 1.2999999999997834e-06]},
+                {"A": [100000.5, 99999.5], "O": [100000, 100000], "B": [100000, 99999.3]}):
+        code, out, _ = run_quiet("solve", "--input", json.dumps(obj))
+        assert code == 0
+        code, out, err = run_quiet("verify", "--input", json.dumps(
+            {"instance": obj, "curve": json.loads(out)["curve"]}))
+        assert code == 0, err
+        assert json.loads(out)["membership"]["inE"] is True
 
 
 def test_compare_report(capsys):

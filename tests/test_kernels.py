@@ -4,12 +4,16 @@
 the same floating-point operations, so their results must compare
 equal with `==`, not approximately.  So must `sample_at`, the scalar
 `evaluate_row` and `evaluate`, and the certificate's zeta profile and
-frame gaps and their per-point oracle.  `family_sweep` evaluates only the
-composite cells near each row's feasibility frontier, with the same
-per-cell expression as the reference loop here, which evaluates every
-cell: the two reports must also compare equal with `==`, zero signs
-included, on drawn instances across the accepted angle range, on other
-radius windows, and on a grid whose full-row fallback is taken.  The
+frame gaps and their per-point oracle.  `family_sweep` reads its argmin
+at the diagonal cell of the closed-form root, testing only the cells
+within rounding of it, and counts feasible cells, on demand, by a row
+scan that tests only the cells near each row's frontier; both use the
+same per-cell expression as the reference loop here, which evaluates
+every cell.  The two reports must compare equal field by field, zero
+signs and the count included, on drawn instances across the accepted
+angle range, on other radius windows, on grids with a radius within
+ulps of a root, and on grids that the closed form leaves to the scan or
+the scan to its full-row fallback.  The
 exact `support_min`, which takes its minimum from closed-form candidates
 and evaluates the curve nowhere, is checked against the sampled (s, t)
 grid it replaced: never above it, and below it by at most the grid's
@@ -19,7 +23,6 @@ lengths per primitive pair.  It makes no `sample_at` call.
 """
 
 import math
-import random
 import tracemalloc
 
 import numpy as np
@@ -31,6 +34,7 @@ from arcline import (
     OutOfRange,
     PathBuilder,
     PiecewiseCurve,
+    RadiusNotAdmissible,
     Segment,
     Vec2,
     certificates,
@@ -319,17 +323,19 @@ def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
             d1, d3 = params
             argmin = {"family": "p2", "R1": r, "R2": r,
                       "d1": d1, "d2": 0.0, "d3": d3}
-    return dubins.SweepReport(min_max_curvature=best, argmin=argmin,
-                              margin=best - 1.0 / ra, grid_size=(grid_n, grid_n),
-                              feasible_count=feasible, ra=ra)
+    if not math.isfinite(best):
+        raise RadiusNotAdmissible("no admissible curve on the grid")
+    return {"min_max_curvature": best, "argmin": argmin, "margin": best - 1.0 / ra,
+            "grid_size": (grid_n, grid_n), "feasible_count": feasible, "ra": ra}
 
 
 def assert_sweep_matches_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
+    # every field of the report, the on-demand feasible_count included
     got = dubins.family_sweep(inst, grid_n=grid_n, r_lo=r_lo, r_hi=r_hi)
     want = family_sweep_reference(inst, grid_n, r_lo, r_hi)
-    assert got == want
+    assert {name: getattr(got, name) for name in want} == want
     assert [math.copysign(1.0, v) for v in got.argmin.values() if isinstance(v, float)] == \
-        [math.copysign(1.0, v) for v in want.argmin.values() if isinstance(v, float)]
+        [math.copysign(1.0, v) for v in want["argmin"].values() if isinstance(v, float)]
 
 
 @pytest.mark.parametrize("grid_n", [2, 3, 60, 64, 300])
@@ -382,18 +388,16 @@ def frontier_roots(inst, r1):
     """The affine model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in
     the composite row of radius r1."""
     view = canonical_frame(inst)
-    grid = dubins._CompositeGrid(view, [r1, view.ra], 1e-9 * inst.diameter)
+    grid = dubins._CompositeGrid(view, 1e-9 * inst.diameter, 2, 0.2, 1.0)
     p0 = (grid.yb - r1 * grid.one_cos1) / grid.sin1
     t0 = -((grid.xb - r1 * grid.sin1) - p0 * grid.cos1) / grid.k1
     return (-(p0 + grid.tol) / grid.p_slope, -t0 / grid.t_slope,
             -(p0 + grid.k2 * t0 + grid.tol) / grid.d_slope)
 
 
-def row_columns(grid, i):
-    """Feasible columns of row i, from the runs `scan` records."""
-    runs = []
-    grid.scan(range(i, i + 1), runs)
-    return [j for start, stop in runs for j in range(start, stop)]
+def row_columns(grid):
+    """Every row's feasible columns, from the (lo, cols) pairs `scan` gives."""
+    return [list(range(lo)) + cols for lo, cols in grid.scan()]
 
 
 def test_family_sweep_roots_on_grid():
@@ -436,20 +440,102 @@ def test_family_sweep_last_radius_ulps_from_root():
             assert {-1, 1} <= sides
 
 
-def test_first_best_matches_scan():
-    # the row's first cell of least 1/min(r1, r2), against a scan in
-    # column order, on grids where 1/r repeats
-    rng = random.Random(5)
-    for _ in range(2000):
-        n = rng.randint(1, 8)
-        radii = sorted(rng.choice([1.0, 2.0, 3.0, 4.0]) for _ in range(n))
-        cols = [j for j in range(n) if rng.random() < 0.5]
-        if not cols:
-            continue
-        runs = [[j, j + 1] for j in cols]
-        i = rng.randrange(n)
-        want = min(cols, key=lambda j: 1.0 / radii[min(i, j)])
-        assert dubins._first_best(i, runs, radii) == want
+def test_family_sweep_windows_above_ra_raise():
+    # every radius exceeds R_a by more than the tolerance allows: the sweep
+    # and the plain loop both find no admissible curve
+    for inst in [arc_first(), segment_first()] + instances(seed=75, count=6):
+        for grid_n in (2, 3, 60):
+            for r_lo, r_hi in ((1.01, 3.0), (1.5, 3.0), (1.001, 1.002)):
+                with pytest.raises(RadiusNotAdmissible):
+                    dubins.family_sweep(inst, grid_n, r_lo, r_hi)
+                with pytest.raises(RadiusNotAdmissible):
+                    family_sweep_reference(inst, grid_n, r_lo, r_hi)
+
+
+@pytest.mark.parametrize("grid_n", [2, 3])
+def test_family_sweep_small_grids_straddling_ra(grid_n):
+    # a grid radius on each side of R_a, R_a itself on the grid at (0.5,
+    # 1.5) with grid 3 and at (0.99, 1.01)
+    for inst in [arc_first(), segment_first()] + instances(seed=76, count=8) \
+            + symmetric_instances(11, 3, exact=True):
+        for window in ((0.5, 1.5), (0.9, 1.2), (0.99, 1.01), (0.999, 1.5)):
+            assert_sweep_matches_reference(inst, grid_n, *window)
+
+
+def closed_form_roots(inst):
+    """Where the composite diagonal's d2 and the single arc's d1 reach
+    -tol in closed form: R_a + tol / (2 sin(omega/2)) and R_a + tol /
+    tan(omega/2)."""
+    view = canonical_frame(inst)
+    tol = 1e-9 * inst.diameter
+    return (view.ra + tol / (2.0 * math.sin(0.5 * view.omega)),
+            view.ra + tol / math.tan(0.5 * view.omega))
+
+
+def test_family_sweep_last_radius_ulps_from_diagonal_root(monkeypatch):
+    # grids whose last radius lies a few ulps to either side of the
+    # diagonal's or the single arc's closed-form root: there the closed
+    # form's window holds that radius and the per-cell predicate decides
+    tested = []
+    prefix_end = dubins._prefix_end
+
+    def recording(x, w, n, feasible):
+        return prefix_end(x, w, n, lambda k: tested.append(k) or feasible(k))
+
+    monkeypatch.setattr(dubins, "_prefix_end", recording)
+    for inst in instances(seed=77, count=40) + symmetric_instances(12, 6):
+        view = canonical_frame(inst)
+        for root in closed_form_roots(inst):
+            for step in range(-4, 5):
+                r_hi = root / view.ra + step * math.ulp(root / view.ra)
+                for grid_n in (2, 3):
+                    assert sweep_grid(inst, 0.2, r_hi, grid_n)[1].closed_form() is not None
+                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+    assert len(tested) > 100
+
+
+def test_family_sweep_fine_windows_at_the_roots():
+    # windows a few 1e-9 of R_a wide around either closed-form root: many
+    # cells on and off the diagonal are within rounding of the frontier,
+    # and the closed form applies to some grids and leaves others to the
+    # scan
+    paths = set()
+    for inst in instances(seed=78, count=20) + symmetric_instances(13, 4):
+        view = canonical_frame(inst)
+        for root in closed_form_roots(inst):
+            for half in (1e-9, 3e-9, 1e-8):
+                for grid_n in (5, 40):
+                    window = (root / view.ra - half, root / view.ra + half)
+                    paths.add(sweep_grid(inst, *window, grid_n)[1].closed_form() is None)
+                    assert_sweep_matches_reference(inst, grid_n, *window)
+    assert paths == {False, True}
+
+
+@settings(deadline=None, max_examples=150)
+@given(wide_instances(), st.sampled_from([2, 3, 17, 40, 60, 300]),
+       st.sampled_from([(0.2, 3.0), (0.1, 0.9), (0.5, 1.5)]))
+def test_family_sweep_argmin_is_the_closed_form_cell(inst, grid_n, window):
+    # the best composite sits on the diagonal at the last grid radius
+    # below its closed-form root, and the single arc wins only where a grid
+    # radius lies between that root and its own, the larger one
+    report = dubins.family_sweep(inst, grid_n, *window)
+    view = canonical_frame(inst)
+    tol = 1e-9 * inst.diameter
+    radii = [view.ra * (window[0] + (window[1] - window[0]) * i / (grid_n - 1))
+             for i in range(grid_n)]
+    composite_root, single_root = closed_form_roots(inst)
+    r = max(r for r in radii if r <= composite_root)
+    single = max((r for r in radii if r <= single_root), default=0.0)
+    if single > r:
+        d1, d3 = dubins._p2_params(view, single, tol)
+        r, want = single, {"family": "p2", "R1": single, "R2": single,
+                           "d1": d1, "d2": 0.0, "d3": d3}
+    else:
+        d1, d2, d3 = dubins._composite_params(view, r, r, tol)
+        want = {"family": "p4", "R1": r, "R2": r, "d1": d1, "d2": d2, "d3": d3}
+    assert report.argmin == want
+    assert report.min_max_curvature == 1.0 / r
+    assert report.margin == 1.0 / r - 1.0 / view.ra
 
 
 #: (r_lo, r_hi, grid_n).  1 + 4e-16 puts two grid radii on each float: not
@@ -461,16 +547,16 @@ SWEEP_WINDOWS = [(0.2, 3.0, 60), (0.1, 0.9, 17), (0.5, 1.5, 40), (0.99, 1.01, 3)
 
 def sweep_grid(inst, r_lo, r_hi, grid_n):
     view = canonical_frame(inst)
-    radii = [view.ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-    return view, dubins._CompositeGrid(view, radii, 1e-9 * inst.diameter)
+    return view, dubins._CompositeGrid(view, 1e-9 * inst.diameter, grid_n, r_lo, r_hi)
 
 
 def test_family_sweep_fallback_windows():
-    # on arc_first the default window takes the prefix path, and both
-    # narrow windows the cell-by-cell path
+    # on arc_first the default window takes the closed form and the prefix
+    # path, and both narrow windows the scan and its cell-by-cell path
     for r_lo, r_hi, grid_n in ((0.2, 3.0, 60), (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)):
         _, grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
         assert (grid.half_width is None) == (r_lo == 1.0)
+        assert (grid.closed_form() is None) == (r_lo == 1.0)
         assert_sweep_matches_reference(arc_first(), grid_n, r_lo, r_hi)
 
 
@@ -478,17 +564,21 @@ def test_family_sweep_fallback_windows():
 @given(wide_instances(), st.sampled_from(SWEEP_WINDOWS))
 def test_family_sweep_full_row_fallback(inst, window):
     # every row's feasible columns from the prefix path equal those of the
-    # cell-by-cell path (half_width cleared), and those of the plain loop
+    # cell-by-cell path (half_width cleared), and those of the plain loop;
+    # the scan's argmin equals the closed form's wherever that applies
     view, grid = sweep_grid(inst, *window)
     if window[1] == 1.0 + 4e-16:
         assert grid.half_width is None
-    n = len(grid.radii)
-    prefix = [row_columns(grid, i) for i in range(n)]
+    closed = grid.closed_form()
+    if closed is not None:
+        assert closed == grid.scanned()
+    prefix = row_columns(grid)
     grid.half_width = None
+    assert prefix == row_columns(grid)
     for i, r1 in enumerate(grid.radii):
         loop = [j for j, r2 in enumerate(grid.radii)
                 if dubins._composite_params(view, r1, r2, grid.tol) is not None]
-        assert prefix[i] == row_columns(grid, i) == loop
+        assert prefix[i] == loop
 
 
 def test_turning_at_matches_turning():
