@@ -32,7 +32,7 @@ _EXPORTS = {
         "curves"),
     **dict.fromkeys(
         ("CompositeCurve", "DubinsCurve", "SweepReport", "composite_solve",
-         "dubins_curve", "family_sweep", "is_feasible_radius"),
+         "dubins_curve", "family_sweep"),
         "dubins"),
     **dict.fromkeys(
         ("ArclineError", "DegenerateInput", "HypothesisViolated", "IllPosedAngle",
@@ -44,7 +44,7 @@ _EXPORTS = {
         "geometry"),
     **dict.fromkeys(
         ("ProblemInstance", "instance_from_json", "instance_from_tangents",
-         "instance_to_json", "make_instance", "random_instance", "similarity_transform"),
+         "instance_to_json", "make_instance"),
         "instance"),
     **dict.fromkeys(("OffsetResult", "offset"), "offsets"),
     **dict.fromkeys(("to_svg",), "svg"),

@@ -136,10 +136,15 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     end = min(ra * inst.omega, z.length)
     step = end / n
     svals = [i * step for i in range(n)] + [end]
-    frame = canonical_frame(inst)
-    points = z.sample_at([z.length - s for s in svals] if frame.mirrored else svals)
-    ox, oy = frame.origin.x, frame.origin.y
-    ex, ey = frame.x_axis, frame.y_axis
+    # the frame's origin and axes in world coordinates
+    if canonical_frame(inst).mirrored:
+        origin, ex, ey = inst.B, -inst.beta, rot90(inst.beta)
+        points = z.sample_at([z.length - s for s in svals])
+    else:
+        ex = normalized(inst.alpha)
+        origin, ey = inst.A, rot90(ex)
+        points = z.sample_at(svals)
+    ox, oy = origin.x, origin.y
     rows = []
     for s, (px, py, _, _, _) in zip(svals, points):
         dx, dy = px - ox, py - oy

@@ -3,8 +3,10 @@
 A curve is an ordered chain of primitives, each either a line segment
 or a circular arc with signed sweep (positive sweep = counterclockwise
 turning = positive curvature).  Chains are G1-continuous: joints match
-in position and tangent direction.  Evaluation, heading and curvature
-are closed-form per primitive.
+in position and tangent direction.  Each primitive evaluates itself in
+closed form, in one `evaluate_row` that gives its point, unit tangent
+and curvature at a local arc length; a chain locates the primitive and
+delegates to it.
 """
 
 from __future__ import annotations
@@ -52,11 +54,10 @@ class Segment(Frozen):
         # normalized(end - start), reusing its norm: |end - start| = length
         _set(self, "direction", Vec2((end.x - start.x) / length, (end.y - start.y) / length))
 
-    def point_at(self, s: float) -> Point2:
-        return self.start + self.direction * s
-
-    def tangent_at(self, s: float) -> Vec2:
-        return self.direction
+    def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
+        """(x, y, tx, ty, kappa) at arc length s from the start."""
+        d = self.direction
+        return self.start.x + d.x * s, self.start.y + d.y * s, d.x, d.y, 0.0
 
     # the end data every primitive provides, here the stored fields
     start_point = property(lambda self: self.start)
@@ -92,8 +93,7 @@ class Arc(Frozen):
     The point at arc length s is center + radius*e(start_angle + sweep*s/L)
     where L = radius*|sweep|; sweep > 0 turns counterclockwise.  The
     length and the end points and tangents are computed once, at
-    construction, by the same expressions `point_at` and `tangent_at`
-    evaluate at s = 0 and s = L.
+    construction, by `evaluate_row` at s = 0 and s = L.
     """
 
     __slots__ = ("center", "radius", "start_angle", "sweep", "length",
@@ -116,23 +116,20 @@ class Arc(Frozen):
         _set(self, "sweep", sweep)
         length = radius * abs(sweep)
         _set(self, "length", length)
-        _set(self, "start_point", self.point_at(0.0))
-        _set(self, "end_point", self.point_at(length))
-        _set(self, "start_tangent", self.tangent_at(0.0))
-        _set(self, "end_tangent", self.tangent_at(length))
+        x, y, tx, ty, _ = self.evaluate_row(0.0)
+        _set(self, "start_point", Vec2(x, y))
+        _set(self, "start_tangent", Vec2(tx, ty))
+        x, y, tx, ty, _ = self.evaluate_row(length)
+        _set(self, "end_point", Vec2(x, y))
+        _set(self, "end_tangent", Vec2(tx, ty))
 
-    def angle_at(self, s: float) -> float:
-        return self.start_angle + self.sweep * (s / self.length)
-
-    def point_at(self, s: float) -> Point2:
-        psi = self.angle_at(s)
-        return Vec2(self.center.x + self.radius * math.cos(psi),
-                    self.center.y + self.radius * math.sin(psi))
-
-    def tangent_at(self, s: float) -> Vec2:
-        psi = self.angle_at(s)
+    def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
+        """(x, y, tx, ty, kappa) at arc length s from the start."""
+        psi = self.start_angle + self.sweep * (s / self.length)
         sign = 1.0 if self.sweep > 0 else -1.0
-        return Vec2(-sign * math.sin(psi), sign * math.cos(psi))
+        cos, sin = math.cos(psi), math.sin(psi)
+        return (self.center.x + self.radius * cos, self.center.y + self.radius * sin,
+                -sign * sin, sign * cos, sign / self.radius)
 
     sweep_angle = property(lambda self: self.sweep)
 
@@ -198,15 +195,7 @@ class PiecewiseCurve:
         primitive wins, so curvature jumps are sampled from the later piece.
         """
         i, local = self._locate(s)
-        p = self.primitives[i]
-        if isinstance(p, Arc):
-            psi = p.start_angle + p.sweep * (local / p.length)
-            sign = 1.0 if p.sweep > 0 else -1.0
-            cos, sin = math.cos(psi), math.sin(psi)
-            return (p.center.x + p.radius * cos, p.center.y + p.radius * sin,
-                    -sign * sin, sign * cos, sign / p.radius)
-        d = p.direction
-        return p.start.x + d.x * local, p.start.y + d.y * local, d.x, d.y, 0.0
+        return self.primitives[i].evaluate_row(local)
 
     def evaluate(self, s: float) -> tuple[Point2, Vec2, float]:
         """Point, unit tangent and signed curvature at arc length s:

@@ -24,19 +24,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
 from .geometry import ANG_TOL, ROUND_REL, dist, normalized, oriented_angle, rot90
 from .instance import ProblemInstance
 from .synthesis import CanonicalFrame, arc_radius, canonical_frame
-
-
-def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
-    """True iff a curve of minimum turn radius `radius` is admissible,
-    i.e. 0 < radius <= R_a (with relative rounding slack at the boundary)."""
-    return 0.0 < radius <= arc_radius(inst) * (1.0 + ROUND_REL)
 
 
 class DubinsCurve(NamedTuple):
@@ -168,12 +162,9 @@ class SweepReport:
     """Outcome of the empirical min-max check over the curve families.
 
     `feasible_count`, the number of admissible curves on the grid, is
-    counted by the row scan the first time it is read and kept from then
-    on; `as_dict`, and so the CLI, never reads it.
+    counted by `count` the first time it is read and kept from then on;
+    `as_dict`, and so the CLI, never reads it.
     """
-
-    __slots__ = ("min_max_curvature", "argmin", "margin", "grid_size", "ra",
-                 "_count", "_feasible")
 
     def __init__(self, min_max_curvature: float, argmin: dict, margin: float,
                  grid_size: tuple[int, int], ra: float, count: Callable[[], int]) -> None:
@@ -183,13 +174,10 @@ class SweepReport:
         self.grid_size = grid_size
         self.ra = ra
         self._count = count
-        self._feasible: int | None = None
 
-    @property
+    @functools.cached_property
     def feasible_count(self) -> int:
-        if self._feasible is None:
-            self._feasible = self._count()
-        return self._feasible
+        return self._count()
 
     def as_dict(self) -> dict:
         return {
@@ -246,8 +234,7 @@ class _CompositeGrid:
     each by more than the bound outside `half_width` columns of the root,
     a width that covers the error of the computed root column x as well.
     One window per row, [ceil(x - w), floor(x + w)] with w = `half_width`,
-    is therefore all that `scan` tests, with the per-cell test unrolled
-    and its constants hoisted but every operand and association kept:
+    is therefore all that `scan` tests, each cell by `_composite_params`:
     ceil and floor are exact, so every column below it is feasible and
     every column above it is not.
 
@@ -270,13 +257,17 @@ class _CompositeGrid:
     each radius is rounded by: the radii strictly increase and their
     reciprocals differ.  The least score 1/min(r1, r2) is then 1/radii[m],
     and the first cell in row-major order reaching it is (m, m): every
-    earlier row, and every earlier column of row m, has a smaller k.  The
-    single-arc lengths d1 and d3 both fall in r at -tan(omega/2), and
-    their smaller root is R_a + tol / tan(omega/2); the same window there,
-    no wider than `_FRONTIER_CAP` (which also keeps the reciprocals
-    apart), gives the last admissible radius, the first of least score.
-    A window with r_lo > 1, or one where these conditions fail as
-    computed, is left to the scan.
+    earlier row, and every earlier column of row m, has a smaller k.  A
+    window with r_lo > 1, or one where these conditions fail as computed,
+    is left to the scan.
+
+    Single-arc argument (`closed_form` and `singles`).  The single arc's
+    d1 and d3 both fall in r at -tan(omega/2), and their smaller root is
+    R_a + tol / tan(omega/2); the same window there
+    (`_single_window`), no wider than `_FRONTIER_CAP` (which also keeps
+    the reciprocals apart), ends the prefix of admissible radii, whose
+    last is the first of least score.  Where its conditions fail as
+    computed, `singles` tests every radius by `_p2_params`.
     """
 
     def __init__(self, frame: CanonicalFrame, tol: float, grid_n: int,
@@ -290,12 +281,12 @@ class _CompositeGrid:
         self.k1 = k1 = math.sin(om - 0.5 * om) / sin1
         self.k2 = k2 = -sino / sin1
         self.xb, self.yb = xb, yb = frame.xb, frame.yb
-        self.sb, self.cb = sb, cb = sino - sin1, cos1 - coso
+        sb, cb = sino - sin1, cos1 - coso
 
         # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0, the same in
         # every row, and so is the window's width; then the same in r1
         self.p_slope = p_slope = -cb / sin1
-        self.t_slope = t_slope = (sb + p_slope * cos1) / k1
+        t_slope = (sb + p_slope * cos1) / k1
         self.d_slope = p_slope + k2 * t_slope
         self.p_slope1 = p_slope1 = -one_cos1 / sin1
         self.d_slope1 = p_slope1 + k2 * ((sin1 + p_slope1 * cos1) / k1)
@@ -344,35 +335,23 @@ class _CompositeGrid:
                 return width
         return None
 
-    def closed_form(self) -> tuple[tuple[int, int] | None, int | None] | None:
-        """(first best composite cell, first best single-arc index) by the
-        diagonal argument, each None where its family has no feasible
-        curve; None where the argument's conditions fail as computed."""
-        frame, tol, n = self.frame, self.tol, self.n
-        shallow = -max(self.p_slope, self.d_slope, self.p_slope1, self.d_slope1)
-        if self.r_lo > 1.0 or not self.increasing or not shallow > 0.0:
-            return None
-        # the two pieces on the diagonal: at r = 0, and per unit of r
-        xb, yb, sin1 = self.xb, self.yb, self.sin1
-        p0 = yb / sin1
-        d0 = p0 + self.k2 * ((xb - p0 * self.cos1) / -self.k1)
-        p_diag, d_diag = self.p_slope + self.p_slope1, self.d_slope + self.d_slope1
-        w = self._width(self.magnitude, p_diag, d_diag)
-        steep = -p_diag if p_diag < d_diag else -d_diag
-        if not 2.0 * (steep * w + _FRONTIER_ROUNDING * self.magnitude / self.spacing) < shallow:
-            return None
-        x = self._column((p0 + tol) / -p_diag, (d0 + tol) / -d_diag)
+    def _diagonal(self, k: int) -> bool:
+        r = self.radius(k)
+        return _composite_params(self.frame, r, r, self.tol) is not None
 
-        def composite(k: int) -> bool:
-            r = self.radius(k)
-            return _composite_params(frame, r, r, tol) is not None
+    def _single(self, k: int) -> bool:
+        return _p2_params(self.frame, self.radius(k), self.tol) is not None
 
-        m = _prefix_end(x, w, n, composite)
+    def _single_window(self) -> tuple[float, float] | None:
+        """(x, w) of the single-arc window: every radius below ceil(x - w)
+        is admissible and every one above floor(x + w) is not.  None where
+        its conditions fail as computed."""
+        sino, coso, xb, yb = self.sino, self.coso, self.xb, self.yb
+        r_max, tol = self.r_max, self.tol
         # the single arc's d3 and d1, as `_p2_params` computes them
-        sino, coso, r_max = self.sino, self.coso, self.r_max
         d3_slope = -(1.0 - coso) / sino
         d1_slope = -sino - d3_slope * coso
-        if not (d3_slope < 0.0 and d1_slope < 0.0):
+        if not (self.increasing and d3_slope < 0.0 and d1_slope < 0.0):
             return None
         d3_0 = yb / sino
         d3_mag = (abs(yb) + r_max * (1.0 - coso)) / sino
@@ -380,35 +359,55 @@ class _CompositeGrid:
                         d3_slope, d1_slope)
         if w > _FRONTIER_CAP:
             return None
-        x = self._column((d3_0 + tol) / -d3_slope, (xb - d3_0 * coso + tol) / -d1_slope)
-        q = _prefix_end(x, w, n, lambda k: _p2_params(frame, self.radius(k), tol) is not None)
+        return self._column((d3_0 + tol) / -d3_slope, (xb - d3_0 * coso + tol) / -d1_slope), w
+
+    def closed_form(self) -> tuple[tuple[int, int] | None, int | None] | None:
+        """(first best composite cell, first best single-arc index) by the
+        diagonal and single-arc arguments, each None where its family has
+        no feasible curve; None where the arguments' conditions fail as
+        computed."""
+        tol, n = self.tol, self.n
+        shallow = -max(self.p_slope, self.d_slope, self.p_slope1, self.d_slope1)
+        if self.r_lo > 1.0 or not self.increasing or not shallow > 0.0:
+            return None
+        # the two pieces on the diagonal: at r = 0, and per unit of r
+        p0 = self.yb / self.sin1
+        d0 = p0 + self.k2 * ((self.xb - p0 * self.cos1) / -self.k1)
+        p_diag, d_diag = self.p_slope + self.p_slope1, self.d_slope + self.d_slope1
+        w = self._width(self.magnitude, p_diag, d_diag)
+        steep = -p_diag if p_diag < d_diag else -d_diag
+        if not 2.0 * (steep * w + _FRONTIER_ROUNDING * self.magnitude / self.spacing) < shallow:
+            return None
+        m = _prefix_end(self._column((p0 + tol) / -p_diag, (d0 + tol) / -d_diag), w, n,
+                        self._diagonal)
+        single = self._single_window()
+        if single is None:
+            return None
+        q = _prefix_end(*single, n, self._single)
         return ((m, m) if m >= 0 else None), (q if q >= 0 else None)
 
     def scan(self) -> Iterator[tuple[int, list[int]]]:
         """Each row's feasible columns as (lo, cols), row by row: every
         column below lo, and the columns listed in cols, all at or above
-        lo.  A grid with no frontier window (`half_width` is None) tests
-        every column of every row."""
-        radii = self.radii
+        lo, each tested by `_composite_params`.  A grid with no frontier
+        window (`half_width` is None) tests every column of every row."""
+        frame, tol, radii = self.frame, self.tol, self.radii
         n = len(radii)
         xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
-        one_cos1, k1, k2, tol = self.one_cos1, self.k1, self.k2, self.tol
-        sb, cb = self.sb, self.cb
-        neg_tol, neg_k1 = -tol, -k1
+        one_cos1, neg_k1, k2 = self.one_cos1, -self.k1, self.k2
         w = self.half_width
         first, spacing = self.first, self.spacing
         neg_p, neg_d = -self.p_slope, -self.d_slope
         ceil = math.ceil
         for r1 in radii:
-            ax, ay = r1 * sin1, r1 * one_cos1
             if w is None:
                 lo, top = 0, n - 1
             else:
                 # the row's smaller root, as a column x; every column below
                 # ceil(x - w) is feasible, and the window ends at x + w
-                p0 = (yb - ay) / sin1
+                p0 = (yb - r1 * one_cos1) / sin1
                 root_p = (p0 + tol) / neg_p
-                root_d = (p0 + k2 * (((xb - ax) - p0 * cos1) / neg_k1) + tol) / neg_d
+                root_d = (p0 + k2 * (((xb - r1 * sin1) - p0 * cos1) / neg_k1) + tol) / neg_d
                 x = ((root_d if root_d < root_p else root_p) - first) / spacing
                 lo = x - w
                 lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
@@ -416,30 +415,19 @@ class _CompositeGrid:
             cols = []
             j = lo
             while j <= top and j < n:
-                # _composite_params' test d2 >= -tol, operand for operand
-                r2 = radii[j]
-                p2 = (yb - (ay + r2 * cb)) / sin1
-                t = -((xb - (ax + r2 * sb)) - p2 * cos1) / k1
-                if not t > 0.0:
-                    t = 0.0
-                if not p2 + k2 * t < neg_tol:
+                if _composite_params(frame, r1, radii[j], tol) is not None:
                     cols.append(j)
                 j += 1
             yield lo, cols
 
-    def singles(self) -> list[int]:
-        """Indices of the admissible single-arc radii: `_p2_params`' test,
-        with sin(omega) and cos(omega) hoisted."""
-        sino, coso = self.sino, self.coso
-        one_coso = 1.0 - coso
-        xb, yb, neg_tol = self.xb, self.yb, -self.tol
-        found = []
-        for k, r in enumerate(self.radii):
-            d3 = (yb - r * one_coso) / sino
-            d1 = xb - r * sino - d3 * coso
-            if not (d1 < neg_tol or d3 < neg_tol):
-                found.append(k)
-        return found
+    def singles(self) -> Sequence[int]:
+        """Indices of the admissible single-arc radii: the prefix that
+        `_single_window` ends, or every radius that passes `_p2_params`
+        where that window does not apply."""
+        window = self._single_window()
+        if window is None:
+            return [k for k in range(self.n) if self._single(k)]
+        return range(_prefix_end(*window, self.n, self._single) + 1)
 
     def count(self) -> int:
         """Feasible composite cells and single-arc radii."""
@@ -488,13 +476,15 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     the last grid radius before the composite prefix ends, or the single
     arc where its own prefix reaches a radius further.
     `_CompositeGrid.closed_form` finds both ends from closed-form roots
-    and tests the per-cell predicates only on the radii within a rounding
-    bound of them, which on ordinary grids is none: O(1) per sweep.  Where its conditions fail as computed (radii
-    that do not strictly increase, a slope that is not negative, a window
-    too wide, or r_lo > 1), the row scan `_CompositeGrid.scan` decides
-    instead.  Either way the minimum and the argmin are those of the full
-    loop over every cell, bit for bit.  `feasible_count` is counted by
-    the same scan, on demand, the first time it is read.
+    and tests the per-cell predicates, `_composite_params` and
+    `_p2_params`, only on the radii within a rounding bound of them,
+    which on ordinary grids is none: O(1) per sweep.  Where its
+    conditions fail as computed (radii that do not strictly increase, a
+    slope that is not negative, a window too wide, or r_lo > 1), the row
+    scan `_CompositeGrid.scan` decides instead.  Either way the minimum
+    and the argmin are those of the full loop over every cell, bit for
+    bit.  `feasible_count` is counted on demand, the first time it is
+    read, by the same row scan and the single-arc window.
     """
     if grid_n < 2:
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")

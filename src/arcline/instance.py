@@ -20,11 +20,9 @@ from .geometry import (
     Point2,
     Vec2,
     dist,
-    from_polar,
     line_intersection,
     normalized,
     oriented_angle,
-    principal_angle,
 )
 
 
@@ -104,42 +102,6 @@ def instance_from_tangents(A: Point2, B: Point2, alpha: Vec2, beta: Vec2) -> Pro
         raise NoAdmissibleCurve(
             f"tangent orientation admits no curve (u0={u0!r}, v0={v0!r})"
         )
-    return make_instance(O, A, B)
-
-
-def similarity_transform(inst: ProblemInstance, rotation: float, scale: float,
-                         translation: Vec2) -> ProblemInstance:
-    """Rotate, scale and translate an instance.  Omega is unchanged."""
-    if scale <= 0.0:
-        raise InvalidInput(f"scale must be positive, got {scale!r}")
-    c, s = math.cos(rotation), math.sin(rotation)
-
-    def mov(p: Point2) -> Point2:
-        return Vec2(scale * (c * p.x - s * p.y) + translation.x,
-                    scale * (s * p.x + c * p.y) + translation.y)
-
-    def rot(v: Vec2) -> Vec2:
-        return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
-
-    return ProblemInstance(mov(inst.A), mov(inst.B), mov(inst.O), rot(inst.alpha),
-                           rot(inst.beta), inst.omega, inst.symmetric, inst.reversed)
-
-
-def random_instance(rng, omega: float | None = None) -> ProblemInstance:
-    """Draw a valid instance: omega in (0.1, pi - 0.1) unless given,
-    leg lengths in [0.5, 2], random pose."""
-    if omega is None:
-        omega = rng.uniform(0.1 + 1e-6, math.pi - 0.1 - 1e-6)
-    if not (ANG_TOL < omega < math.pi - ANG_TOL):
-        raise InvalidInput(f"omega {omega!r} outside (0, pi)")
-    pose = rng.uniform(-math.pi, math.pi)
-    oa = rng.uniform(0.5, 2.0)
-    ob = rng.uniform(0.5, 2.0)
-    O = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    alpha = from_polar(pose)
-    beta = from_polar(principal_angle(pose + omega))
-    A = O - alpha * oa
-    B = O + beta * ob
     return make_instance(O, A, B)
 
 

@@ -20,7 +20,6 @@ from .geometry import (
     Point2,
     Vec2,
     dist,
-    normalized,
     oriented_angle,
     rot90,
 )
@@ -43,9 +42,8 @@ class CanonicalFrame(NamedTuple):
     instances (OA <= OB) sit in the direct frame at A along alpha.
     Segment-first instances are reversed and mirrored: the frame sits at B
     with axes -beta and rot90(beta), so it is indirect, and `mirrored` is
-    set.  World points project into the frame along `x_axis` and `y_axis`
-    from `origin`; curves are never built here but grown in world
-    coordinates from (A, alpha) by `PathBuilder`.
+    set.  Curves are never built here but grown in world coordinates from
+    (A, alpha) by `PathBuilder`.
     """
 
     omega: float
@@ -53,9 +51,6 @@ class CanonicalFrame(NamedTuple):
     xb: float           # endpoint coordinates in the frame
     yb: float
     mirrored: bool
-    origin: Point2
-    x_axis: Vec2
-    y_axis: Vec2
 
 
 def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
@@ -65,11 +60,7 @@ def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     seg = abs(inst.oa - inst.ob)
     xb = ra * math.sin(om) + seg * math.cos(om)
     yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
-    if inst.oa > inst.ob:
-        return CanonicalFrame(om, ra, xb, yb, True, inst.B, -inst.beta,
-                              rot90(inst.beta))
-    x_axis = normalized(inst.alpha)
-    return CanonicalFrame(om, ra, xb, yb, False, inst.A, x_axis, rot90(x_axis))
+    return CanonicalFrame(om, ra, xb, yb, inst.oa > inst.ob)
 
 
 class OptimalSolution(NamedTuple):

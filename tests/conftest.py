@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from arcline import Arc, PiecewiseCurve, Segment, Vec2, make_instance, random_instance
-from oracles import sample_arrays
+from arcline import Arc, PiecewiseCurve, Segment, Vec2, make_instance
+from oracles import random_instance, sample_arrays
 
 #: the worked configuration: right isoceles triangle, turning angle 3*pi/4
 WORKED_A = Vec2(0.5, -0.5)

@@ -12,6 +12,10 @@ samples, and the certificate gap profiles one point at a time through
 `evaluate`.  `sample_arrays` packs `sample_at`'s rows into numpy arrays
 for the tests that compute on them.  None of them is used by the
 library itself, which needs no numpy.
+
+The helpers only tests need live here too: drawing a random instance,
+moving one by a similarity, the admissible-radius predicate, and the
+canonical frame's origin and axes in world coordinates.
 """
 
 from __future__ import annotations
@@ -28,11 +32,73 @@ from arcline import (
     Point2,
     ProblemInstance,
     Vec2,
+    arc_radius,
+    make_instance,
     max_curvature,
     oriented_angle,
 )
-from arcline.geometry import ROUND_REL, TWO_PI, normalized, principal_angle, rot90
+from arcline.geometry import (
+    ANG_TOL,
+    ROUND_REL,
+    TWO_PI,
+    from_polar,
+    normalized,
+    principal_angle,
+    rot90,
+)
 from arcline.synthesis import canonical_frame
+
+
+def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
+    """True iff a curve of minimum turn radius `radius` is admissible,
+    i.e. 0 < radius <= R_a (with relative rounding slack at the boundary)."""
+    return 0.0 < radius <= arc_radius(inst) * (1.0 + ROUND_REL)
+
+
+def similarity_transform(inst: ProblemInstance, rotation: float, scale: float,
+                         translation: Vec2) -> ProblemInstance:
+    """Rotate, scale and translate an instance.  Omega is unchanged."""
+    if scale <= 0.0:
+        raise InvalidInput(f"scale must be positive, got {scale!r}")
+    c, s = math.cos(rotation), math.sin(rotation)
+
+    def mov(p: Point2) -> Point2:
+        return Vec2(scale * (c * p.x - s * p.y) + translation.x,
+                    scale * (s * p.x + c * p.y) + translation.y)
+
+    def rot(v: Vec2) -> Vec2:
+        return Vec2(c * v.x - s * v.y, s * v.x + c * v.y)
+
+    return ProblemInstance(mov(inst.A), mov(inst.B), mov(inst.O), rot(inst.alpha),
+                           rot(inst.beta), inst.omega, inst.symmetric, inst.reversed)
+
+
+def random_instance(rng, omega: float | None = None) -> ProblemInstance:
+    """Draw a valid instance: omega in (0.1, pi - 0.1) unless given,
+    leg lengths in [0.5, 2], random pose."""
+    if omega is None:
+        omega = rng.uniform(0.1 + 1e-6, math.pi - 0.1 - 1e-6)
+    if not (ANG_TOL < omega < math.pi - ANG_TOL):
+        raise InvalidInput(f"omega {omega!r} outside (0, pi)")
+    pose = rng.uniform(-math.pi, math.pi)
+    oa = rng.uniform(0.5, 2.0)
+    ob = rng.uniform(0.5, 2.0)
+    O = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    alpha = from_polar(pose)
+    beta = from_polar(principal_angle(pose + omega))
+    A = O - alpha * oa
+    B = O + beta * ob
+    return make_instance(O, A, B)
+
+
+def frame_axes(inst: ProblemInstance) -> tuple[Point2, Vec2, Vec2]:
+    """The canonical frame's origin and axes in world coordinates: A,
+    alpha and its quarter turn, or, for a mirrored (segment-first) frame,
+    B, -beta and rot90(beta)."""
+    if canonical_frame(inst).mirrored:
+        return inst.B, -inst.beta, rot90(inst.beta)
+    x_axis = normalized(inst.alpha)
+    return inst.A, x_axis, rot90(x_axis)
 
 
 def distance_to_line(p: Point2, origin: Point2, direction: Vec2) -> float:
@@ -248,14 +314,15 @@ def frame_gaps_pointwise(inst: ProblemInstance, sol, z, n: int) -> list[tuple[fl
     ra = sol.radius
     end = min(ra * inst.omega, z.length)
     frame = canonical_frame(inst)
+    origin, x_axis, y_axis = frame_axes(inst)
     out = []
     for i in range(n + 1):
         s = end if i == n else i * (end / n)
         point, _, _ = z.evaluate(z.length - s if frame.mirrored else s)
-        d = point - frame.origin
+        d = point - origin
         phi = s / ra
-        gx = d.dot(frame.x_axis) - ra * math.sin(phi)
-        gy = d.dot(frame.y_axis) - ra * (1.0 - math.cos(phi))
+        gx = d.dot(x_axis) - ra * math.sin(phi)
+        gy = d.dot(y_axis) - ra * (1.0 - math.cos(phi))
         out.append((-gx * math.sin(phi) + gy * math.cos(phi), gx, gy))
     return out
 

@@ -21,7 +21,6 @@ from arcline import (
     dubins_curve,
     illposed_demo,
     instance_from_tangents,
-    is_feasible_radius,
     make_instance,
     max_curvature,
     offset,
@@ -35,9 +34,14 @@ from arcline import (
 )
 from arcline.curves import Arc, PiecewiseCurve
 from arcline.dubins import family_sweep
-from arcline.instance import random_instance
 from conftest import make_rng, sample_points, sampled_hausdorff
-from oracles import numeric_curvature, sample_arrays, zeta0_geometric
+from oracles import (
+    is_feasible_radius,
+    numeric_curvature,
+    random_instance,
+    sample_arrays,
+    zeta0_geometric,
+)
 
 RA_EXACT = (math.sqrt(2.0) - 1.0) / 2.0
 
@@ -215,8 +219,8 @@ def test_criterion_10_estimator_offsets_svg():
     result = offset(sol.curve, 0.1)
     for bp, sp in zip(sol.curve.primitives, result.left.primitives):
         for frac in np.linspace(0.0, 1.0, 17):
-            q = sp.point_at(float(frac) * sp.length)
-            p = bp.point_at(float(frac) * bp.length)
+            q = Vec2(*sp.evaluate_row(float(frac) * sp.length)[:2])
+            p = Vec2(*bp.evaluate_row(float(frac) * bp.length)[:2])
             assert abs((q - p).norm() - 0.1) <= 1e-9 * inst.diameter
 
     # SVG byte determinism

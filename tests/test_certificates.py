@@ -18,7 +18,6 @@ from arcline import (
     make_certificate,
     make_instance,
     oriented_angle,
-    random_instance,
     support_min,
     synthesize,
     tangent_intercepts,
@@ -29,7 +28,13 @@ from arcline import (
 )
 from arcline.synthesis import canonical_frame
 from conftest import make_rng, instances
-from oracles import frame_gaps_pointwise, sample_arrays, theta_phi_sampled, zeta0_geometric
+from oracles import (
+    frame_gaps_pointwise,
+    random_instance,
+    sample_arrays,
+    theta_phi_sampled,
+    zeta0_geometric,
+)
 
 
 def s_curve(r: float = 1.0) -> PiecewiseCurve:

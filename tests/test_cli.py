@@ -149,13 +149,13 @@ def test_sweep_report(capsys):
 
 def test_sweep_never_counts_feasible_cells(monkeypatch):
     # no subcommand reads feasible_count, and the corpus sweeps take the
-    # closed form: with the row scan, which counts, made to raise, their
-    # stdout is still the corpus's, byte for byte
+    # closed form: with the count and the row scan and single-arc list it
+    # sums made to raise, their stdout is still the corpus's, byte for byte
     def refuse(self):
-        raise AssertionError("the row scan ran")
+        raise AssertionError("the sweep counted")
 
-    monkeypatch.setattr(dubins._CompositeGrid, "scan", refuse)
-    monkeypatch.setattr(dubins._CompositeGrid, "singles", refuse)
+    for name in ("count", "scan", "singles"):
+        monkeypatch.setattr(dubins._CompositeGrid, name, refuse)
     corpus = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
     with open(corpus, encoding="utf-8") as fh:
         cases = [c for c in json.load(fh)["cases"] if c["argv"][0] == "sweep"]

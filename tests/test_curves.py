@@ -20,13 +20,12 @@ from arcline import (
     make_instance,
     max_curvature,
     principal_angle,
-    similarity_transform,
     synthesize,
 )
 from arcline import curves
 from arcline.geometry import ANG_TOL
 from conftest import WORKED_RA, instances, rigid_motion, sample_points
-from oracles import numeric_curvature, sample_arrays, turning_at
+from oracles import numeric_curvature, sample_arrays, similarity_transform, turning_at
 
 
 def quarter_arc():

@@ -11,18 +11,16 @@ from arcline import (
     InvalidInput,
     RadiusNotAdmissible,
     Vec2,
-    similarity_transform,
     arc_radius,
     check_membership,
     composite_solve,
     dubins_curve,
     family_sweep,
-    is_feasible_radius,
     max_curvature,
-    random_instance,
     synthesize,
 )
 from conftest import instances, sampled_hausdorff, symmetric_instances
+from oracles import is_feasible_radius, random_instance, similarity_transform
 
 
 def test_limit_curve_equals_optimal(worked_instance):

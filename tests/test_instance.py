@@ -13,9 +13,9 @@ from arcline import (
     instance_from_tangents,
     instance_to_json,
     make_instance,
-    similarity_transform,
 )
 from conftest import WORKED_A, WORKED_B, WORKED_O, instances
+from oracles import similarity_transform
 
 R2 = math.sqrt(2.0) / 2.0
 

@@ -7,19 +7,20 @@ equal with `==`, not approximately.  So must `sample_at`, the scalar
 frame gaps and their per-point oracle.  `family_sweep` reads its argmin
 at the diagonal cell of the closed-form root, testing only the cells
 within rounding of it, and counts feasible cells, on demand, by a row
-scan that tests only the cells near each row's frontier; both use the
-same per-cell expression as the reference loop here, which evaluates
-every cell.  The two reports must compare equal field by field, zero
-signs and the count included, on drawn instances across the accepted
-angle range, on other radius windows, on grids with a radius within
-ulps of a root, and on grids that the closed form leaves to the scan or
-the scan to its full-row fallback.  The
-exact `support_min`, which takes its minimum from closed-form candidates
-and evaluates the curve nowhere, is checked against the sampled (s, t)
-grid it replaced: never above it, and below it by at most the grid's
-second-order error.  It also agrees, up to rounding, with the pairwise
-oracle `support_min_pairs`, which evaluates the curve at candidate arc
-lengths per primitive pair.  It makes no `sample_at` call.
+scan that tests only the cells near each row's frontier and a window at
+the single arc's root; every cell either tests goes through
+`_composite_params` or `_p2_params`, the predicates the reference loop
+here calls on every cell.  The two reports must compare equal field by
+field, zero signs and the count included, on drawn instances across the
+accepted angle range, on other radius windows, on grids with a radius
+within ulps of a root, and on grids that the closed form leaves to the
+scan or the scan to its full-row fallback.  The exact `support_min`,
+which takes its minimum from closed-form candidates and evaluates the
+curve nowhere, is checked against the sampled (s, t) grid it replaced:
+never above it, and below it by at most the grid's second-order error.
+It also agrees, up to rounding, with the pairwise oracle
+`support_min_pairs`, which evaluates the curve at candidate arc lengths
+per primitive pair.  It makes no `sample_at` call.
 """
 
 import math
@@ -391,7 +392,9 @@ def frontier_roots(inst, r1):
     grid = dubins._CompositeGrid(view, 1e-9 * inst.diameter, 2, 0.2, 1.0)
     p0 = (grid.yb - r1 * grid.one_cos1) / grid.sin1
     t0 = -((grid.xb - r1 * grid.sin1) - p0 * grid.cos1) / grid.k1
-    return (-(p0 + grid.tol) / grid.p_slope, -t0 / grid.t_slope,
+    # d(t)/d(r2), as the grid derives its d2 slope
+    t_slope = ((grid.sino - grid.sin1) + grid.p_slope * grid.cos1) / grid.k1
+    return (-(p0 + grid.tol) / grid.p_slope, -t0 / t_slope,
             -(p0 + grid.k2 * t0 + grid.tol) / grid.d_slope)
 
 
@@ -557,6 +560,7 @@ def test_family_sweep_fallback_windows():
         _, grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
         assert (grid.half_width is None) == (r_lo == 1.0)
         assert (grid.closed_form() is None) == (r_lo == 1.0)
+        assert (grid._single_window() is None) == (r_lo == 1.0)
         assert_sweep_matches_reference(arc_first(), grid_n, r_lo, r_hi)
 
 
@@ -565,7 +569,9 @@ def test_family_sweep_fallback_windows():
 def test_family_sweep_full_row_fallback(inst, window):
     # every row's feasible columns from the prefix path equal those of the
     # cell-by-cell path (half_width cleared), and those of the plain loop;
-    # the scan's argmin equals the closed form's wherever that applies
+    # so do the single-arc radii, windowed or, where the single-arc window
+    # does not apply, tested one by one; the scan's argmin equals the
+    # closed form's wherever that applies
     view, grid = sweep_grid(inst, *window)
     if window[1] == 1.0 + 4e-16:
         assert grid.half_width is None
@@ -579,6 +585,8 @@ def test_family_sweep_full_row_fallback(inst, window):
         loop = [j for j, r2 in enumerate(grid.radii)
                 if dubins._composite_params(view, r1, r2, grid.tol) is not None]
         assert prefix[i] == loop
+    assert list(grid.singles()) == [k for k, r in enumerate(grid.radii)
+                                    if dubins._p2_params(view, r, grid.tol) is not None]
 
 
 def test_turning_at_matches_turning():

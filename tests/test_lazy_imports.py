@@ -27,11 +27,10 @@ PUBLIC_NAMES = [
     "Point2", "ProblemInstance", "QuadraticBezier", "RadiusNotAdmissible", "Segment",
     "SweepReport", "UndefinedHeading", "Vec2", "arc_radius", "bezier_min_radius",
     "check_membership", "compare_report", "composite_solve", "curve_from_json",
-    "curve_to_json", "dubins_curve", "family_sweep", "heading",
-    "illposed_demo", "instance_from_json", "instance_from_tangents", "instance_to_json",
-    "is_feasible_radius", "make_certificate", "make_instance", "max_curvature",
-    "offset", "oriented_angle", "principal_angle", "random_instance", "rot90",
-    "similarity_transform", "support_min", "synthesize", "tangent_intercepts",
+    "curve_to_json", "dubins_curve", "family_sweep", "heading", "illposed_demo",
+    "instance_from_json", "instance_from_tangents", "instance_to_json",
+    "make_certificate", "make_instance", "max_curvature", "offset", "oriented_angle",
+    "principal_angle", "rot90", "support_min", "synthesize", "tangent_intercepts",
     "theta_phi_bound", "to_svg", "zeta0_closed_form", "zeta0_coefficients",
     "zeta_profile",
 ]

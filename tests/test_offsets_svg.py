@@ -12,12 +12,11 @@ from arcline import (
     Segment,
     Vec2,
     offset,
-    similarity_transform,
     synthesize,
     to_svg,
 )
 from conftest import WORKED_RA, instances
-from oracles import sample_arrays
+from oracles import sample_arrays, similarity_transform
 
 
 def test_offset_segment():
@@ -77,8 +76,8 @@ def test_offset_distance_exactness():
                 for frac in np.linspace(0.0, 1.0, 9):
                     # matched fractions correspond: same radial direction on
                     # arcs, same station on segments
-                    q = sp.point_at(float(frac) * sp.length)
-                    p = bp.point_at(float(frac) * bp.length)
+                    q = Vec2(*sp.evaluate_row(float(frac) * sp.length)[:2])
+                    p = Vec2(*bp.evaluate_row(float(frac) * bp.length)[:2])
                     assert math.hypot(q.x - p.x, q.y - p.y) == pytest.approx(
                         result.distance, abs=tol)
                     # and the perpendicular distance to the base primitive

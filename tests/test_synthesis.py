@@ -22,13 +22,17 @@ from arcline import (
     make_instance,
     max_curvature,
     oriented_angle,
-    random_instance,
-    similarity_transform,
     synthesize,
 )
 from arcline.synthesis import canonical_frame
 from conftest import WORKED_RA, instances, rigid_motion, symmetric_instances
-from oracles import sample_arrays, tangency_oracle
+from oracles import (
+    frame_axes,
+    random_instance,
+    sample_arrays,
+    similarity_transform,
+    tangency_oracle,
+)
 
 
 def test_radius_worked_example(worked_instance):
@@ -77,13 +81,13 @@ def test_arc_first_closed_form(arc_first_instance):
     # in the frame (A, alpha) the arc reads (R sin(s/R), R (1 - cos(s/R)))
     sol = synthesize(arc_first_instance)
     assert sol.arc_first
-    frame = canonical_frame(arc_first_instance)
-    assert not frame.mirrored
+    assert not canonical_frame(arc_first_instance).mirrored
+    origin, x_axis, y_axis = frame_axes(arc_first_instance)
     ra = sol.radius
     for s in np.linspace(0.0, ra * arc_first_instance.omega, 13):
-        d = sol.curve.evaluate(float(s))[0] - frame.origin
-        assert d.dot(frame.x_axis) == pytest.approx(ra * math.sin(s / ra), abs=1e-12)
-        assert d.dot(frame.y_axis) == pytest.approx(ra * (1.0 - math.cos(s / ra)), abs=1e-12)
+        d = sol.curve.evaluate(float(s))[0] - origin
+        assert d.dot(x_axis) == pytest.approx(ra * math.sin(s / ra), abs=1e-12)
+        assert d.dot(y_axis) == pytest.approx(ra * (1.0 - math.cos(s / ra)), abs=1e-12)
 
 
 def test_oracle_agrees_with_closed_form():
@@ -232,10 +236,11 @@ def test_canonical_frame_projects_far_endpoint(case):
     kind, inst = case
     frame = canonical_frame(inst)
     assert frame.mirrored == (kind == "mirrored") == (inst.oa > inst.ob)
-    far = (inst.A if frame.mirrored else inst.B) - frame.origin
+    origin, x_axis, y_axis = frame_axes(inst)
+    far = (inst.A if frame.mirrored else inst.B) - origin
     tol = 1e-9 * inst.diameter
-    assert abs(far.dot(frame.x_axis) - frame.xb) <= tol
-    assert abs(far.dot(frame.y_axis) - frame.yb) <= tol
+    assert abs(far.dot(x_axis) - frame.xb) <= tol
+    assert abs(far.dot(y_axis) - frame.yb) <= tol
 
 
 @settings(deadline=None, max_examples=300)

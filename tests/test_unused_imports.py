@@ -1,10 +1,15 @@
-"""Every module-level import in the library is used by its module.
+"""Every module-level import in the library is used by its module, and
+every private helper by the library.
 
 No linter is assumed to be installed, so this walks each module's AST.
-A name counts as used when it appears anywhere in the module as a bare
-name (the root of an attribute chain is one), also inside a quoted
+An import counts as used when it appears anywhere in the module as a
+bare name (the root of an attribute chain is one), also inside a quoted
 annotation.  `__init__` re-exports by design and `from __future__`
-imports are directives, so both are exempt.
+imports are directives, so both are exempt.  A private name, one with a
+leading underscore that is not a dunder, defined at module level or as
+a method, counts as used when some library module reads it: as a name,
+as an attribute, through an import or in a quoted annotation.  What
+only tests call is dead code.
 """
 
 import ast
@@ -35,9 +40,9 @@ def imported_names(tree: ast.Module) -> list[str]:
     return names
 
 
-def used_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    # a quoted annotation ("Vec2") names its types inside a string
+def annotation_names(tree: ast.Module) -> set[str]:
+    """The names inside quoted annotations ("Vec2")."""
+    names = set()
     annotations = [ann for node in ast.walk(tree)
                    for ann in (getattr(node, "annotation", None), getattr(node, "returns", None))
                    if ann is not None]
@@ -45,14 +50,62 @@ def used_names(tree: ast.Module) -> set[str]:
         for node in ast.walk(ann):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-                used |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-    return used
+                names |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | annotation_names(tree)
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(label, name) of each private module-level name and private method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{m.name}", m.name) for m in node.body
+                      if isinstance(m, ast.FunctionDef)]
+    return [(label, name) for label, name in found if is_private(name)]
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Names the module reads: bare names and attributes not assigned to,
+    names imported from other modules, and quoted annotations."""
+    names = annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*(read_names(tree) for tree in trees.values()))
+    return [f"{module}: {label}" for module, tree in sorted(trees.items())
+            for label, name in private_definitions(tree) if name not in read]
+
+
+def parse(module: str) -> ast.Module:
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_are_used(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
+    tree = parse(module)
     unused = [name for name in imported_names(tree) if name not in used_names(tree)]
     assert not unused, f"{module} imports but never uses {unused}"
 
@@ -61,3 +114,19 @@ def test_check_catches_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n\n"
                      "def f(x: 'sep.Thing') -> None:\n    return 'path'\n")
     assert [n for n in imported_names(tree) if n not in used_names(tree)] == ["math", "path"]
+
+
+def test_private_names_are_used_by_the_library():
+    trees = {module: parse(module) for module in MODULES + ["__init__.py"]}
+    dead = unreferenced_privates(trees)
+    assert not dead, f"private names no library module reads: {dead}"
+
+
+def test_check_catches_an_unused_private_name():
+    trees = {"a.py": ast.parse("_LIVE = 1\n_DEAD = 2\n\n"
+                               "class _Kept:\n    def _used(self):\n        return _LIVE\n"
+                               "    def _dead(self):\n        self._gone = 0\n"),
+             "b.py": ast.parse("from .a import _Kept\n\n"
+                               "def _helper(x: '_Kept'):\n    return x._used()\n"
+                               "def __getattr__(name):\n    return name\n")}
+    assert unreferenced_privates(trees) == ["a.py: _DEAD", "a.py: _Kept._dead", "b.py: _helper"]

@@ -1,6 +1,7 @@
 """The value types are immutable, compare by value and store their geometry."""
 
 import copy
+import math
 import pickle
 
 import pytest
@@ -48,16 +49,17 @@ def test_segment_has_no_radius():
     assert seg.direction == Vec2(0.6, 0.8)
     assert seg.start_tangent is seg.end_tangent is seg.direction
     assert (seg.start_point, seg.end_point) == (seg.start, seg.end)
+    assert seg.evaluate_row(0.0) == (0.0, 0.0, 0.6, 0.8, 0.0)
 
 
 @pytest.mark.parametrize("sweep", [0.3, -2.5, 6.0])
 def test_arc_stores_what_it_evaluates(sweep):
     arc = Arc(Vec2(1e3, -2.0), 0.7, 4.0, sweep)
     assert arc.length == 0.7 * abs(sweep)
-    assert arc.start_point == arc.point_at(0.0)
-    assert arc.end_point == arc.point_at(arc.length)
-    assert arc.start_tangent == arc.tangent_at(0.0)
-    assert arc.end_tangent == arc.tangent_at(arc.length)
+    for s, point, tangent in ((0.0, arc.start_point, arc.start_tangent),
+                              (arc.length, arc.end_point, arc.end_tangent)):
+        assert arc.evaluate_row(s) == (point.x, point.y, tangent.x, tangent.y,
+                                       math.copysign(1.0, sweep) / 0.7)
     assert arc == Arc(Vec2(1e3, -2.0), 0.7, 4.0, sweep)
 
 
