@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 from .curves import Arc, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import ROUND_REL, TWO_PI, normalized, oriented_angle, rot90
+from .geometry import ROUND_REL, TWO_PI, normalized, oriented_angle
 from .instance import ProblemInstance
-from .synthesis import OptimalSolution, arc_radius, canonical_frame
+from .synthesis import OptimalSolution, arc_radius, frame_mirrored
 
 
 def support_min(curve: PiecewiseCurve) -> float:
@@ -105,16 +105,22 @@ def support_min(curve: PiecewiseCurve) -> float:
     return min(gammas)
 
 
-def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve,
-                      ra: float) -> float:
+def _meets_hypothesis(inst: ProblemInstance, z: PiecewiseCurve, ra: float) -> bool:
+    """True where z meets the certificate hypothesis: max curvature at
+    most 1/R_a and length at least R_a * Omega, each up to rounding."""
+    return (max_curvature(z) <= (1.0 / ra) * (1.0 + ROUND_REL)
+            and z.length >= ra * inst.omega * (1.0 - ROUND_REL))
+
+
+def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve, ra: float) -> float:
+    """z's max curvature e, where z meets the certificate hypothesis;
+    HypothesisViolated where it does not."""
     e = max_curvature(z)
-    if e > (1.0 / ra) * (1.0 + ROUND_REL):
+    if not _meets_hypothesis(inst, z, ra):
         raise HypothesisViolated(
-            f"competitor max curvature {e!r} exceeds 1/R_a = {1.0 / ra!r}")
-    arc_len = ra * inst.omega
-    if z.length < arc_len * (1.0 - ROUND_REL):
-        raise HypothesisViolated(
-            f"competitor length {z.length!r} shorter than the optimal arc {arc_len!r}")
+            f"competitor max curvature {e!r} or length {z.length!r} fails the "
+            f"hypothesis: at most 1/R_a = {1.0 / ra!r}, at least the optimal arc "
+            f"{ra * inst.omega!r}")
     return e
 
 
@@ -136,13 +142,15 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
     end = min(ra * inst.omega, z.length)
     step = end / n
     svals = [i * step for i in range(n)] + [end]
-    # the frame's origin and axes in world coordinates
-    if canonical_frame(inst).mirrored:
-        origin, ex, ey = inst.B, -inst.beta, rot90(inst.beta)
+    # the frame's origin and axes (ex, ey) in world coordinates: B, -beta
+    # and rot90(beta), or A, alpha and rot90(alpha)
+    if frame_mirrored(inst):
+        origin, b = inst.B, inst.beta
+        exx, exy, eyx, eyy = -b.x, -b.y, -b.y, b.x
         points = z.sample_at([z.length - s for s in svals])
     else:
-        ex = normalized(inst.alpha)
-        origin, ey = inst.A, rot90(ex)
+        origin, ex = inst.A, normalized(inst.alpha)
+        exx, exy, eyx, eyy = ex.x, ex.y, -ex.y, ex.x
         points = z.sample_at(svals)
     ox, oy = origin.x, origin.y
     rows = []
@@ -150,8 +158,8 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
         dx, dy = px - ox, py - oy
         phi = s / ra
         sin, cos = math.sin(phi), math.cos(phi)
-        rows.append((sin, cos, dx * ex.x + dy * ex.y - ra * sin,
-                     dx * ey.x + dy * ey.y - ra * (1.0 - cos)))
+        rows.append((sin, cos, dx * exx + dy * exy - ra * sin,
+                     dx * eyx + dy * eyy - ra * (1.0 - cos)))
     return rows
 
 
@@ -183,12 +191,12 @@ def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCur
     """
     ra = sol.radius
     e = _check_hypothesis(inst, z, ra)
-    frame = canonical_frame(inst)
+    mirrored = frame_mirrored(inst)
     length = z.length
     end = min(ra * inst.omega, length)
     inner = z.breaks[1:-1]
     # (frame arc length, z's arc length) at 0, at l and at the breaks between
-    if frame.mirrored:
+    if mirrored:
         points = [(0.0, length), (end, length - end)]
         points += [(length - b, b) for b in inner if length - b < end]
     else:
@@ -198,8 +206,8 @@ def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCur
     excess = []
     for s, sz in points:
         theta = theta0 + z.turning(sz)
-        if frame.mirrored:
-            theta = frame.omega - theta
+        if mirrored:
+            theta = inst.omega - theta
         excess.append(theta - s / ra - slope * s)
     return max(excess)
 
@@ -237,11 +245,15 @@ def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
     At s = L the pair is (u0, v0), strictly positive for admissible
     curves; for the optimal curve it equals (OA, OB).
     """
-    x = normalized(inst.alpha)
-    point, _, _ = curve.evaluate(s)
-    d = point - inst.A
-    px, py = d.dot(x), d.dot(rot90(x))
+    # heading checks alpha and s first, so normalized(alpha) is (ax, ay)
     phi = heading(curve, inst, s)
+    alpha = inst.alpha
+    norm = math.hypot(alpha.x, alpha.y)
+    ax, ay = alpha.x / norm, alpha.y / norm
+    qx, qy, _, _, _ = curve.evaluate_row(s)
+    dx, dy = qx - inst.A.x, qy - inst.A.y
+    # the point's coordinates from A along alpha and its quarter turn
+    px, py = dx * ax + dy * ay, dx * -ay + dy * ax
     sphi = math.sin(phi)
     if sphi < ROUND_REL:
         raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < {ROUND_REL!r}")
@@ -279,9 +291,12 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
     which is accepted and ignored.  zeta_0 is the last entry of every
     zeta profile, the gap at s = l exactly, so it is read from the
     one-step profile.  The zeta and heading-gap entries require max
-    curvature at most 1/R_a; they are None when that hypothesis fails
-    (the certificate then simply does not apply, which is not an error
-    here).
+    curvature at most 1/R_a and length at least R_a * Omega; the
+    hypothesis is decided once, here, and where it fails both entries
+    are None (the certificate then simply does not apply, which is not
+    an error here).  Where it holds, `zeta_profile` and `theta_phi_bound`
+    confirm it as they do for every caller, from the curve's stored max
+    curvature.
     """
     e = max_curvature(z)
     sup = support_min(z)
@@ -289,11 +304,9 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
         u0, v0 = tangent_intercepts(z, inst, z.length)
     except UndefinedHeading:
         u0 = v0 = None
-    try:
+    zeta0 = excess = None
+    if _meets_hypothesis(inst, z, sol.radius):
         zeta0 = zeta_profile(inst, sol, z, n=1)[-1]
         excess = theta_phi_bound(inst, sol, z)
-    except HypothesisViolated:
-        zeta0 = None
-        excess = None
     return Certificate(zeta0=zeta0, support_min_residual=sup,
                        theta_phi_max_excess=excess, u0=u0, v0=v0, e=e)

@@ -25,9 +25,9 @@ from .geometry import (
     Point2,
     Vec2,
     dist,
-    from_polar,
     oriented_angle,
     principal_angle,
+    unit_turn,
 )
 from .instance import ProblemInstance, point_from_json
 
@@ -35,10 +35,12 @@ from .instance import ProblemInstance, point_from_json
 class Segment(Frozen):
     """Line segment from `start` to `end`.
 
-    Its length and unit direction are computed once, at construction.
+    Its length and unit direction, and the end data every primitive
+    provides, are computed once, at construction.
     """
 
-    __slots__ = ("start", "end", "length", "direction")
+    __slots__ = ("start", "end", "length", "direction",
+                 "start_point", "end_point", "start_tangent", "end_tangent")
     _fields = ("start", "end")
     #: a segment does not turn
     sweep_angle = 0.0
@@ -47,23 +49,22 @@ class Segment(Frozen):
         length = dist(start, end)
         if length == 0.0:
             raise InvalidInput("segment endpoints coincide")
+        # normalized(end - start), reusing its norm: |end - start| = length
+        direction = Vec2((end.x - start.x) / length, (end.y - start.y) / length)
         _set = object.__setattr__
         _set(self, "start", start)
         _set(self, "end", end)
         _set(self, "length", length)
-        # normalized(end - start), reusing its norm: |end - start| = length
-        _set(self, "direction", Vec2((end.x - start.x) / length, (end.y - start.y) / length))
+        _set(self, "direction", direction)
+        _set(self, "start_point", start)
+        _set(self, "end_point", end)
+        _set(self, "start_tangent", direction)
+        _set(self, "end_tangent", direction)
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
         """(x, y, tx, ty, kappa) at arc length s from the start."""
         d = self.direction
         return self.start.x + d.x * s, self.start.y + d.y * s, d.x, d.y, 0.0
-
-    # the end data every primitive provides, here the stored fields
-    start_point = property(lambda self: self.start)
-    end_point = property(lambda self: self.end)
-    start_tangent = property(lambda self: self.direction)
-    end_tangent = property(lambda self: self.direction)
 
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start)
@@ -93,7 +94,7 @@ class Arc(Frozen):
     The point at arc length s is center + radius*e(start_angle + sweep*s/L)
     where L = radius*|sweep|; sweep > 0 turns counterclockwise.  The
     length and the end points and tangents are computed once, at
-    construction, by `evaluate_row` at s = 0 and s = L.
+    construction, with `evaluate_row`'s expressions at s = 0 and s = L.
     """
 
     __slots__ = ("center", "radius", "start_angle", "sweep", "length",
@@ -116,12 +117,18 @@ class Arc(Frozen):
         _set(self, "sweep", sweep)
         length = radius * abs(sweep)
         _set(self, "length", length)
-        x, y, tx, ty, _ = self.evaluate_row(0.0)
-        _set(self, "start_point", Vec2(x, y))
-        _set(self, "start_tangent", Vec2(tx, ty))
-        x, y, tx, ty, _ = self.evaluate_row(length)
-        _set(self, "end_point", Vec2(x, y))
-        _set(self, "end_tangent", Vec2(tx, ty))
+        sign = 1.0 if sweep > 0 else -1.0
+        cx, cy = center.x, center.y
+        # evaluate_row(0.0) and evaluate_row(length) inline, s / length
+        # included, so that the stored ends are its values bit for bit
+        psi = start_angle + sweep * (0.0 / length)
+        cos, sin = math.cos(psi), math.sin(psi)
+        _set(self, "start_point", Vec2(cx + radius * cos, cy + radius * sin))
+        _set(self, "start_tangent", Vec2(-sign * sin, sign * cos))
+        psi = start_angle + sweep * (length / length)
+        cos, sin = math.cos(psi), math.sin(psi)
+        _set(self, "end_point", Vec2(cx + radius * cos, cy + radius * sin))
+        _set(self, "end_tangent", Vec2(-sign * sin, sign * cos))
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
         """(x, y, tx, ty, kappa) at arc length s from the start."""
@@ -147,45 +154,55 @@ def _primitive_extent(p: CurvePrimitive) -> float:
 
 
 class PiecewiseCurve:
-    """G1 chain of primitives, parameterized by arc length on [0, L]."""
+    """G1 chain of primitives, parameterized by arc length on [0, L].
 
-    __slots__ = ("primitives", "breaks", "length", "_turn_breaks")
+    The arc-length and turning breakpoints and the largest |curvature|
+    are recorded once, at construction.
+    """
+
+    __slots__ = ("primitives", "breaks", "length", "_turn_breaks", "_max_curvature")
 
     def __init__(self, primitives, *, require_g1: bool = True):
         prims = list(primitives)
         if not prims:
             raise InvalidInput("curve needs at least one primitive")
         if require_g1:
-            pos_tol = POS_REL * max(_primitive_extent(p) for p in prims)
+            pos_tol = POS_REL * max(map(_primitive_extent, prims))
             for prev, nxt in zip(prims, prims[1:]):
                 gap = dist(prev.end_point, nxt.start_point)
                 if gap > pos_tol:
                     raise InvalidInput(f"position gap {gap!r} at joint exceeds {pos_tol!r}")
-                turn = oriented_angle(prev.end_tangent, nxt.start_tangent)
+                # a primitive's tangent is unit by construction, so
+                # oriented_angle's unit checks are not repeated here
+                turn = unit_turn(prev.end_tangent, nxt.start_tangent)
                 if abs(turn) > ANG_TOL:
                     raise InvalidInput(f"tangent gap {turn!r} rad at joint")
         breaks = [0.0]
         turns = [0.0]
+        kmax = 0.0
         for p in prims:
             breaks.append(breaks[-1] + p.length)
             turns.append(turns[-1] + p.sweep_angle)
+            if isinstance(p, Arc):
+                kmax = max(kmax, 1.0 / p.radius)
         self.primitives = tuple(prims)
         self.breaks = tuple(breaks)
         self.length = breaks[-1]
         self._turn_breaks = tuple(turns)
-
-    def _outside(self, lo, hi) -> bool:
-        """True if [lo, hi] leaves [0, L] by more than the rounding slack,
-        or either end is NaN."""
-        slack = ROUND_REL * self.length
-        return not (lo >= -slack and hi <= self.length + slack)
+        self._max_curvature = kmax
 
     def _locate(self, s: float) -> tuple[int, float]:
-        if self._outside(s, s):
-            raise OutOfRange(f"arc length {s!r} outside [0, {self.length!r}]")
-        s = min(max(s, 0.0), self.length)
-        i = min(bisect_right(self.breaks, s) - 1, len(self.primitives) - 1)
-        return i, s - self.breaks[i]
+        # out of range: beyond [0, L] by more than the rounding slack, or NaN
+        length = self.length
+        slack = ROUND_REL * length
+        if not (s >= -slack and s <= length + slack):
+            raise OutOfRange(f"arc length {s!r} outside [0, {length!r}]")
+        # min(max(s, 0.0), L) and min(i, last), without the calls
+        s = 0.0 if 0.0 > s else length if length < s else s
+        breaks = self.breaks
+        i, last = bisect_right(breaks, s) - 1, len(breaks) - 2
+        i = last if last < i else i
+        return i, s - breaks[i]
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
         """Point, unit tangent and signed curvature at arc length s, as
@@ -256,8 +273,9 @@ class PathBuilder:
         if length < 0.0:
             raise InvalidInput(f"negative segment length {length!r}")
         if length > 0.0:
-            end = self._point + from_polar(self._heading, length)
-            self._prims.append(Segment(self._point, end))
+            p, h = self._point, self._heading
+            end = Vec2(p.x + length * math.cos(h), p.y + length * math.sin(h))
+            self._prims.append(Segment(p, end))
             self._point = end
         return self
 
@@ -265,14 +283,17 @@ class PathBuilder:
         if sweep == 0.0:
             return self
         # the center lies a quarter turn to the turning side of the heading
+        p, h = self._point, self._heading
         side = 0.5 * math.pi if sweep > 0 else -0.5 * math.pi
-        center = self._point + from_polar(self._heading + side, radius)
-        self._prims.append(Arc(center, radius, principal_angle(self._heading - side), sweep))
+        to_center = h + side
+        center = Vec2(p.x + radius * math.cos(to_center), p.y + radius * math.sin(to_center))
+        self._prims.append(Arc(center, radius, principal_angle(h - side), sweep))
         # the end point in chord form, so it carries the rounding of the
         # chord and not that of a far-away center
         chord = 2.0 * radius * math.sin(0.5 * abs(sweep))
-        self._point = self._point + from_polar(self._heading + 0.5 * sweep, chord)
-        self._heading = self._heading + sweep
+        to_end = h + 0.5 * sweep
+        self._point = Vec2(p.x + chord * math.cos(to_end), p.y + chord * math.sin(to_end))
+        self._heading = h + sweep
         return self
 
     def build(self) -> PiecewiseCurve:
@@ -311,12 +332,9 @@ def heading(curve: PiecewiseCurve, inst: ProblemInstance, s: float) -> float:
 
 
 def max_curvature(curve: PiecewiseCurve) -> float:
-    """Largest |curvature| over the chain; segments contribute zero."""
-    best = 0.0
-    for p in curve.primitives:
-        if isinstance(p, Arc):
-            best = max(best, 1.0 / p.radius)
-    return best
+    """Largest |curvature| over the chain; segments contribute zero.
+    The curve records it at construction."""
+    return curve._max_curvature
 
 
 class MembershipReport(NamedTuple):
@@ -354,10 +372,11 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
     pos_tol = inst.pos_tol
     endpoint_a = dist(curve.start_point, inst.A)
     endpoint_b = dist(curve.end_point, inst.B)
-    tangent_a = abs(oriented_angle(curve.start_tangent, inst.alpha))
+    # phi(0) and the A-tangent residual are the same angle up to sign
+    phi0 = oriented_angle(inst.alpha, curve.start_tangent)
+    tangent_a = abs(phi0)
     tangent_b = abs(oriented_angle(curve.end_tangent, inst.beta))
     curvature_ok = all(p.sweep_angle >= 0.0 for p in curve.primitives)
-    phi0 = oriented_angle(inst.alpha, curve.start_tangent)
     phis = [phi0 + t for t in curve._turn_breaks]
     monotone = all(b - a >= -ANG_TOL for a, b in zip(phis, phis[1:]))
     range_ok = min(phis) >= -ANG_TOL and max(phis) <= inst.omega + ANG_TOL

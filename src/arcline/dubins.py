@@ -28,7 +28,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
-from .geometry import ANG_TOL, ROUND_REL, dist, normalized, oriented_angle, rot90
+from .geometry import ANG_TOL, ROUND_REL, Vec2, oriented_angle
 from .instance import ProblemInstance
 from .synthesis import CanonicalFrame, arc_radius, canonical_frame
 
@@ -54,9 +54,12 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
         raise RadiusNotAdmissible(f"radius {radius!r} exceeds the limit {ra!r}")
     r = min(radius, ra)
 
-    center_a = inst.A + rot90(inst.alpha) * r
-    center_b = inst.B + rot90(inst.beta) * r
-    gap = dist(center_a, center_b)
+    # the arc centers, A + r rot90(alpha) and B + r rot90(beta), and the
+    # unit vector between them, normalized(center_b - center_a), in floats
+    a, alpha, b, beta = inst.A, inst.alpha, inst.B, inst.beta
+    cax, cay = a.x - alpha.y * r, a.y + alpha.x * r
+    cbx, cby = b.x - beta.y * r, b.y + beta.x * r
+    gap = math.hypot(cax - cbx, cay - cby)
     tiny = ROUND_REL * inst.diameter
     builder = PathBuilder(inst.A, inst.alpha.angle())
     if gap <= tiny:
@@ -65,7 +68,7 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
     else:
         # the connecting segment is the common external tangent: parallel
         # to the line of centers and as long as their distance
-        sweep1 = oriented_angle(inst.alpha, normalized(center_b - center_a))
+        sweep1 = oriented_angle(alpha, Vec2((cbx - cax) / gap, (cby - cay) / gap))
         if sweep1 < -ANG_TOL or sweep1 > inst.omega + ANG_TOL:
             raise InternalError(f"tangent construction left [0, omega]: {sweep1!r}")
         sweep1 = min(max(sweep1, 0.0), inst.omega)
@@ -80,29 +83,40 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
 # ---------------------------------------------------------------------------
 # composite family (segment d1, arc R1, segment d2, arc R2, segment d3)
 
-def _composite_params(frame: CanonicalFrame, r1: float, r2: float, tol: float):
+def _closing(frame: CanonicalFrame) -> tuple[float, ...]:
+    """What the closing formulas `_composite_params` and `_p2_params` read
+    of a canonical frame, computed once per frame and passed in:
+    (xb, yb, sin1, cos1, sino, coso, 1 - cos1, sino - sin1, cos1 - coso,
+    k1, k2), with sin1, cos1 those of omega/2, sino, coso those of omega,
+    and k1, k2 the rates of d1 and d2 along the kernel direction, per unit
+    of d3.  A plain tuple: it unpacks faster than a named one."""
+    om = frame.omega
+    s1 = 0.5 * om
+    sin1, cos1 = math.sin(s1), math.cos(s1)
+    sino, coso = math.sin(om), math.cos(om)
+    return (frame.xb, frame.yb, sin1, cos1, sino, coso, 1.0 - cos1, sino - sin1, cos1 - coso,
+            math.sin(om - s1) / sin1, -sino / sin1)
+
+
+def _composite_params(closing: tuple, r1: float, r2: float, tol: float):
     """Segment lengths (d1, d2, d3) closing the composite, or None.
 
     The endpoint condition is a rank-2 linear system in three segment
     lengths; its kernel direction has signs (+, -, +), so the minimal
     total-length solution with d1, d3 >= 0 is feasible iff its d2 is.
     """
-    om = frame.omega
-    s1 = 0.5 * om
-    sin1, cos1 = math.sin(s1), math.cos(s1)
-    sino, coso = math.sin(om), math.cos(om)
-    rx = frame.xb - (r1 * sin1 + r2 * (sino - sin1))
-    ry = frame.yb - (r1 * (1.0 - cos1) + r2 * (cos1 - coso))
+    xb, yb, sin1, cos1, _, _, one_cos1, sb, cb, k1, k2 = closing
+    rx = xb - (r1 * sin1 + r2 * sb)
+    ry = yb - (r1 * one_cos1 + r2 * cb)
     p2 = ry / sin1
     p1 = rx - p2 * cos1
-    k1 = math.sin(om - s1) / sin1
-    k2 = -sino / sin1
-    t = max(0.0, -p1 / k1)
-    d1 = p1 + k1 * t
+    t = -p1 / k1
+    t = t if t > 0.0 else 0.0  # max(0.0, t)
     d2 = p2 + k2 * t
-    d3 = t
     if d2 < -tol:
         return None
+    d1 = p1 + k1 * t
+    d3 = t
     # lengths within tol of zero are rounding noise: a zero-length segment
     # cannot be built, so snap them to exactly 0
     return (d1 if d1 > tol else 0.0), (d2 if d2 > tol else 0.0), (d3 if d3 > tol else 0.0)
@@ -130,7 +144,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
         raise InvalidInput("arc radii must be positive and finite")
     frame = canonical_frame(inst)
     tol = inst.pos_tol
-    params = _composite_params(frame, r1, r2, tol)
+    params = _composite_params(_closing(frame), r1, r2, tol)
     if params is None:
         return None
     d1, d2, d3 = params
@@ -147,12 +161,11 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
     return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3, curve=curve)
 
 
-def _p2_params(frame: CanonicalFrame, r: float, tol: float):
+def _p2_params(closing: tuple, r: float, tol: float):
     """Segment lengths (d1, d3) for the single-arc two-segment family."""
-    om = frame.omega
-    sino, coso = math.sin(om), math.cos(om)
-    d3 = (frame.yb - r * (1.0 - coso)) / sino
-    d1 = frame.xb - r * sino - d3 * coso
+    xb, yb, _, _, sino, coso, _, _, _, _, _ = closing
+    d3 = (yb - r * (1.0 - coso)) / sino
+    d1 = xb - r * sino - d3 * coso
     if d1 < -tol or d3 < -tol:
         return None
     return max(d1, 0.0), max(d3, 0.0)
@@ -272,16 +285,12 @@ class _CompositeGrid:
 
     def __init__(self, frame: CanonicalFrame, tol: float, grid_n: int,
                  r_lo: float, r_hi: float):
-        om = frame.omega
         self.frame, self.tol, self.n = frame, tol, grid_n
         self.r_lo, self.r_hi = r_lo, r_hi
-        self.sin1, self.cos1 = sin1, cos1 = math.sin(0.5 * om), math.cos(0.5 * om)
-        self.sino, self.coso = sino, coso = math.sin(om), math.cos(om)
-        self.one_cos1 = one_cos1 = 1.0 - cos1
-        self.k1 = k1 = math.sin(om - 0.5 * om) / sin1
-        self.k2 = k2 = -sino / sin1
-        self.xb, self.yb = xb, yb = frame.xb, frame.yb
-        sb, cb = sino - sin1, cos1 - coso
+        self.closing = closing = _closing(frame)
+        xb, yb, sin1, cos1, sino, coso, one_cos1, sb, cb, k1, k2 = closing
+        self.xb, self.yb, self.sin1, self.cos1, self.sino, self.coso = xb, yb, sin1, cos1, sino, coso
+        self.one_cos1, self.k1, self.k2 = one_cos1, k1, k2
 
         # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0, the same in
         # every row, and so is the window's width; then the same in r1
@@ -337,10 +346,10 @@ class _CompositeGrid:
 
     def _diagonal(self, k: int) -> bool:
         r = self.radius(k)
-        return _composite_params(self.frame, r, r, self.tol) is not None
+        return _composite_params(self.closing, r, r, self.tol) is not None
 
     def _single(self, k: int) -> bool:
-        return _p2_params(self.frame, self.radius(k), self.tol) is not None
+        return _p2_params(self.closing, self.radius(k), self.tol) is not None
 
     def _single_window(self) -> tuple[float, float] | None:
         """(x, w) of the single-arc window: every radius below ceil(x - w)
@@ -391,17 +400,17 @@ class _CompositeGrid:
         column below lo, and the columns listed in cols, all at or above
         lo, each tested by `_composite_params`.  A grid with no frontier
         window (`half_width` is None) tests every column of every row."""
-        frame, tol, radii = self.frame, self.tol, self.radii
+        closing, tol, radii = self.closing, self.tol, self.radii
         n = len(radii)
         xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
         one_cos1, neg_k1, k2 = self.one_cos1, -self.k1, self.k2
         w = self.half_width
         first, spacing = self.first, self.spacing
         neg_p, neg_d = -self.p_slope, -self.d_slope
-        ceil = math.ceil
+        ceil, floor = math.ceil, math.floor
         for r1 in radii:
             if w is None:
-                lo, top = 0, n - 1
+                lo, end = 0, n
             else:
                 # the row's smaller root, as a column x; every column below
                 # ceil(x - w) is feasible, and the window ends at x + w
@@ -412,13 +421,10 @@ class _CompositeGrid:
                 lo = x - w
                 lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
                 top = x + w
-            cols = []
-            j = lo
-            while j <= top and j < n:
-                if _composite_params(frame, r1, radii[j], tol) is not None:
-                    cols.append(j)
-                j += 1
-            yield lo, cols
+                # one past the last column at or below top, and below n
+                end = n if top >= n - 1 else floor(top) + 1 if top >= lo else lo
+            yield lo, [j for j, r2 in enumerate(radii[lo:end], lo)
+                       if _composite_params(closing, r1, r2, tol) is not None]
 
     def singles(self) -> Sequence[int]:
         """Indices of the admissible single-arc radii: the prefix that
@@ -500,12 +506,12 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     if cell is not None:
         r1, r2 = grid.radius(cell[0]), grid.radius(cell[1])
         best = 1.0 / min(r1, r2)
-        d1, d2, d3 = _composite_params(frame, r1, r2, tol)
+        d1, d2, d3 = _composite_params(grid.closing, r1, r2, tol)
         argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
     r = None if single is None else grid.radius(single)
     if r is not None and 1.0 / r < best:
         best = 1.0 / r
-        d1, d3 = _p2_params(frame, r, tol)
+        d1, d3 = _p2_params(grid.closing, r, tol)
         argmin = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
         if r_lo > 1.0:

@@ -129,10 +129,6 @@ def rot90(u: Vec2) -> Vec2:
     return Vec2(-u.y, u.x)
 
 
-def from_polar(angle: float, radius: float = 1.0) -> Vec2:
-    return Vec2(radius * math.cos(angle), radius * math.sin(angle))
-
-
 def dist(a: Vec2, b: Vec2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -157,7 +153,13 @@ def oriented_angle(u: Vec2, v: Vec2) -> float:
     """
     _require_unit(u, "u")
     _require_unit(v, "v")
-    return principal_angle(math.atan2(u.cross(v), u.dot(v)))
+    return unit_turn(u, v)
+
+
+def unit_turn(u: Vec2, v: Vec2) -> float:
+    """`oriented_angle` without its unit checks, for vectors that are unit
+    by construction: principal_angle(atan2(u x v, u . v))."""
+    return principal_angle(math.atan2(u.x * v.y - u.y * v.x, u.x * v.x + u.y * v.y))
 
 
 def line_intersection(p1: Point2, d1: Vec2, p2: Point2, d2: Vec2) -> Point2:

@@ -41,11 +41,16 @@ class ProblemInstance(Frozen):
 
     def __init__(self, A: Point2, B: Point2, O: Point2, alpha: Vec2, beta: Vec2,
                  omega: float, symmetric: bool, reversed: bool) -> None:
+        self._store((A, B, O, alpha, beta, omega, symmetric, reversed),
+                    dist(O, A), dist(O, B), dist(A, B))
+
+    def _store(self, fields: tuple, oa: float, ob: float, ab: float) -> None:
+        """Set the constructor's fields and the data derived from the leg
+        lengths oa = |OA|, ob = |OB| and ab = |AB|."""
         _set = object.__setattr__
-        for name, value in zip(self._fields, (A, B, O, alpha, beta, omega, symmetric, reversed)):
+        for name, value in zip(self._fields, fields):
             _set(self, name, value)
-        oa, ob = dist(O, A), dist(O, B)
-        diameter = max(oa, ob, dist(A, B))
+        diameter = max(oa, ob, ab)
         _set(self, "oa", oa)
         _set(self, "ob", ob)
         _set(self, "diameter", diameter)
@@ -59,11 +64,13 @@ def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
     (A and B swapped, both tangents negated) so that the stored angle
     is always in (0, pi); the ``reversed`` flag records the swap.
     """
-    diam = max(dist(O, A), dist(O, B), dist(A, B))
+    # each distance once; |AB| does not depend on the order of A and B
+    oa, ob, ab = dist(O, A), dist(O, B), dist(A, B)
+    diam = max(oa, ob, ab)
     if diam == 0.0:
         raise DegenerateInput("O, A, B all coincide")
     eps = POS_REL * diam
-    if dist(O, A) <= eps or dist(O, B) <= eps or dist(A, B) <= eps:
+    if oa <= eps or ob <= eps or ab <= eps:
         raise DegenerateInput("O, A, B must be pairwise distinct")
 
     alpha = normalized(O - A)
@@ -79,9 +86,11 @@ def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
         A, B = B, A
         alpha, beta = -beta, -alpha
         omega = -omega
-    symmetric = abs(dist(O, A) - dist(O, B)) <= eps
-    return ProblemInstance(A=A, B=B, O=O, alpha=alpha, beta=beta,
-                           omega=omega, symmetric=symmetric, reversed=rev)
+        oa, ob = ob, oa
+    symmetric = abs(oa - ob) <= eps
+    inst = object.__new__(ProblemInstance)
+    inst._store((A, B, O, alpha, beta, omega, symmetric, rev), oa, ob, ab)
+    return inst
 
 
 def instance_from_tangents(A: Point2, B: Point2, alpha: Vec2, beta: Vec2) -> ProblemInstance:

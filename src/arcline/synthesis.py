@@ -53,6 +53,12 @@ class CanonicalFrame(NamedTuple):
     mirrored: bool
 
 
+def frame_mirrored(inst: ProblemInstance) -> bool:
+    """True where the optimal curve starts with its segment (OA > OB),
+    so that the canonical frame is reversed and mirrored."""
+    return inst.oa > inst.ob
+
+
 def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     """Build the instance's :class:`CanonicalFrame`."""
     ra = arc_radius(inst)
@@ -60,7 +66,7 @@ def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
     seg = abs(inst.oa - inst.ob)
     xb = ra * math.sin(om) + seg * math.cos(om)
     yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
-    return CanonicalFrame(om, ra, xb, yb, inst.oa > inst.ob)
+    return CanonicalFrame(om, ra, xb, yb, frame_mirrored(inst))
 
 
 class OptimalSolution(NamedTuple):
@@ -100,7 +106,7 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
     ra = arc_radius(inst)
     seg_len = abs(inst.oa - inst.ob)
     pos_tol = inst.pos_tol
-    arc_first = inst.oa <= inst.ob
+    arc_first = not frame_mirrored(inst)
     # a rounding-noise segment (OA == OB up to the last bits) is dropped
     seg = seg_len if seg_len > pos_tol else 0.0
 

@@ -2,8 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from arcline import Arc, PiecewiseCurve, Segment, Vec2, make_instance
+from arcline import (
+    Arc,
+    PathBuilder,
+    PiecewiseCurve,
+    Segment,
+    Vec2,
+    arc_radius,
+    composite_solve,
+    dubins_curve,
+    make_instance,
+    synthesize,
+)
 from oracles import random_instance, sample_arrays
 
 #: the worked configuration: right isoceles triangle, turning angle 3*pi/4
@@ -104,3 +116,48 @@ def sampled_hausdorff(c1: PiecewiseCurve, c2: PiecewiseCurve, n: int = 400) -> f
     p2, _, _ = sample_arrays(c2, np.linspace(0.0, c2.length, n))
     d = np.hypot(p1[:, None, 0] - p2[None, :, 0], p1[:, None, 1] - p2[None, :, 1])
     return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def wide_arc(inst):
+    """Arc of radius 1.5 R_a through the whole turning angle from A, then a
+    segment: it meets the certificate hypothesis but misses B."""
+    ra = arc_radius(inst)
+    builder = PathBuilder(inst.A, inst.alpha.angle())
+    return builder.arc(1.5 * ra, inst.omega).line(ra * inst.omega).build()
+
+
+#: composite competitors at these radius pairs, fractions of R_a: the
+#: benchmark's evidence pairs and the optimum's own radius
+COMPOSITE_FRACTIONS = ((0.6, 0.8), (0.9, 0.7), (1.0, 1.0))
+
+
+@st.composite
+def instance_competitors(draw):
+    """(inst, sol, curves): a `random_instance` draw, its optimal solution,
+    and the competitor curves the evidence path certifies: the optimum,
+    Dubins curves at drawn fractions of R_a and at R_a, the composites at
+    COMPOSITE_FRACTIONS, the s-curve (a quarter turn each way at R_a) and
+    the wide arc."""
+    inst = random_instance(make_rng(draw(st.integers(0, 2**32))))
+    sol = synthesize(inst)
+    ra = sol.radius
+    fractions = draw(st.lists(st.floats(0.2, 1.0), min_size=1, max_size=3)) + [1.0]
+    curves = [sol.curve] + [dubins_curve(inst, f * ra).curve for f in fractions]
+    for f1, f2 in COMPOSITE_FRACTIONS:
+        comp = composite_solve(inst, f1 * ra, f2 * ra)
+        if comp is not None:
+            curves.append(comp.curve)
+    s_curve = PathBuilder(inst.A, inst.alpha.angle()).arc(ra, 0.5 * math.pi)
+    curves.append(s_curve.arc(ra, -0.5 * math.pi).build())
+    curves.append(wide_arc(inst))
+    return inst, sol, curves
+
+
+def float_bits(value):
+    """value with every float replaced by its hex form, through tuples and
+    lists, so that == compares floats bit for bit (zero signs included)."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return [float_bits(v) for v in value]
+    return value

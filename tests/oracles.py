@@ -6,10 +6,13 @@ distances, curvature by finite differences of sampled points, the
 composite certificate zeta_0 by building the composite, and the
 heading-gap excess by sampling, and the support check's minimum from
 curve points evaluated at candidate arc lengths, per primitive pair.
-Two more restate a library routine in another form, to be compared
-with it bit for bit: the turning as a numpy computation over many
-samples, and the certificate gap profiles one point at a time through
-`evaluate`.  `sample_arrays` packs `sample_at`'s rows into numpy arrays
+More restate a library routine in another form, to be compared with
+it bit for bit: the turning as a numpy computation over many samples;
+the certificate gap profiles one point at a time through `evaluate`
+(whose last zeta entry is zeta_0); and, in `Vec2` arithmetic with the
+same expressions operand for operand, the tangent intercepts, the
+heading-gap bound, the max curvature as a loop over the primitives and
+the membership report with each of its angles computed on its own.  `sample_arrays` packs `sample_at`'s rows into numpy arrays
 for the tests that compute on them.  None of them is used by the
 library itself, which needs no numpy.
 
@@ -26,13 +29,16 @@ from arcline import (
     Arc,
     InternalError,
     InvalidInput,
+    MembershipReport,
     OutOfRange,
     PathBuilder,
     PiecewiseCurve,
     Point2,
     ProblemInstance,
+    UndefinedHeading,
     Vec2,
     arc_radius,
+    heading,
     make_instance,
     max_curvature,
     oriented_angle,
@@ -41,7 +47,7 @@ from arcline.geometry import (
     ANG_TOL,
     ROUND_REL,
     TWO_PI,
-    from_polar,
+    dist,
     normalized,
     principal_angle,
     rot90,
@@ -84,8 +90,9 @@ def random_instance(rng, omega: float | None = None) -> ProblemInstance:
     oa = rng.uniform(0.5, 2.0)
     ob = rng.uniform(0.5, 2.0)
     O = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
-    alpha = from_polar(pose)
-    beta = from_polar(principal_angle(pose + omega))
+    turned = principal_angle(pose + omega)
+    alpha = Vec2(math.cos(pose), math.sin(pose))
+    beta = Vec2(math.cos(turned), math.sin(turned))
     A = O - alpha * oa
     B = O + beta * ob
     return make_instance(O, A, B)
@@ -292,7 +299,10 @@ def turning_at(curve: PiecewiseCurve, svals):
     import numpy as np
 
     svals = np.asarray(svals, dtype=float)
-    if curve._outside(svals.min(initial=0.0), svals.max(initial=0.0)):
+    # `turning`'s range test on the extreme samples; a NaN fails it too
+    slack = ROUND_REL * curve.length
+    lo, hi = svals.min(initial=0.0), svals.max(initial=0.0)
+    if not (lo >= -slack and hi <= curve.length + slack):
         raise OutOfRange("sample arc length outside [0, L]")
     s = np.clip(svals, 0.0, curve.length)
     breaks = np.asarray(curve.breaks)
@@ -347,3 +357,82 @@ def theta_phi_sampled(inst: ProblemInstance, sol, z, n: int) -> float:
         theta = frame.omega - theta
     excess = theta[1:] - svals[1:] / ra - (e - 1.0 / ra) * svals[1:]
     return float(excess.max())
+
+
+def max_curvature_loop(curve: PiecewiseCurve) -> float:
+    """Largest |curvature| over the chain, by a loop over its primitives."""
+    best = 0.0
+    for p in curve.primitives:
+        if isinstance(p, Arc):
+            best = max(best, 1.0 / p.radius)
+    return best
+
+
+def check_membership_vec(curve: PiecewiseCurve, inst: ProblemInstance) -> MembershipReport:
+    """`check_membership` with each residual computed on its own: the
+    A-tangent residual from the angle of the start tangent to alpha, and
+    phi(0) from the angle of alpha to the start tangent."""
+    pos_tol = inst.pos_tol
+    endpoint_a = dist(curve.start_point, inst.A)
+    endpoint_b = dist(curve.end_point, inst.B)
+    tangent_a = abs(oriented_angle(curve.start_tangent, inst.alpha))
+    tangent_b = abs(oriented_angle(curve.end_tangent, inst.beta))
+    curvature_ok = all(p.sweep_angle >= 0.0 for p in curve.primitives)
+    phi0 = oriented_angle(inst.alpha, curve.start_tangent)
+    phis = [phi0 + t for t in curve._turn_breaks]
+    monotone = all(b - a >= -ANG_TOL for a, b in zip(phis, phis[1:]))
+    range_ok = min(phis) >= -ANG_TOL and max(phis) <= inst.omega + ANG_TOL
+    in_e = (endpoint_a <= pos_tol and endpoint_b <= pos_tol
+            and tangent_a <= ANG_TOL and tangent_b <= ANG_TOL
+            and curvature_ok and monotone and range_ok)
+    return MembershipReport(endpoint_a, endpoint_b, tangent_a, tangent_b,
+                            curvature_ok, monotone, range_ok, in_e)
+
+
+def tangent_intercepts_vec(curve: PiecewiseCurve, inst: ProblemInstance,
+                           s: float) -> tuple[float, float]:
+    """`tangent_intercepts` in `Vec2` arithmetic: the point from
+    `evaluate`, projected with `dot` on alpha and its quarter turn."""
+    x = normalized(inst.alpha)
+    point, _, _ = curve.evaluate(s)
+    d = point - inst.A
+    px, py = d.dot(x), d.dot(rot90(x))
+    phi = heading(curve, inst, s)
+    sphi = math.sin(phi)
+    if sphi < ROUND_REL:
+        raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < {ROUND_REL!r}")
+    return px - py * math.cos(phi) / sphi, py / sphi
+
+
+def meets_hypothesis(inst: ProblemInstance, sol, z: PiecewiseCurve) -> bool:
+    """The certificate hypothesis: max curvature at most 1/R_a and length
+    at least R_a * Omega, each up to rounding."""
+    ra = sol.radius
+    return not (max_curvature_loop(z) > (1.0 / ra) * (1.0 + ROUND_REL)
+                or z.length < ra * inst.omega * (1.0 - ROUND_REL))
+
+
+def theta_phi_bound_vec(inst: ProblemInstance, sol, z: PiecewiseCurve) -> float:
+    """`theta_phi_bound` with the frame's orientation and omega read from
+    `canonical_frame` and e from `max_curvature_loop`; z must meet the
+    hypothesis."""
+    ra = sol.radius
+    e = max_curvature_loop(z)
+    frame = canonical_frame(inst)
+    length = z.length
+    end = min(ra * inst.omega, length)
+    inner = z.breaks[1:-1]
+    if frame.mirrored:
+        points = [(0.0, length), (end, length - end)]
+        points += [(length - b, b) for b in inner if length - b < end]
+    else:
+        points = [(0.0, 0.0), (end, end)] + [(b, b) for b in inner if b < end]
+    theta0 = oriented_angle(inst.alpha, z.start_tangent)
+    slope = e - 1.0 / ra
+    excess = []
+    for s, sz in points:
+        theta = theta0 + z.turning(sz)
+        if frame.mirrored:
+            theta = frame.omega - theta
+        excess.append(theta - s / ra - slope * s)
+    return max(excess)

@@ -27,11 +27,16 @@ from arcline import (
     zeta_profile,
 )
 from arcline.synthesis import canonical_frame
-from conftest import make_rng, instances
+from arcline import errors
+from conftest import float_bits, instance_competitors, instances, make_rng, wide_arc
 from oracles import (
     frame_gaps_pointwise,
+    max_curvature_loop,
+    meets_hypothesis,
     random_instance,
     sample_arrays,
+    tangent_intercepts_vec,
+    theta_phi_bound_vec,
     theta_phi_sampled,
     zeta0_geometric,
 )
@@ -99,14 +104,6 @@ def test_theta_phi_bound_identity(worked_instance, arc_first_instance):
         assert theta_phi_bound(inst, sol, sol.curve) <= 1e-9
         comp = composite_solve(inst, sol.radius, sol.radius)
         assert theta_phi_bound(inst, sol, comp.curve) <= 1e-9
-
-
-def wide_arc(inst):
-    """Arc of radius 1.5 R_a through the whole turning angle from A, then a
-    segment: it meets the certificate hypothesis but misses B."""
-    ra = arc_radius(inst)
-    builder = PathBuilder(inst.A, inst.alpha.angle())
-    return builder.arc(1.5 * ra, inst.omega).line(ra * inst.omega).build()
 
 
 def test_theta_phi_bound_at_least_sampled(worked_instance, arc_first_instance):
@@ -392,3 +389,65 @@ def test_make_certificate_hypothesis_not_applicable(worked_instance):
     assert cert.zeta0 is None and cert.theta_phi_max_excess is None
     assert cert.e == pytest.approx(2.0 / sol.radius)
     assert cert.u0 > 0.0 and cert.v0 > 0.0
+
+
+def test_theta_phi_bound_hypothesis_gates(worked_instance):
+    sol = synthesize(worked_instance)
+    tight = dubins_curve(worked_instance, 0.5 * sol.radius)
+    with pytest.raises(HypothesisViolated):
+        theta_phi_bound(worked_instance, sol, tight.curve)
+
+
+def test_make_certificate_raises_nothing_where_the_hypothesis_fails(worked_instance, monkeypatch):
+    # make_certificate decides the hypothesis itself: no HypothesisViolated
+    # is created, let alone raised and caught, and both entries are None
+    created = []
+
+    def record(self, *args):
+        created.append(args)
+        Exception.__init__(self, *args)
+
+    monkeypatch.setattr(errors.HypothesisViolated, "__init__", record)
+    inst = worked_instance
+    sol = synthesize(inst)
+    stub = PathBuilder(inst.A, inst.alpha.angle()).arc(sol.radius, 0.1).build()
+    for z in (dubins_curve(inst, 0.5 * sol.radius).curve, stub):
+        cert = make_certificate(inst, sol, z)
+        assert cert.zeta0 is None and cert.theta_phi_max_excess is None
+    assert created == []
+    # the public functions still raise, and so create one each
+    with pytest.raises(HypothesisViolated):
+        zeta_profile(inst, sol, stub)
+    assert len(created) == 1
+
+
+def intercepts_or_none(fn, z, inst, s):
+    try:
+        return fn(z, inst, s)
+    except UndefinedHeading:
+        return None
+
+
+@settings(deadline=None, max_examples=100)
+@given(instance_competitors())
+def test_certificates_match_vec2_oracles(case):
+    # the float-arithmetic certificate quantities equal, bit for bit, the
+    # Vec2 computations they replaced, on every competitor the evidence
+    # path certifies: tangent intercepts at the end and inside, zeta_0 (the
+    # one-step profile's end), the heading-gap bound and e
+    inst, sol, curves = case
+    assert meets_hypothesis(inst, sol, sol.curve)
+    for z in curves:
+        for s in (z.length, 0.3 * z.length, 0.8 * z.length):
+            want = intercepts_or_none(tangent_intercepts_vec, z, inst, s)
+            assert float_bits(intercepts_or_none(tangent_intercepts, z, inst, s)) == \
+                float_bits(want)
+        cert = make_certificate(inst, sol, z)
+        u0v0 = intercepts_or_none(tangent_intercepts_vec, z, inst, z.length) or (None, None)
+        zeta0 = excess = None
+        if meets_hypothesis(inst, sol, z):
+            zeta0 = frame_gaps_pointwise(inst, sol, z, 1)[-1][0]
+            excess = theta_phi_bound_vec(inst, sol, z)
+            assert theta_phi_bound(inst, sol, z).hex() == excess.hex()
+        assert float_bits(cert) == float_bits(
+            (zeta0, cert.support_min_residual, excess, *u0v0, max_curvature_loop(z)))

@@ -3,6 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arcline import (
     Arc,
@@ -23,9 +24,23 @@ from arcline import (
     synthesize,
 )
 from arcline import curves
-from arcline.geometry import ANG_TOL
-from conftest import WORKED_RA, instances, rigid_motion, sample_points
-from oracles import numeric_curvature, sample_arrays, similarity_transform, turning_at
+from arcline.geometry import ANG_TOL, POS_REL
+from conftest import (
+    WORKED_RA,
+    float_bits,
+    instance_competitors,
+    instances,
+    rigid_motion,
+    sample_points,
+)
+from oracles import (
+    check_membership_vec,
+    max_curvature_loop,
+    numeric_curvature,
+    sample_arrays,
+    similarity_transform,
+    turning_at,
+)
 
 
 def quarter_arc():
@@ -280,6 +295,52 @@ def test_g1_validation():
     corner = [Segment(Vec2(0, 0), Vec2(1, 0)), Segment(Vec2(1, 0), Vec2(2, 1))]
     with pytest.raises(InvalidInput):
         PiecewiseCurve(corner)
+
+
+def turned_chain(turn: float) -> list[Segment]:
+    """Two unit segments whose joint turns by `turn`."""
+    end = Vec2(1.0 + math.cos(turn), math.sin(turn))
+    return [Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), Segment(Vec2(1.0, 0.0), end)]
+
+
+def gapped_chain(gap: float) -> list[Segment]:
+    """Two parallel unit segments whose joint is `gap` apart."""
+    return [Segment(Vec2(0.0, 0.0), Vec2(1.0, 0.0)), Segment(Vec2(1.0, gap), Vec2(2.0, gap))]
+
+
+def builder_holding(prims: list[Segment]) -> PathBuilder:
+    """A builder whose chain is `prims`, to be closed on the last end."""
+    builder = PathBuilder()
+    builder._prims = list(prims)
+    builder._point = prims[-1].end
+    return builder
+
+
+@pytest.mark.parametrize("chain, tol, message", [(turned_chain, ANG_TOL, "tangent gap"),
+                                                  (gapped_chain, 2.0 * POS_REL, "position gap")])
+def test_g1_checks_hold_just_above_their_tolerance(chain, tol, message):
+    # the joint checks read the primitives' stored ends, and still reject a
+    # turn just above ANG_TOL and a gap just above pos_tol (the chain's
+    # extent is 2), from a builder as an InternalError; just below, both
+    # chains are curves
+    below, above = chain(0.99 * tol), chain(1.01 * tol)
+    PiecewiseCurve(below)
+    builder_holding(below).build_to(below[-1].end, 1e-9)
+    with pytest.raises(InvalidInput, match=message):
+        PiecewiseCurve(above)
+    with pytest.raises(InternalError, match=message):
+        builder_holding(above).build_to(above[-1].end, 1e-9)
+
+
+@settings(deadline=None, max_examples=100)
+@given(instance_competitors())
+def test_membership_and_max_curvature_match_loops(case):
+    # phi(0) computed once and the recorded max curvature give the values,
+    # bit for bit, of each angle computed on its own and of the loop
+    inst, _, competitors = case
+    for z in competitors:
+        assert float_bits(check_membership(z, inst)) == float_bits(check_membership_vec(z, inst))
+        assert max_curvature(z).hex() == max_curvature_loop(z).hex()
 
 
 def test_short_primitives_kept_and_judged_at_their_scale():

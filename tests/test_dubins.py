@@ -256,13 +256,13 @@ def test_family_sweep_scale_equivariance(worked_instance):
 
 def test_single_arc_family_infeasible_above_limit():
     # p2 probe: d1 turns negative as soon as the radius exceeds R_a
-    from arcline.dubins import _p2_params
+    from arcline.dubins import _closing, _p2_params
     from arcline.synthesis import canonical_frame
 
     for inst in instances(seed=25, count=10):
         view = canonical_frame(inst)
-        assert _p2_params(view, view.ra * 1.01, 0.0) is None
-        assert _p2_params(view, view.ra * 0.99, 0.0) is not None
+        assert _p2_params(_closing(view), view.ra * 1.01, 0.0) is None
+        assert _p2_params(_closing(view), view.ra * 0.99, 0.0) is not None
 
 
 def test_family_sweep_window_above_limit(worked_instance):

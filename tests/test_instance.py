@@ -8,13 +8,15 @@ from arcline import (
     IllPosedAngle,
     InvalidInput,
     NoAdmissibleCurve,
+    ProblemInstance,
     Vec2,
     instance_from_json,
     instance_from_tangents,
     instance_to_json,
     make_instance,
 )
-from conftest import WORKED_A, WORKED_B, WORKED_O, instances
+from arcline import instance as instance_module
+from conftest import WORKED_A, WORKED_B, WORKED_O, float_bits, instances
 from oracles import similarity_transform
 
 R2 = math.sqrt(2.0) / 2.0
@@ -62,6 +64,27 @@ def test_reversal_normalization_and_involution():
     assert rev.alpha == fwd.alpha and rev.beta == fwd.beta
     assert rev.omega == fwd.omega
     assert 0.0 < rev.omega < math.pi
+
+
+def test_make_instance_measures_each_leg_once(monkeypatch):
+    # |OA|, |OB| and |AB| are measured once each, also for a reversed
+    # instance, and the stored lengths, diameter and tolerance equal bit for
+    # bit those the constructor measures for the same fields
+    calls = []
+    dist = instance_module.dist
+    monkeypatch.setattr(instance_module, "dist", lambda a, b: calls.append(1) or dist(a, b))
+    legs = [(Vec2(0.3, 0.1), Vec2(-0.7, 1.9), Vec2(2.5, -0.4)), (WORKED_O, WORKED_A, WORKED_B)]
+    for O, A, B in legs + [(O, B, A) for O, A, B in legs]:
+        calls.clear()
+        inst = make_instance(O, A, B)
+        assert len(calls) == 3
+        same = ProblemInstance(*inst._key())
+        derived = ("oa", "ob", "diameter", "pos_tol", "symmetric")
+        assert float_bits([getattr(inst, n) for n in derived]) == \
+            float_bits([getattr(same, n) for n in derived])
+        assert inst.symmetric == (abs(same.oa - same.ob) <= same.pos_tol)
+    assert [make_instance(O, A, B).reversed for O, A, B in legs] == [False, False]
+    assert [make_instance(O, B, A).reversed for O, A, B in legs] == [True, True]
 
 
 def test_from_tangents_worked_example():

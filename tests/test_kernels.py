@@ -295,6 +295,7 @@ def test_support_min_memory_is_linear():
 def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     """family_sweep as a plain loop over the per-cell closed forms."""
     view = canonical_frame(inst)
+    closing = dubins._closing(view)
     ra = view.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
@@ -303,7 +304,7 @@ def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     feasible = 0
     for r1 in radii:
         for r2 in radii:
-            params = dubins._composite_params(view, r1, r2, tol)
+            params = dubins._composite_params(closing, r1, r2, tol)
             if params is None:
                 continue
             feasible += 1
@@ -314,7 +315,7 @@ def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
                 argmin = {"family": "p4", "R1": r1, "R2": r2,
                           "d1": d1, "d2": d2, "d3": d3}
     for r in radii:
-        params = dubins._p2_params(view, r, tol)
+        params = dubins._p2_params(closing, r, tol)
         if params is None:
             continue
         feasible += 1
@@ -530,11 +531,11 @@ def test_family_sweep_argmin_is_the_closed_form_cell(inst, grid_n, window):
     r = max(r for r in radii if r <= composite_root)
     single = max((r for r in radii if r <= single_root), default=0.0)
     if single > r:
-        d1, d3 = dubins._p2_params(view, single, tol)
+        d1, d3 = dubins._p2_params(dubins._closing(view), single, tol)
         r, want = single, {"family": "p2", "R1": single, "R2": single,
                            "d1": d1, "d2": 0.0, "d3": d3}
     else:
-        d1, d2, d3 = dubins._composite_params(view, r, r, tol)
+        d1, d2, d3 = dubins._composite_params(dubins._closing(view), r, r, tol)
         want = {"family": "p4", "R1": r, "R2": r, "d1": d1, "d2": d2, "d3": d3}
     assert report.argmin == want
     assert report.min_max_curvature == 1.0 / r
@@ -572,7 +573,7 @@ def test_family_sweep_full_row_fallback(inst, window):
     # so do the single-arc radii, windowed or, where the single-arc window
     # does not apply, tested one by one; the scan's argmin equals the
     # closed form's wherever that applies
-    view, grid = sweep_grid(inst, *window)
+    _, grid = sweep_grid(inst, *window)
     if window[1] == 1.0 + 4e-16:
         assert grid.half_width is None
     closed = grid.closed_form()
@@ -583,10 +584,22 @@ def test_family_sweep_full_row_fallback(inst, window):
     assert prefix == row_columns(grid)
     for i, r1 in enumerate(grid.radii):
         loop = [j for j, r2 in enumerate(grid.radii)
-                if dubins._composite_params(view, r1, r2, grid.tol) is not None]
+                if dubins._composite_params(grid.closing, r1, r2, grid.tol) is not None]
         assert prefix[i] == loop
     assert list(grid.singles()) == [k for k, r in enumerate(grid.radii)
-                                    if dubins._p2_params(view, r, grid.tol) is not None]
+                                    if dubins._p2_params(grid.closing, r, grid.tol) is not None]
+
+
+def test_family_sweep_at_a_tiny_angle_tests_every_cell():
+    # at omega = 3e-9 the computed slopes vanish, so neither the closed form
+    # nor the row window applies and every cell goes through the closing
+    # formulas, with the frame's trigonometry computed once for the grid
+    omega = 3e-9
+    inst = make_instance(Vec2(0.0, 0.0), Vec2(-1.0, 0.0),
+                         Vec2(1.3 * math.cos(omega), 1.3 * math.sin(omega)))
+    _, grid = sweep_grid(inst, 0.2, 3.0, 60)
+    assert grid.half_width is None and grid.closed_form() is None
+    assert_sweep_matches_reference(inst, 60)
 
 
 def test_turning_at_matches_turning():
