@@ -16,8 +16,8 @@ The optimality proof rests on a handful of checkable quantities:
 * the tangent-intercept lengths u, v, strictly positive at the end of
   every admissible curve.
 
-All quantities are evaluated in the instance's canonical frame
-(`synthesis.canonical_frame`): the optimal arc leaves the origin along
+All quantities are evaluated in the instance's canonical frame (see
+`synthesis.frame_mirrored`): the optimal arc leaves the origin along
 +x, and instances whose optimal curve starts with the segment are
 reversed and mirrored into that picture.
 """
@@ -235,18 +235,15 @@ def zeta0_closed_form(inst: ProblemInstance, r1: float, r2: float,
     return a * (r1 - ra) + b * (r2 - ra) + c * d1 + f * d2
 
 
-def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
-                       s: float) -> tuple[float, float]:
-    """Intercept lengths (u, v) of the tangent line at arc length s.
-
-    The tangent at the curve point meets the line through A along alpha
-    at a point Q with AQ = u * alpha and Q->point = v * tangent.
-    Undefined while the heading is still zero (initial straight run).
-    At s = L the pair is (u0, v0), strictly positive for admissible
-    curves; for the optimal curve it equals (OA, OB).
-    """
+def _intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
+                s: float) -> tuple[float, tuple[float, float] | None]:
+    """The heading phi at arc length s and the intercepts (u, v) there,
+    or None in their place where sin(phi) < ROUND_REL."""
     # heading checks alpha and s first, so normalized(alpha) is (ax, ay)
     phi = heading(curve, inst, s)
+    sphi = math.sin(phi)
+    if sphi < ROUND_REL:
+        return phi, None
     alpha = inst.alpha
     norm = math.hypot(alpha.x, alpha.y)
     ax, ay = alpha.x / norm, alpha.y / norm
@@ -254,12 +251,23 @@ def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
     dx, dy = qx - inst.A.x, qy - inst.A.y
     # the point's coordinates from A along alpha and its quarter turn
     px, py = dx * ax + dy * ay, dx * -ay + dy * ax
-    sphi = math.sin(phi)
-    if sphi < ROUND_REL:
+    return phi, (px - py * math.cos(phi) / sphi, py / sphi)
+
+
+def tangent_intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
+                       s: float) -> tuple[float, float]:
+    """Intercept lengths (u, v) of the tangent line at arc length s.
+
+    The tangent at the curve point meets the line through A along alpha
+    at a point Q with AQ = u * alpha and Q->point = v * tangent.
+    Undefined while the heading is still zero (initial straight run):
+    UndefinedHeading.  At s = L the pair is (u0, v0), strictly positive
+    for admissible curves; for the optimal curve it equals (OA, OB).
+    """
+    phi, uv = _intercepts(curve, inst, s)
+    if uv is None:
         raise UndefinedHeading(f"heading {phi!r} at s={s!r} has sin(phi) < {ROUND_REL!r}")
-    u = px - py * math.cos(phi) / sphi
-    v = py / sphi
-    return u, v
+    return uv
 
 
 class Certificate(NamedTuple):
@@ -296,14 +304,12 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
     are None (the certificate then simply does not apply, which is not
     an error here).  Where it holds, `zeta_profile` and `theta_phi_bound`
     confirm it as they do for every caller, from the curve's stored max
-    curvature.
+    curvature.  u0 and v0 are None where the heading at L leaves them
+    undefined, decided without raising `UndefinedHeading`.
     """
     e = max_curvature(z)
     sup = support_min(z)
-    try:
-        u0, v0 = tangent_intercepts(z, inst, z.length)
-    except UndefinedHeading:
-        u0 = v0 = None
+    u0, v0 = _intercepts(z, inst, z.length)[1] or (None, None)
     zeta0 = excess = None
     if _meets_hypothesis(inst, z, sol.radius):
         zeta0 = zeta_profile(inst, sol, z, n=1)[-1]

@@ -214,12 +214,6 @@ class PiecewiseCurve:
         i, local = self._locate(s)
         return self.primitives[i].evaluate_row(local)
 
-    def evaluate(self, s: float) -> tuple[Point2, Vec2, float]:
-        """Point, unit tangent and signed curvature at arc length s:
-        `evaluate_row`'s values as `Vec2`s."""
-        x, y, tx, ty, kappa = self.evaluate_row(s)
-        return Vec2(x, y), Vec2(tx, ty), kappa
-
     def sample_at(self, svals: Iterable[float]) -> list[tuple]:
         """`evaluate_row` at each arc length: one (x, y, tx, ty, kappa) row each."""
         return [self.evaluate_row(s) for s in svals]
@@ -264,10 +258,6 @@ class PathBuilder:
         self._point = start
         self._heading = heading
         self._prims: list[CurvePrimitive] = []
-
-    @property
-    def point(self) -> Point2:
-        return self._point
 
     def line(self, length: float) -> "PathBuilder":
         if length < 0.0:

@@ -12,11 +12,13 @@ Two families live here:
   the min-max theorem.
 
 Composite parameters are expressed in the instance's canonical frame
-(`synthesis.canonical_frame`: arc first, the problem reversed and
-mirrored when OA > OB), matching the closed-form certificates.  Every
-curve returned here is grown in world coordinates from A along alpha by
-`curves.PathBuilder` and closed on B by its `build_to`; a mirrored frame
-only reverses the order of the composite's pieces.
+(arc first, the problem reversed and mirrored when OA > OB, as
+`synthesis.frame_mirrored` decides), matching the closed-form
+certificates; `_closing` records what the closing formulas read of
+that frame.  Every curve returned here is grown in world coordinates
+from A along alpha by `curves.PathBuilder` and closed on B by its
+`build_to`; a mirrored frame only reverses the order of the composite's
+pieces.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
 from .geometry import ANG_TOL, ROUND_REL, Vec2, oriented_angle
 from .instance import ProblemInstance
-from .synthesis import CanonicalFrame, arc_radius, canonical_frame
+from .synthesis import arc_radius, frame_mirrored
 
 
 class DubinsCurve(NamedTuple):
@@ -83,39 +85,42 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
 # ---------------------------------------------------------------------------
 # composite family (segment d1, arc R1, segment d2, arc R2, segment d3)
 
-def _closing(frame: CanonicalFrame) -> tuple[float, ...]:
+def _closing(inst: ProblemInstance, ra: float) -> tuple[float, ...]:
     """What the closing formulas `_composite_params` and `_p2_params` read
-    of a canonical frame, computed once per frame and passed in:
-    (xb, yb, sin1, cos1, sino, coso, 1 - cos1, sino - sin1, cos1 - coso,
-    k1, k2), with sin1, cos1 those of omega/2, sino, coso those of omega,
-    and k1, k2 the rates of d1 and d2 along the kernel direction, per unit
+    of the instance's canonical frame, computed once from the instance and
+    its optimal radius ra and passed in: (xb, yb, sin1, cos1, sino, coso,
+    1 - cos1, sino - sin1, cos1 - coso, k2), with (xb, yb) the far
+    endpoint in the frame, sin1, cos1 those of omega/2, sino, coso those
+    of omega, and k2 the rate of d2 along the kernel direction, per unit
     of d3.  A plain tuple: it unpacks faster than a named one."""
-    om = frame.omega
+    om = inst.omega
+    seg = abs(inst.oa - inst.ob)
     s1 = 0.5 * om
     sin1, cos1 = math.sin(s1), math.cos(s1)
     sino, coso = math.sin(om), math.cos(om)
-    return (frame.xb, frame.yb, sin1, cos1, sino, coso, 1.0 - cos1, sino - sin1, cos1 - coso,
-            math.sin(om - s1) / sin1, -sino / sin1)
+    return (ra * sino + seg * coso, ra * (1.0 - coso) + seg * sino, sin1, cos1, sino, coso,
+            1.0 - cos1, sino - sin1, cos1 - coso, -sino / sin1)
 
 
 def _composite_params(closing: tuple, r1: float, r2: float, tol: float):
     """Segment lengths (d1, d2, d3) closing the composite, or None.
 
     The endpoint condition is a rank-2 linear system in three segment
-    lengths; its kernel direction has signs (+, -, +), so the minimal
-    total-length solution with d1, d3 >= 0 is feasible iff its d2 is.
+    lengths; its kernel direction is (1, k2, 1) with k2 = -2 cos(omega/2)
+    < 0 (the arcs split omega in half, so the directions of d1 and d3 are
+    mirror images about that of d2), and the minimal total-length
+    solution with d1, d3 >= 0 is feasible iff its d2 is.
     """
-    xb, yb, sin1, cos1, _, _, one_cos1, sb, cb, k1, k2 = closing
+    xb, yb, sin1, cos1, _, _, one_cos1, sb, cb, k2 = closing
     rx = xb - (r1 * sin1 + r2 * sb)
     ry = yb - (r1 * one_cos1 + r2 * cb)
     p2 = ry / sin1
     p1 = rx - p2 * cos1
-    t = -p1 / k1
-    t = t if t > 0.0 else 0.0  # max(0.0, t)
+    t = -p1 if p1 < 0.0 else 0.0  # max(0.0, -p1)
     d2 = p2 + k2 * t
     if d2 < -tol:
         return None
-    d1 = p1 + k1 * t
+    d1 = p1 + t
     d3 = t
     # lengths within tol of zero are rounding noise: a zero-length segment
     # cannot be built, so snap them to exactly 0
@@ -142,17 +147,16 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
     """
     if not (r1 > 0.0 and r2 > 0.0 and math.isfinite(r1) and math.isfinite(r2)):
         raise InvalidInput("arc radii must be positive and finite")
-    frame = canonical_frame(inst)
     tol = inst.pos_tol
-    params = _composite_params(_closing(frame), r1, r2, tol)
+    params = _composite_params(_closing(inst, arc_radius(inst)), r1, r2, tol)
     if params is None:
         return None
     d1, d2, d3 = params
-    s1 = 0.5 * frame.omega
-    s2 = frame.omega - s1
+    s1 = 0.5 * inst.omega
+    s2 = inst.omega - s1
 
     builder = PathBuilder(inst.A, inst.alpha.angle())
-    if frame.mirrored:
+    if frame_mirrored(inst):
         # the frame's reflection reverses the chain: from A it runs d3 first
         builder.line(d3).arc(r2, s2).line(d2).arc(r1, s1).line(d1)
     else:
@@ -163,7 +167,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
 
 def _p2_params(closing: tuple, r: float, tol: float):
     """Segment lengths (d1, d3) for the single-arc two-segment family."""
-    xb, yb, _, _, sino, coso, _, _, _, _, _ = closing
+    xb, yb, _, _, sino, coso, _, _, _, _ = closing
     d3 = (yb - r * (1.0 - coso)) / sino
     d1 = xb - r * sino - d3 * coso
     if d1 < -tol or d3 < -tol:
@@ -283,26 +287,24 @@ class _CompositeGrid:
     computed, `singles` tests every radius by `_p2_params`.
     """
 
-    def __init__(self, frame: CanonicalFrame, tol: float, grid_n: int,
+    def __init__(self, inst: ProblemInstance, tol: float, grid_n: int,
                  r_lo: float, r_hi: float):
-        self.frame, self.tol, self.n = frame, tol, grid_n
+        self.tol, self.n = tol, grid_n
         self.r_lo, self.r_hi = r_lo, r_hi
-        self.closing = closing = _closing(frame)
-        xb, yb, sin1, cos1, sino, coso, one_cos1, sb, cb, k1, k2 = closing
-        self.xb, self.yb, self.sin1, self.cos1, self.sino, self.coso = xb, yb, sin1, cos1, sino, coso
-        self.one_cos1, self.k1, self.k2 = one_cos1, k1, k2
+        self.ra = ra = arc_radius(inst)
+        self.closing = closing = _closing(inst, ra)
+        xb, yb, sin1, cos1, _, _, one_cos1, sb, cb, k2 = closing
 
         # d(p2)/d(r2), d(t)/d(r2) and d(d2)/d(r2) where t > 0, the same in
         # every row, and so is the window's width; then the same in r1
         self.p_slope = p_slope = -cb / sin1
-        t_slope = (sb + p_slope * cos1) / k1
-        self.d_slope = p_slope + k2 * t_slope
+        self.d_slope = p_slope + k2 * (sb + p_slope * cos1)
         self.p_slope1 = p_slope1 = -one_cos1 / sin1
-        self.d_slope1 = p_slope1 + k2 * ((sin1 + p_slope1 * cos1) / k1)
+        self.d_slope1 = p_slope1 + k2 * (sin1 + p_slope1 * cos1)
         # a bound on every term of p2, t and d2 over the grid
         self.first, self.r_max = r_first, r_max = self.radius(0), self.radius(grid_n - 1)
         p_mag = (abs(yb) + r_max * (one_cos1 + abs(cb))) / sin1
-        t_mag = (abs(xb) + r_max * (sin1 + abs(sb)) + p_mag * abs(cos1)) / abs(k1)
+        t_mag = abs(xb) + r_max * (sin1 + abs(sb)) + p_mag * abs(cos1)
         self.magnitude = p_mag + abs(k2) * t_mag + tol
         self.spacing = (r_max - r_first) / (grid_n - 1)
         # each radius is a few ulps of r_max from its exact value, so a
@@ -311,7 +313,7 @@ class _CompositeGrid:
         self.increasing = self.spacing > _FRONTIER_ROUNDING * r_max
 
     def radius(self, i: int) -> float:
-        return self.frame.ra * (self.r_lo + (self.r_hi - self.r_lo) * i / (self.n - 1))
+        return self.ra * (self.r_lo + (self.r_hi - self.r_lo) * i / (self.n - 1))
 
     @functools.cached_property
     def radii(self) -> list[float]:
@@ -355,7 +357,7 @@ class _CompositeGrid:
         """(x, w) of the single-arc window: every radius below ceil(x - w)
         is admissible and every one above floor(x + w) is not.  None where
         its conditions fail as computed."""
-        sino, coso, xb, yb = self.sino, self.coso, self.xb, self.yb
+        xb, yb, _, _, sino, coso, _, _, _, _ = self.closing
         r_max, tol = self.r_max, self.tol
         # the single arc's d3 and d1, as `_p2_params` computes them
         d3_slope = -(1.0 - coso) / sino
@@ -380,8 +382,9 @@ class _CompositeGrid:
         if self.r_lo > 1.0 or not self.increasing or not shallow > 0.0:
             return None
         # the two pieces on the diagonal: at r = 0, and per unit of r
-        p0 = self.yb / self.sin1
-        d0 = p0 + self.k2 * ((self.xb - p0 * self.cos1) / -self.k1)
+        xb, yb, sin1, cos1, _, _, _, _, _, k2 = self.closing
+        p0 = yb / sin1
+        d0 = p0 - k2 * (xb - p0 * cos1)
         p_diag, d_diag = self.p_slope + self.p_slope1, self.d_slope + self.d_slope1
         w = self._width(self.magnitude, p_diag, d_diag)
         steep = -p_diag if p_diag < d_diag else -d_diag
@@ -402,8 +405,7 @@ class _CompositeGrid:
         window (`half_width` is None) tests every column of every row."""
         closing, tol, radii = self.closing, self.tol, self.radii
         n = len(radii)
-        xb, yb, sin1, cos1 = self.xb, self.yb, self.sin1, self.cos1
-        one_cos1, neg_k1, k2 = self.one_cos1, -self.k1, self.k2
+        xb, yb, sin1, cos1, _, _, one_cos1, _, _, k2 = closing
         w = self.half_width
         first, spacing = self.first, self.spacing
         neg_p, neg_d = -self.p_slope, -self.d_slope
@@ -416,7 +418,7 @@ class _CompositeGrid:
                 # ceil(x - w) is feasible, and the window ends at x + w
                 p0 = (yb - r1 * one_cos1) / sin1
                 root_p = (p0 + tol) / neg_p
-                root_d = (p0 + k2 * (((xb - r1 * sin1) - p0 * cos1) / neg_k1) + tol) / neg_d
+                root_d = (p0 - k2 * ((xb - r1 * sin1) - p0 * cos1) + tol) / neg_d
                 x = ((root_d if root_d < root_p else root_p) - first) / spacing
                 lo = x - w
                 lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
@@ -496,10 +498,9 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
         raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
     if not (0.0 < r_lo < r_hi and math.isfinite(r_hi)):
         raise InvalidInput("need 0 < r_lo < r_hi, both finite")
-    frame = canonical_frame(inst)
-    ra = frame.ra
     tol = inst.pos_tol
-    grid = _CompositeGrid(frame, tol, grid_n, r_lo, r_hi)
+    grid = _CompositeGrid(inst, tol, grid_n, r_lo, r_hi)
+    ra = grid.ra
     cell, single = grid.closed_form() or grid.scanned()
     best = math.inf
     argmin: dict = {}

@@ -34,39 +34,21 @@ def arc_radius(inst: ProblemInstance) -> float:
     return min(inst.oa, inst.ob) * math.tan((math.pi - inst.omega) / 2.0)
 
 
-class CanonicalFrame(NamedTuple):
-    """The instance in the picture the certificates are stated in.
-
-    The optimal arc leaves the origin along +x and turns counterclockwise
-    through omega; the segment follows and ends at (xb, yb).  Arc-first
-    instances (OA <= OB) sit in the direct frame at A along alpha.
-    Segment-first instances are reversed and mirrored: the frame sits at B
-    with axes -beta and rot90(beta), so it is indirect, and `mirrored` is
-    set.  Curves are never built here but grown in world coordinates from
-    (A, alpha) by `PathBuilder`.
-    """
-
-    omega: float
-    ra: float
-    xb: float           # endpoint coordinates in the frame
-    yb: float
-    mirrored: bool
-
-
 def frame_mirrored(inst: ProblemInstance) -> bool:
     """True where the optimal curve starts with its segment (OA > OB),
-    so that the canonical frame is reversed and mirrored."""
+    so that the canonical frame is reversed and mirrored.
+
+    The canonical frame is the picture the certificates are stated in:
+    the optimal arc leaves the origin along +x and turns counterclockwise
+    through omega, and the segment follows to the far endpoint (xb, yb)
+    that `dubins._closing` records.  Arc-first instances (OA <=
+    OB) sit in the direct frame at A along alpha.  Segment-first
+    instances are reversed and mirrored: the frame sits at B with axes
+    -beta and rot90(beta), so it is indirect.  Curves are never built in
+    the frame but grown in world coordinates from (A, alpha) by
+    `PathBuilder`.
+    """
     return inst.oa > inst.ob
-
-
-def canonical_frame(inst: ProblemInstance) -> CanonicalFrame:
-    """Build the instance's :class:`CanonicalFrame`."""
-    ra = arc_radius(inst)
-    om = inst.omega
-    seg = abs(inst.oa - inst.ob)
-    xb = ra * math.sin(om) + seg * math.cos(om)
-    yb = ra * (1.0 - math.cos(om)) + seg * math.sin(om)
-    return CanonicalFrame(om, ra, xb, yb, frame_mirrored(inst))
 
 
 class OptimalSolution(NamedTuple):

@@ -9,21 +9,26 @@ curve points evaluated at candidate arc lengths, per primitive pair.
 More restate a library routine in another form, to be compared with
 it bit for bit: the turning as a numpy computation over many samples;
 the certificate gap profiles one point at a time through `evaluate`
-(whose last zeta entry is zeta_0); and, in `Vec2` arithmetic with the
-same expressions operand for operand, the tangent intercepts, the
-heading-gap bound, the max curvature as a loop over the primitives and
-the membership report with each of its angles computed on its own.  `sample_arrays` packs `sample_at`'s rows into numpy arrays
-for the tests that compute on them.  None of them is used by the
+(`evaluate_row`'s values as `Vec2`s), whose last zeta entry is zeta_0;
+and, in `Vec2` arithmetic with the same expressions operand for
+operand, the tangent intercepts, the heading-gap bound, the max
+curvature as a loop over the primitives and the membership report with
+each of its angles computed on its own.  `sample_arrays` packs
+`sample_at`'s rows into numpy arrays for the tests that compute on
+them.  None of them is used by the
 library itself, which needs no numpy.
 
 The helpers only tests need live here too: drawing a random instance,
-moving one by a similarity, the admissible-radius predicate, and the
-canonical frame's origin and axes in world coordinates.
+moving one by a similarity, the admissible-radius predicate, a view of
+the canonical frame (omega, R_a, the far endpoint, whether it is
+mirrored, and the closing tuple the sweep reads) and its origin and
+axes in world coordinates.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from arcline import (
     Arc,
@@ -52,7 +57,33 @@ from arcline.geometry import (
     principal_angle,
     rot90,
 )
-from arcline.synthesis import canonical_frame
+from arcline.dubins import _closing
+from arcline.synthesis import frame_mirrored
+
+
+class FrameView(NamedTuple):
+    omega: float
+    ra: float
+    xb: float
+    yb: float
+    mirrored: bool
+    closing: tuple
+
+
+def canonical_frame(inst: ProblemInstance) -> FrameView:
+    """The canonical frame as the library records it: R_a from
+    `arc_radius`, the far endpoint (xb, yb) from `dubins._closing` and
+    the orientation from `frame_mirrored`."""
+    ra = arc_radius(inst)
+    closing = _closing(inst, ra)
+    return FrameView(inst.omega, ra, closing[0], closing[1], frame_mirrored(inst), closing)
+
+
+def evaluate(curve: PiecewiseCurve, s: float) -> tuple[Point2, Vec2, float]:
+    """Point, unit tangent and signed curvature at arc length s:
+    `curve.evaluate_row`'s values as `Vec2`s."""
+    x, y, tx, ty, kappa = curve.evaluate_row(s)
+    return Vec2(x, y), Vec2(tx, ty), kappa
 
 
 def is_feasible_radius(inst: ProblemInstance, radius: float) -> bool:
@@ -205,9 +236,7 @@ def zeta0_geometric(inst: ProblemInstance, r1: float, r2: float,
         raise InvalidInput("segment lengths must be nonnegative")
     frame = canonical_frame(inst)
     om = frame.omega
-    builder = PathBuilder()
-    builder.line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om)
-    end = builder.point
+    end = PathBuilder().line(d1).arc(r1, 0.5 * om).line(d2).arc(r2, 0.5 * om).build().end_point
     return -(end.x - frame.xb) * math.sin(om) + (end.y - frame.yb) * math.cos(om)
 
 
@@ -328,7 +357,7 @@ def frame_gaps_pointwise(inst: ProblemInstance, sol, z, n: int) -> list[tuple[fl
     out = []
     for i in range(n + 1):
         s = end if i == n else i * (end / n)
-        point, _, _ = z.evaluate(z.length - s if frame.mirrored else s)
+        point, _, _ = evaluate(z, z.length - s if frame.mirrored else s)
         d = point - origin
         phi = s / ra
         gx = d.dot(x_axis) - ra * math.sin(phi)
@@ -394,7 +423,7 @@ def tangent_intercepts_vec(curve: PiecewiseCurve, inst: ProblemInstance,
     """`tangent_intercepts` in `Vec2` arithmetic: the point from
     `evaluate`, projected with `dot` on alpha and its quarter turn."""
     x = normalized(inst.alpha)
-    point, _, _ = curve.evaluate(s)
+    point, _, _ = evaluate(curve, s)
     d = point - inst.A
     px, py = d.dot(x), d.dot(rot90(x))
     phi = heading(curve, inst, s)

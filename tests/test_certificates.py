@@ -26,10 +26,11 @@ from arcline import (
     zeta0_coefficients,
     zeta_profile,
 )
-from arcline.synthesis import canonical_frame
 from arcline import errors
 from conftest import float_bits, instance_competitors, instances, make_rng, wide_arc
 from oracles import (
+    canonical_frame,
+    evaluate,
     frame_gaps_pointwise,
     max_curvature_loop,
     meets_hypothesis,
@@ -285,7 +286,7 @@ def test_uv_reconstructs_tangent_intersection(worked_instance):
     for frac in (0.3, 0.6, 0.9, 1.0):
         s = s0 + frac * (sol.curve.length - s0)
         u, v = tangent_intercepts(sol.curve, inst, s)
-        point, tangent, _ = sol.curve.evaluate(s)
+        point, tangent, _ = evaluate(sol.curve, s)
         q = inst.A + inst.alpha * u
         residual = (point - q) - tangent * v
         assert residual.norm() <= 1e-9 * inst.diameter
@@ -418,6 +419,32 @@ def test_make_certificate_raises_nothing_where_the_hypothesis_fails(worked_insta
     # the public functions still raise, and so create one each
     with pytest.raises(HypothesisViolated):
         zeta_profile(inst, sol, stub)
+    assert len(created) == 1
+
+
+def test_make_certificate_raises_nothing_where_the_heading_is_undefined(worked_instance,
+                                                                         monkeypatch):
+    # the S-curve's heading returns to 0 at its end, so u0 and v0 are
+    # undefined: make_certificate decides that itself, creates no
+    # UndefinedHeading, and both entries are None
+    created = []
+
+    def record(self, *args):
+        created.append(args)
+        Exception.__init__(self, *args)
+
+    monkeypatch.setattr(errors.UndefinedHeading, "__init__", record)
+    inst = worked_instance
+    sol = synthesize(inst)
+    ra = sol.radius
+    s_curve = PathBuilder(inst.A, inst.alpha.angle()).arc(ra, 0.5 * math.pi)
+    s_curve = s_curve.arc(ra, -0.5 * math.pi).build()
+    cert = make_certificate(inst, sol, s_curve)
+    assert cert.u0 is None and cert.v0 is None
+    assert created == []
+    # the public function still raises, and so creates one
+    with pytest.raises(UndefinedHeading):
+        tangent_intercepts(s_curve, inst, s_curve.length)
     assert len(created) == 1
 
 

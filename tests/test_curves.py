@@ -35,6 +35,7 @@ from conftest import (
 )
 from oracles import (
     check_membership_vec,
+    evaluate,
     max_curvature_loop,
     numeric_curvature,
     sample_arrays,
@@ -49,7 +50,7 @@ def quarter_arc():
 
 
 def test_evaluate_quarter_arc():
-    point, tangent, curv = quarter_arc().evaluate(math.pi / 2)
+    point, tangent, curv = evaluate(quarter_arc(), math.pi / 2)
     assert point.x == pytest.approx(1.0, abs=1e-15)
     assert point.y == pytest.approx(1.0, abs=1e-15)
     assert tangent.x == pytest.approx(0.0, abs=1e-15)
@@ -59,7 +60,7 @@ def test_evaluate_quarter_arc():
 
 def test_evaluate_segment():
     seg = PiecewiseCurve([Segment(Vec2(0, 0), Vec2(2, 0))])
-    point, tangent, curv = seg.evaluate(1.0)
+    point, tangent, curv = evaluate(seg, 1.0)
     assert point == Vec2(1.0, 0.0)
     assert tangent == Vec2(1.0, 0.0)
     assert curv == 0.0
@@ -68,11 +69,11 @@ def test_evaluate_segment():
 def test_evaluate_out_of_range():
     seg = PiecewiseCurve([Segment(Vec2(0, 0), Vec2(2, 0))])
     with pytest.raises(OutOfRange):
-        seg.evaluate(2.5)
+        evaluate(seg, 2.5)
     with pytest.raises(OutOfRange):
-        seg.evaluate(-0.5)
+        evaluate(seg, -0.5)
     # slack just inside the clamp
-    seg.evaluate(2.0 + 1e-13)
+    evaluate(seg, 2.0 + 1e-13)
 
 
 def test_worked_curve_curvature_jump(worked_instance):
@@ -80,8 +81,8 @@ def test_worked_curve_curvature_jump(worked_instance):
     # 0 to 1/R_a at the joint s = (sqrt(2)-1)/2, then back to 0 is never hit
     sol = synthesize(worked_instance)
     joint = sol.segment_length
-    _, _, before = sol.curve.evaluate(joint - 1e-9)
-    _, _, at = sol.curve.evaluate(joint)
+    _, _, before = evaluate(sol.curve, joint - 1e-9)
+    _, _, at = evaluate(sol.curve, joint)
     assert before == 0.0
     assert at == pytest.approx(1.0 / WORKED_RA, rel=1e-12)
     assert at == pytest.approx(4.8284271, rel=1e-6)
@@ -192,7 +193,7 @@ def test_path_builder_arcs_far_from_origin_stay_g1():
 
 def test_build_to_closes_on_target_or_raises_internal_error():
     b = PathBuilder().arc(1.0, 0.5 * math.pi).line(1.0)
-    end = b.point
+    end = b.build().end_point
     # the final segment is moved onto a target within tol
     assert b.build_to(end + Vec2(1e-12, 0.0), 1e-9).end_point == end + Vec2(1e-12, 0.0)
     with pytest.raises(InternalError, match="from its target"):
@@ -279,7 +280,7 @@ def test_sample_at_out_of_range():
     assert pts.shape == (3, 2) and tans.shape == (3, 2) and curv.shape == (3,)
 
 
-@pytest.mark.parametrize("name", ["evaluate", "turning", "turning_at", "sample_at"])
+@pytest.mark.parametrize("name", ["evaluate_row", "turning", "turning_at", "sample_at"])
 def test_nan_arc_length_out_of_range(name):
     curve = PathBuilder().line(1.0).arc(1.0, 1.0).build()
     method = partial(turning_at, curve) if name == "turning_at" else getattr(curve, name)
@@ -353,13 +354,13 @@ def test_short_primitives_kept_and_judged_at_their_scale():
     tiny = PiecewiseCurve([Segment(Vec2(0, 0), Vec2(5e-13, 0)),
                            Segment(Vec2(5e-13, 0), Vec2(1e-12, 0))])
     assert tiny.length == 1e-12
-    assert tiny.evaluate(1e-12)[0] == Vec2(1e-12, 0)
+    assert evaluate(tiny, 1e-12)[0] == Vec2(1e-12, 0)
     # ... and its joints and arc lengths are judged at its own scale
     with pytest.raises(InvalidInput, match="position gap"):
         PiecewiseCurve([Segment(Vec2(0, 0), Vec2(5e-13, 0)),
                         Segment(Vec2(5e-13, 1e-13), Vec2(1e-12, 1e-13))])
     with pytest.raises(OutOfRange):
-        tiny.evaluate(1.5e-12)
+        evaluate(tiny, 1.5e-12)
 
 
 def test_arc_invariants():

@@ -20,7 +20,7 @@ from arcline import (
     synthesize,
 )
 from conftest import instances, sampled_hausdorff, symmetric_instances
-from oracles import is_feasible_radius, random_instance, similarity_transform
+from oracles import canonical_frame, is_feasible_radius, random_instance, similarity_transform
 
 
 def test_limit_curve_equals_optimal(worked_instance):
@@ -165,8 +165,6 @@ def test_composite_at_small_omega_is_in_e_or_internal_error():
 def test_composite_mirrored_chain_runs_backwards(worked_instance):
     # OA > OB mirrors the frame, which reverses the chain: from A it runs
     # d3, the R2 arc, d2, the R1 arc, d1
-    from arcline.synthesis import canonical_frame
-
     assert canonical_frame(worked_instance).mirrored
     ra = arc_radius(worked_instance)
     comp = composite_solve(worked_instance, 0.6 * ra, 0.8 * ra)
@@ -254,15 +252,31 @@ def test_family_sweep_scale_equivariance(worked_instance):
     assert scaled.feasible_count == base.feasible_count
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 2**32), st.floats(0.1, math.pi - 0.1))
+def test_sweep_argmin_is_the_composite_solve_builds(seed, omega):
+    # the sweep and composite_solve close the composite from one record of
+    # the frame: at a composite argmin (R1, R2), composite_solve finds the
+    # same segment lengths bit for bit, and its curve is admissible
+    inst = random_instance(random.Random(seed), omega=omega)
+    for grid_n in (2, 3, 60, 300):
+        argmin = family_sweep(inst, grid_n).argmin
+        if argmin["family"] != "p4":
+            continue
+        comp = composite_solve(inst, argmin["R1"], argmin["R2"])
+        assert [v.hex() for v in (comp.d1, comp.d2, comp.d3)] == \
+            [argmin[k].hex() for k in ("d1", "d2", "d3")]
+        assert check_membership(comp.curve, inst).in_e
+
+
 def test_single_arc_family_infeasible_above_limit():
     # p2 probe: d1 turns negative as soon as the radius exceeds R_a
-    from arcline.dubins import _closing, _p2_params
-    from arcline.synthesis import canonical_frame
+    from arcline.dubins import _p2_params
 
     for inst in instances(seed=25, count=10):
         view = canonical_frame(inst)
-        assert _p2_params(_closing(view), view.ra * 1.01, 0.0) is None
-        assert _p2_params(_closing(view), view.ra * 0.99, 0.0) is not None
+        assert _p2_params(view.closing, view.ra * 1.01, 0.0) is None
+        assert _p2_params(view.closing, view.ra * 0.99, 0.0) is not None
 
 
 def test_family_sweep_window_above_limit(worked_instance):

@@ -48,9 +48,15 @@ from arcline import (
     max_curvature,
     synthesize,
 )
-from arcline.synthesis import canonical_frame
 from conftest import instances, symmetric_instances
-from oracles import frame_gaps_pointwise, sample_arrays, support_min_pairs, turning_at
+from oracles import (
+    canonical_frame,
+    evaluate,
+    frame_gaps_pointwise,
+    sample_arrays,
+    support_min_pairs,
+    turning_at,
+)
 
 
 def arc_first():
@@ -213,7 +219,7 @@ def test_point_tangents_match_evaluate():
             rows = curve.sample_at(svals)
             assert len(rows) == len(svals)
             for s, row in zip(svals, rows):
-                point, tangent, kappa = curve.evaluate(s)
+                point, tangent, kappa = evaluate(curve, s)
                 want = [point.x, point.y, tangent.x, tangent.y, kappa]
                 assert [v.hex() for v in curve.evaluate_row(s)] == [v.hex() for v in want]
                 assert [float(v).hex() for v in row] == [v.hex() for v in want]
@@ -295,8 +301,7 @@ def test_support_min_memory_is_linear():
 def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
     """family_sweep as a plain loop over the per-cell closed forms."""
     view = canonical_frame(inst)
-    closing = dubins._closing(view)
-    ra = view.ra
+    closing, ra = view.closing, view.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
     best = math.inf
@@ -389,14 +394,14 @@ def test_family_sweep_matches_reference_wide(inst, grid_n, window):
 def frontier_roots(inst, r1):
     """The affine model's r2 at p2 = -tol, t = 0 and p2 + k2 t = -tol in
     the composite row of radius r1."""
-    view = canonical_frame(inst)
-    grid = dubins._CompositeGrid(view, 1e-9 * inst.diameter, 2, 0.2, 1.0)
-    p0 = (grid.yb - r1 * grid.one_cos1) / grid.sin1
-    t0 = -((grid.xb - r1 * grid.sin1) - p0 * grid.cos1) / grid.k1
+    grid = dubins._CompositeGrid(inst, 1e-9 * inst.diameter, 2, 0.2, 1.0)
+    xb, yb, sin1, cos1, _, _, one_cos1, sb, _, k2 = grid.closing
+    p0 = (yb - r1 * one_cos1) / sin1
+    t0 = -((xb - r1 * sin1) - p0 * cos1)
     # d(t)/d(r2), as the grid derives its d2 slope
-    t_slope = ((grid.sino - grid.sin1) + grid.p_slope * grid.cos1) / grid.k1
+    t_slope = sb + grid.p_slope * cos1
     return (-(p0 + grid.tol) / grid.p_slope, -t0 / t_slope,
-            -(p0 + grid.k2 * t0 + grid.tol) / grid.d_slope)
+            -(p0 + k2 * t0 + grid.tol) / grid.d_slope)
 
 
 def row_columns(grid):
@@ -493,7 +498,7 @@ def test_family_sweep_last_radius_ulps_from_diagonal_root(monkeypatch):
             for step in range(-4, 5):
                 r_hi = root / view.ra + step * math.ulp(root / view.ra)
                 for grid_n in (2, 3):
-                    assert sweep_grid(inst, 0.2, r_hi, grid_n)[1].closed_form() is not None
+                    assert sweep_grid(inst, 0.2, r_hi, grid_n).closed_form() is not None
                     assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
     assert len(tested) > 100
 
@@ -510,7 +515,7 @@ def test_family_sweep_fine_windows_at_the_roots():
             for half in (1e-9, 3e-9, 1e-8):
                 for grid_n in (5, 40):
                     window = (root / view.ra - half, root / view.ra + half)
-                    paths.add(sweep_grid(inst, *window, grid_n)[1].closed_form() is None)
+                    paths.add(sweep_grid(inst, *window, grid_n).closed_form() is None)
                     assert_sweep_matches_reference(inst, grid_n, *window)
     assert paths == {False, True}
 
@@ -531,11 +536,11 @@ def test_family_sweep_argmin_is_the_closed_form_cell(inst, grid_n, window):
     r = max(r for r in radii if r <= composite_root)
     single = max((r for r in radii if r <= single_root), default=0.0)
     if single > r:
-        d1, d3 = dubins._p2_params(dubins._closing(view), single, tol)
+        d1, d3 = dubins._p2_params(view.closing, single, tol)
         r, want = single, {"family": "p2", "R1": single, "R2": single,
                            "d1": d1, "d2": 0.0, "d3": d3}
     else:
-        d1, d2, d3 = dubins._composite_params(dubins._closing(view), r, r, tol)
+        d1, d2, d3 = dubins._composite_params(view.closing, r, r, tol)
         want = {"family": "p4", "R1": r, "R2": r, "d1": d1, "d2": d2, "d3": d3}
     assert report.argmin == want
     assert report.min_max_curvature == 1.0 / r
@@ -550,15 +555,14 @@ SWEEP_WINDOWS = [(0.2, 3.0, 60), (0.1, 0.9, 17), (0.5, 1.5, 40), (0.99, 1.01, 3)
 
 
 def sweep_grid(inst, r_lo, r_hi, grid_n):
-    view = canonical_frame(inst)
-    return view, dubins._CompositeGrid(view, 1e-9 * inst.diameter, grid_n, r_lo, r_hi)
+    return dubins._CompositeGrid(inst, 1e-9 * inst.diameter, grid_n, r_lo, r_hi)
 
 
 def test_family_sweep_fallback_windows():
     # on arc_first the default window takes the closed form and the prefix
     # path, and both narrow windows the scan and its cell-by-cell path
     for r_lo, r_hi, grid_n in ((0.2, 3.0, 60), (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)):
-        _, grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
+        grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
         assert (grid.half_width is None) == (r_lo == 1.0)
         assert (grid.closed_form() is None) == (r_lo == 1.0)
         assert (grid._single_window() is None) == (r_lo == 1.0)
@@ -573,7 +577,7 @@ def test_family_sweep_full_row_fallback(inst, window):
     # so do the single-arc radii, windowed or, where the single-arc window
     # does not apply, tested one by one; the scan's argmin equals the
     # closed form's wherever that applies
-    _, grid = sweep_grid(inst, *window)
+    grid = sweep_grid(inst, *window)
     if window[1] == 1.0 + 4e-16:
         assert grid.half_width is None
     closed = grid.closed_form()
@@ -597,7 +601,7 @@ def test_family_sweep_at_a_tiny_angle_tests_every_cell():
     omega = 3e-9
     inst = make_instance(Vec2(0.0, 0.0), Vec2(-1.0, 0.0),
                          Vec2(1.3 * math.cos(omega), 1.3 * math.sin(omega)))
-    _, grid = sweep_grid(inst, 0.2, 3.0, 60)
+    grid = sweep_grid(inst, 0.2, 3.0, 60)
     assert grid.half_width is None and grid.closed_form() is None
     assert_sweep_matches_reference(inst, 60)
 

@@ -1,5 +1,6 @@
-"""Every module-level import in the library is used by its module, and
-every private helper by the library.
+"""Every module-level import in the library is used by its module,
+every private helper by the library, and every public name by the
+library, the benchmark or the package's exports.
 
 No linter is assumed to be installed, so this walks each module's AST.
 An import counts as used when it appears anywhere in the module as a
@@ -8,8 +9,11 @@ annotation.  `__init__` re-exports by design and `from __future__`
 imports are directives, so both are exempt.  A private name, one with a
 leading underscore that is not a dunder, defined at module level or as
 a method, counts as used when some library module reads it: as a name,
-as an attribute, through an import or in a quoted annotation.  What
-only tests call is dead code.
+as an attribute, through an import or in a quoted annotation.  A
+public function, class, constant or method counts as used when a
+library module or a file under `bench/` reads it in the same way, or,
+for a module-level name, when `arcline.__all__` exports it.  What only
+tests call is dead code.
 """
 
 import ast
@@ -20,6 +24,7 @@ import pytest
 import arcline
 
 SRC = os.path.dirname(arcline.__file__)
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 MODULES = sorted(name for name in os.listdir(SRC)
                  if name.endswith(".py") and name != "__init__.py")
 
@@ -63,19 +68,30 @@ def is_private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def private_definitions(tree: ast.Module) -> list[tuple[str, str]]:
-    """(label, name) of each private module-level name and private method."""
+def definitions(tree: ast.Module) -> list[tuple[str, str, bool]]:
+    """(label, name, is a method) of each module-level name and method."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            found.append((node.name, node.name))
+            found.append((node.name, node.name, False))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            found += [(t.id, t.id) for t in targets if isinstance(t, ast.Name)]
+            found += [(t.id, t.id, False) for t in targets if isinstance(t, ast.Name)]
         if isinstance(node, ast.ClassDef):
-            found += [(f"{node.name}.{m.name}", m.name) for m in node.body
+            found += [(f"{node.name}.{m.name}", m.name, True) for m in node.body
                       if isinstance(m, ast.FunctionDef)]
-    return [(label, name) for label, name in found if is_private(name)]
+    return found
+
+
+def private_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(label, name) of each private module-level name and private method."""
+    return [(label, name) for label, name, _ in definitions(tree) if is_private(name)]
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, str, bool]]:
+    """(label, name, is a method) of each public module-level name and
+    public method; dunders are neither."""
+    return [d for d in definitions(tree) if not d[1].startswith("_")]
 
 
 def read_names(tree: ast.Module) -> set[str]:
@@ -98,8 +114,18 @@ def unreferenced_privates(trees: dict[str, ast.Module]) -> list[str]:
             for label, name in private_definitions(tree) if name not in read]
 
 
-def parse(module: str) -> ast.Module:
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+def unreferenced_publics(trees: dict[str, ast.Module], readers: list[ast.Module],
+                         exported: set[str]) -> list[str]:
+    """Public definitions in `trees` that neither `trees` nor `readers`
+    read, and, for module-level names, that `exported` does not hold."""
+    read = set().union(*(read_names(tree) for tree in list(trees.values()) + readers))
+    return [f"{module}: {label}" for module, tree in sorted(trees.items())
+            for label, name, method in public_definitions(tree)
+            if name not in read and (method or name not in exported)]
+
+
+def parse(module: str, folder: str = SRC) -> ast.Module:
+    with open(os.path.join(folder, module), encoding="utf-8") as fh:
         return ast.parse(fh.read())
 
 
@@ -130,3 +156,23 @@ def test_check_catches_an_unused_private_name():
                                "def _helper(x: '_Kept'):\n    return x._used()\n"
                                "def __getattr__(name):\n    return name\n")}
     assert unreferenced_privates(trees) == ["a.py: _DEAD", "a.py: _Kept._dead", "b.py: _helper"]
+
+
+def test_public_names_are_used_by_the_library_or_the_benchmark():
+    trees = {module: parse(module) for module in MODULES + ["__init__.py"]}
+    bench = [parse(name, BENCH) for name in sorted(os.listdir(BENCH)) if name.endswith(".py")]
+    assert bench
+    dead = unreferenced_publics(trees, bench, set(arcline.__all__))
+    assert not dead, f"public names only tests read: {dead}"
+
+
+def test_check_catches_an_unused_public_name():
+    trees = {"a.py": ast.parse("LIVE = 1\nDEAD = 2\nEXPORTED = 3\n\n"
+                               "class Kept:\n    def used(self):\n        return LIVE\n"
+                               "    def benched(self):\n        return 0\n"
+                               "    def dead(self):\n        return 0\n"
+                               "    def EXPORTED(self):\n        return 0\n"
+                               "    def __repr__(self):\n        return ''\n")}
+    bench = [ast.parse("from arcline.a import Kept\nKept().used()\nKept().benched()\n")]
+    assert unreferenced_publics(trees, bench, {"EXPORTED"}) == \
+        ["a.py: DEAD", "a.py: Kept.dead", "a.py: Kept.EXPORTED"]
