@@ -11,7 +11,7 @@ import math
 from typing import NamedTuple
 
 from .errors import InvalidInput
-from .geometry import ROUND_REL, Frozen, Point2, Vec2, dist
+from .geometry import ROUND_REL, Frozen, Point2, dist
 from .instance import ProblemInstance
 from .synthesis import arc_radius
 
@@ -30,10 +30,6 @@ class QuadraticBezier(Frozen):
         _set(self, "p1", p1)
         _set(self, "p2", p2)
 
-    def velocity(self, t: float) -> Vec2:
-        return ((self.p1 - self.p0) * (2.0 * (1.0 - t))
-                + (self.p2 - self.p1) * (2.0 * t))
-
     @classmethod
     def from_instance(cls, inst: ProblemInstance) -> "QuadraticBezier":
         return cls(inst.A, inst.O, inst.B)
@@ -47,15 +43,19 @@ def bezier_min_radius(bez: QuadraticBezier) -> tuple[float, float]:
     quadratic minimization.  Collinear control points give curvature
     zero everywhere: the radius is reported as infinite.
     """
-    e1 = bez.p1 - bez.p0
-    e2 = bez.p2 - bez.p1
-    cr = 4.0 * e1.cross(e2)
-    if abs(cr) <= ROUND_REL * 4.0 * e1.norm() * e2.norm():
+    p0, p1, p2 = bez.p0, bez.p1, bez.p2
+    # the edges e1 = p1 - p0 and e2 = p2 - p1, and d = e2 - e1, in floats
+    e1x, e1y = p1.x - p0.x, p1.y - p0.y
+    e2x, e2y = p2.x - p1.x, p2.y - p1.y
+    cr = 4.0 * (e1x * e2y - e1y * e2x)
+    if abs(cr) <= ROUND_REL * 4.0 * math.hypot(e1x, e1y) * math.hypot(e2x, e2y):
         return math.inf, 0.5
-    d = e2 - e1
-    denom = d.dot(d)
-    t_star = 0.0 if denom == 0.0 else min(max(-e1.dot(d) / denom, 0.0), 1.0)
-    speed = bez.velocity(t_star).norm()
+    dx, dy = e2x - e1x, e2y - e1y
+    denom = dx * dx + dy * dy
+    t_star = 0.0 if denom == 0.0 else min(max(-(e1x * dx + e1y * dy) / denom, 0.0), 1.0)
+    # the speed |B'(t)| = |e1 * 2 (1 - t) + e2 * 2 t| at t_star
+    a, b = 2.0 * (1.0 - t_star), 2.0 * t_star
+    speed = math.hypot(e1x * a + e2x * b, e1y * a + e2y * b)
     return speed ** 3 / abs(cr), t_star
 
 

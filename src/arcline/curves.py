@@ -46,11 +46,12 @@ class Segment(Frozen):
     sweep_angle = 0.0
 
     def __init__(self, start: Point2, end: Point2) -> None:
-        length = dist(start, end)
+        # dist(start, end), and normalized(end - start) reusing it as the norm
+        dx, dy = end.x - start.x, end.y - start.y
+        length = math.hypot(dx, dy)
         if length == 0.0:
             raise InvalidInput("segment endpoints coincide")
-        # normalized(end - start), reusing its norm: |end - start| = length
-        direction = Vec2((end.x - start.x) / length, (end.y - start.y) / length)
+        direction = Vec2(dx / length, dy / length)
         _set = object.__setattr__
         _set(self, "start", start)
         _set(self, "end", end)
@@ -110,25 +111,47 @@ class Arc(Frozen):
         if not abs(start_angle) < MAX_START_ANGLE:
             raise InvalidInput(
                 f"arc start angle must be finite with |a| < 2**23, got {start_angle!r}")
+        length = radius * abs(sweep)
+        sign = 1.0 if sweep > 0 else -1.0
+        # evaluate_row's tangents at s = 0 and s = L, s / length included,
+        # so that the stored ends are its values bit for bit
+        psi0 = start_angle + sweep * (0.0 / length)
+        psi1 = start_angle + sweep * (length / length)
+        self._store(center, radius, start_angle, sweep, length,
+                    Vec2(-sign * math.sin(psi0), sign * math.cos(psi0)),
+                    Vec2(-sign * math.sin(psi1), sign * math.cos(psi1)))
+
+    def _store(self, center: Point2, radius: float, start_angle: float, sweep: float,
+               length: float, start_tangent: Vec2, end_tangent: Vec2) -> None:
+        """Set the fields, the length and the end data.  A tangent is
+        (-sign sin psi, sign cos psi), so each end point, center + radius *
+        (cos psi, sin psi), reads cos psi = sign * t.y and sin psi = -sign * t.x."""
         _set = object.__setattr__
         _set(self, "center", center)
         _set(self, "radius", radius)
         _set(self, "start_angle", start_angle)
         _set(self, "sweep", sweep)
-        length = radius * abs(sweep)
         _set(self, "length", length)
         sign = 1.0 if sweep > 0 else -1.0
         cx, cy = center.x, center.y
-        # evaluate_row(0.0) and evaluate_row(length) inline, s / length
-        # included, so that the stored ends are its values bit for bit
-        psi = start_angle + sweep * (0.0 / length)
-        cos, sin = math.cos(psi), math.sin(psi)
-        _set(self, "start_point", Vec2(cx + radius * cos, cy + radius * sin))
-        _set(self, "start_tangent", Vec2(-sign * sin, sign * cos))
-        psi = start_angle + sweep * (length / length)
-        cos, sin = math.cos(psi), math.sin(psi)
-        _set(self, "end_point", Vec2(cx + radius * cos, cy + radius * sin))
-        _set(self, "end_tangent", Vec2(-sign * sin, sign * cos))
+        t = start_tangent
+        _set(self, "start_point", Vec2(cx + radius * (sign * t.y), cy + radius * (-sign * t.x)))
+        _set(self, "start_tangent", t)
+        t = end_tangent
+        _set(self, "end_point", Vec2(cx + radius * (sign * t.y), cy + radius * (-sign * t.x)))
+        _set(self, "end_tangent", t)
+
+    def concentric(self, radius: float) -> "Arc":
+        """This arc at another radius about its center: the constructor's arc,
+        whose end angles, and so tangents, do not depend on a radius that gives
+        a positive, finite length; they are reused from this one."""
+        length = radius * abs(self.sweep)
+        if not 0.0 < length < math.inf:
+            raise InvalidInput(f"arc radius {radius!r} gives no positive, finite length")
+        arc = object.__new__(Arc)
+        arc._store(self.center, radius, self.start_angle, self.sweep, length,
+                   self.start_tangent, self.end_tangent)
+        return arc
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
         """(x, y, tx, ty, kappa) at arc length s from the start."""
@@ -167,27 +190,38 @@ class PiecewiseCurve:
         if not prims:
             raise InvalidInput("curve needs at least one primitive")
         if require_g1:
-            pos_tol = POS_REL * max(map(_primitive_extent, prims))
+            pos_tol = None
             for prev, nxt in zip(prims, prims[1:]):
-                gap = dist(prev.end_point, nxt.start_point)
-                if gap > pos_tol:
-                    raise InvalidInput(f"position gap {gap!r} at joint exceeds {pos_tol!r}")
-                # a primitive's tangent is unit by construction, so
-                # oriented_angle's unit checks are not repeated here
-                turn = unit_turn(prev.end_tangent, nxt.start_tangent)
-                if abs(turn) > ANG_TOL:
-                    raise InvalidInput(f"tangent gap {turn!r} rad at joint")
-        breaks = [0.0]
-        turns = [0.0]
-        kmax = 0.0
+                # a gap within POS_REL of the previous piece's length, at most
+                # the chain's extent, passes without the extent of every piece
+                a, b = prev.end_point, nxt.start_point
+                gap = math.hypot(a.x - b.x, a.y - b.y)
+                if gap > POS_REL * prev.length:
+                    pos_tol = pos_tol or POS_REL * max(map(_primitive_extent, prims))
+                    if gap > pos_tol:
+                        raise InvalidInput(f"position gap {gap!r} at joint exceeds {pos_tol!r}")
+                # tangents are unit by construction, so oriented_angle's unit
+                # checks are not repeated; within half of ANG_TOL of each
+                # other their turn atan2(c, d) passes without computing it
+                t, u = prev.end_tangent, nxt.start_tangent
+                c, d = t.x * u.y - t.y * u.x, t.x * u.x + t.y * u.y
+                if not (d > 0.0 and abs(c) <= 0.5 * ANG_TOL * d):
+                    turn = unit_turn(t, u)
+                    if abs(turn) > ANG_TOL:
+                        raise InvalidInput(f"tangent gap {turn!r} rad at joint")
+        # arc length, turning and the largest curvature, accumulated in floats
+        length = turn = kmax = 0.0
+        breaks, turns = [0.0], [0.0]
         for p in prims:
-            breaks.append(breaks[-1] + p.length)
-            turns.append(turns[-1] + p.sweep_angle)
+            length += p.length
+            breaks.append(length)
             if isinstance(p, Arc):
+                turn += p.sweep
                 kmax = max(kmax, 1.0 / p.radius)
+            turns.append(turn)
         self.primitives = tuple(prims)
         self.breaks = tuple(breaks)
-        self.length = breaks[-1]
+        self.length = length
         self._turn_breaks = tuple(turns)
         self._max_curvature = kmax
 

@@ -21,7 +21,6 @@ from .geometry import (
     Vec2,
     dist,
     line_intersection,
-    normalized,
     oriented_angle,
 )
 
@@ -73,8 +72,9 @@ def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
     if oa <= eps or ob <= eps or ab <= eps:
         raise DegenerateInput("O, A, B must be pairwise distinct")
 
-    alpha = normalized(O - A)
-    beta = normalized(B - O)
+    # normalized(O - A) and normalized(B - O): their norms are oa and ob
+    alpha = Vec2((O.x - A.x) / oa, (O.y - A.y) / oa)
+    beta = Vec2((B.x - O.x) / ob, (B.y - O.y) / ob)
     omega = oriented_angle(alpha, beta)
     if abs(omega) <= ANG_TOL or abs(omega) >= math.pi - ANG_TOL:
         raise IllPosedAngle(
@@ -121,10 +121,12 @@ def instance_from_tangents(A: Point2, B: Point2, alpha: Vec2, beta: Vec2) -> Pro
 def point_from_json(obj, key: str) -> Point2:
     """The [x, y] pair at obj[key]; booleans are not numbers here."""
     val = obj.get(key)
-    if (not isinstance(val, (list, tuple)) or len(val) != 2
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in val)):
-        raise InvalidInput(f"field {key!r} must be a pair of numbers")
-    return Vec2(float(val[0]), float(val[1]))
+    if isinstance(val, (list, tuple)) and len(val) == 2:
+        x, y = val
+        if (isinstance(x, (int, float)) and isinstance(y, (int, float))
+                and not isinstance(x, bool) and not isinstance(y, bool)):
+            return Vec2(float(x), float(y))
+    raise InvalidInput(f"field {key!r} must be a pair of numbers")
 
 
 def instance_from_json(obj: dict) -> ProblemInstance:

@@ -13,9 +13,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .curves import Arc, PiecewiseCurve, Segment, turned_start_angle
+from .curves import Arc, PiecewiseCurve, Segment, _primitive_extent, turned_start_angle
 from .errors import InvalidInput
-from .geometry import POS_REL, rot90
+from .geometry import POS_REL, Vec2
+
+#: largest offset distance over the curve's extent (its largest end point
+#: coordinate or piece length): shifted coordinates round in proportion to
+#: the distance, and past this a rebuilt segment can bend beyond ANG_TOL
+#: (measured in README, Tolerances)
+MAX_OFFSET_REL = 1e3
 
 
 class OffsetResult(NamedTuple):
@@ -25,20 +31,6 @@ class OffsetResult(NamedTuple):
     degenerate: bool
 
 
-def _offset_arc(arc: Arc, delta: float):
-    """Concentric arc at radius radius+delta, None when it collapses.
-
-    Negative delta beyond the radius flips to the antipodal
-    parameterization: same locus, tangent reversed (cusp case).
-    """
-    r = arc.radius + delta
-    if abs(r) <= POS_REL * arc.radius:
-        return None
-    if r > 0.0:
-        return Arc(arc.center, r, arc.start_angle, arc.sweep)
-    return Arc(arc.center, -r, turned_start_angle(arc.start_angle, math.pi), arc.sweep)
-
-
 def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:
     """Left and right offsets of the whole chain at the given distance.
 
@@ -46,36 +38,41 @@ def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:
     center on the left, so the left offset is its inner one; clockwise
     arcs mirror this.  Degeneracy (distance >= inner radius anywhere)
     is flagged per result and the affected side skips G1 validation.
+    A distance that is not positive and finite, or that exceeds
+    MAX_OFFSET_REL times the curve's extent, raises InvalidInput.
     """
-    if not (distance > 0.0):
-        raise InvalidInput(f"offset distance must be positive, got {distance!r}")
+    if not 0.0 < distance < math.inf:
+        raise InvalidInput(f"offset distance must be positive and finite, got {distance!r}")
+    bound = MAX_OFFSET_REL * max(map(_primitive_extent, curve.primitives))
+    if distance > bound:
+        raise InvalidInput(f"offset distance {distance!r} exceeds {bound!r}, "
+                           f"{MAX_OFFSET_REL:g} times the curve's extent")
     left_prims: list = []
     right_prims: list = []
-    left_degenerate = False
-    right_degenerate = False
+    left_degenerate = right_degenerate = False
     for p in curve.primitives:
         if isinstance(p, Segment):
-            shift = rot90(p.direction) * distance
-            left_prims.append(Segment(p.start + shift, p.end + shift))
-            right_prims.append(Segment(p.start - shift, p.end - shift))
+            # shifted along rot90(direction) * distance, in floats
+            d, a, b = p.direction, p.start, p.end
+            sx, sy = -d.y * distance, d.x * distance
+            left_prims.append(Segment(Vec2(a.x + sx, a.y + sy), Vec2(b.x + sx, b.y + sy)))
+            right_prims.append(Segment(Vec2(a.x - sx, a.y - sy), Vec2(b.x - sx, b.y - sy)))
             continue
         ccw = p.sweep > 0
-        inner_delta, outer_delta = -distance, +distance
-        inner = _offset_arc(p, inner_delta)
-        outer = _offset_arc(p, outer_delta)
-        if p.radius - distance <= POS_REL * p.radius:
-            if ccw:
-                left_degenerate = True
-            else:
-                right_degenerate = True
-        if ccw:
-            if inner is not None:
-                left_prims.append(inner)
-            right_prims.append(outer)
-        else:
-            if inner is not None:
-                right_prims.append(inner)
-            left_prims.append(outer)
+        inner_side, outer_side = (left_prims, right_prims) if ccw else (right_prims, left_prims)
+        # the inner arc collapses within POS_REL of the center; past it, it
+        # flips to the antipodal parameterization: same locus, tangent
+        # reversed (cusp case)
+        r, tol = p.radius - distance, POS_REL * p.radius
+        if r > tol:
+            inner_side.append(p.concentric(r))
+        elif r < -tol:
+            inner_side.append(
+                Arc(p.center, -r, turned_start_angle(p.start_angle, math.pi), p.sweep))
+        outer_side.append(p.concentric(p.radius + distance))
+        if r <= tol:
+            left_degenerate |= ccw
+            right_degenerate |= not ccw
     left = PiecewiseCurve(left_prims, require_g1=not left_degenerate)
     right = PiecewiseCurve(right_prims, require_g1=not right_degenerate)
     return OffsetResult(left=left, right=right, distance=distance,

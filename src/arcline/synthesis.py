@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .curves import PathBuilder, PiecewiseCurve
+from .curves import PathBuilder, PiecewiseCurve, curve_to_json, max_curvature
 from .errors import DegenerateInput, InvalidInput
 from .geometry import (
     ANG_TOL,
@@ -62,8 +62,6 @@ class OptimalSolution(NamedTuple):
     arc_first: bool
 
     def as_dict(self) -> dict:
-        from .curves import curve_to_json, max_curvature
-
         return {
             "R_a": self.radius,
             "segmentLength": self.segment_length,

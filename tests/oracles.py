@@ -13,7 +13,12 @@ the certificate gap profiles one point at a time through `evaluate`
 and, in `Vec2` arithmetic with the same expressions operand for
 operand, the tangent intercepts, the heading-gap bound, the max
 curvature as a loop over the primitives and the membership report with
-each of its angles computed on its own.  `sample_arrays` packs
+each of its angles computed on its own.  The solve path's earlier
+forms are kept too, to be compared with it bit for bit: the two-pass
+`to_svg` (bounds, then path data), the `Vec2` `offset` with every arc
+from the constructor, the `Vec2` `bezier_min_radius` (and the
+parabola's velocity), the `normalized` legs of `make_instance` and the
+G1 check that calls atan2 at every joint.  `sample_arrays` packs
 `sample_at`'s rows into numpy arrays for the tests that compute on
 them.  None of them is used by the
 library itself, which needs no numpy.
@@ -37,9 +42,12 @@ from arcline import (
     MembershipReport,
     OutOfRange,
     PathBuilder,
+    OffsetResult,
     PiecewiseCurve,
     Point2,
     ProblemInstance,
+    QuadraticBezier,
+    Segment,
     UndefinedHeading,
     Vec2,
     arc_radius,
@@ -48,14 +56,17 @@ from arcline import (
     max_curvature,
     oriented_angle,
 )
+from arcline.curves import turned_start_angle
 from arcline.geometry import (
     ANG_TOL,
+    POS_REL,
     ROUND_REL,
     TWO_PI,
     dist,
     normalized,
     principal_angle,
     rot90,
+    unit_turn,
 )
 from arcline.dubins import _closing
 from arcline.synthesis import frame_mirrored
@@ -465,3 +476,163 @@ def theta_phi_bound_vec(inst: ProblemInstance, sol, z: PiecewiseCurve) -> float:
             theta = frame.omega - theta
         excess.append(theta - s / ra - slope * s)
     return max(excess)
+
+
+def bezier_velocity(bez: QuadraticBezier, t: float) -> Vec2:
+    """B'(t) = 2 (1 - t) (p1 - p0) + 2 t (p2 - p1), in `Vec2` arithmetic."""
+    return ((bez.p1 - bez.p0) * (2.0 * (1.0 - t))
+            + (bez.p2 - bez.p1) * (2.0 * t))
+
+
+def bezier_min_radius_vec(bez: QuadraticBezier) -> tuple[float, float]:
+    """`bezier_min_radius` in `Vec2` arithmetic, the speed from
+    `bezier_velocity`."""
+    e1 = bez.p1 - bez.p0
+    e2 = bez.p2 - bez.p1
+    cr = 4.0 * e1.cross(e2)
+    if abs(cr) <= ROUND_REL * 4.0 * e1.norm() * e2.norm():
+        return math.inf, 0.5
+    d = e2 - e1
+    denom = d.dot(d)
+    t_star = 0.0 if denom == 0.0 else min(max(-e1.dot(d) / denom, 0.0), 1.0)
+    speed = bezier_velocity(bez, t_star).norm()
+    return speed ** 3 / abs(cr), t_star
+
+
+def normalized_legs(O: Point2, A: Point2, B: Point2) -> tuple[Vec2, Vec2]:
+    """The unit tangents make_instance(O, A, B) stores, from `normalized`:
+    normalized(O - A) and normalized(B - O), or, where it reverses the
+    traversal, -normalized(B - O) and -normalized(O - A)."""
+    alpha, beta = normalized(O - A), normalized(B - O)
+    if oriented_angle(alpha, beta) < 0.0:
+        return -beta, -alpha
+    return alpha, beta
+
+
+def g1_check_atan2(prims) -> None:
+    """The G1 check of `PiecewiseCurve` with pos_tol from every primitive's
+    extent and atan2 at every joint; raises InvalidInput as it does."""
+    pos_tol = POS_REL * max(max(abs(p.start_point.x), abs(p.start_point.y),
+                                abs(p.end_point.x), abs(p.end_point.y), p.length)
+                            for p in prims)
+    for prev, nxt in zip(prims, prims[1:]):
+        gap = dist(prev.end_point, nxt.start_point)
+        if gap > pos_tol:
+            raise InvalidInput(f"position gap {gap!r} at joint exceeds {pos_tol!r}")
+        turn = unit_turn(prev.end_tangent, nxt.start_tangent)
+        if abs(turn) > ANG_TOL:
+            raise InvalidInput(f"tangent gap {turn!r} rad at joint")
+
+
+def _offset_arc_constructed(arc: Arc, delta: float):
+    """`offsets._offset_arc` with every arc from the `Arc` constructor."""
+    r = arc.radius + delta
+    if abs(r) <= POS_REL * arc.radius:
+        return None
+    if r > 0.0:
+        return Arc(arc.center, r, arc.start_angle, arc.sweep)
+    return Arc(arc.center, -r, turned_start_angle(arc.start_angle, math.pi), arc.sweep)
+
+
+def offset_vec(curve: PiecewiseCurve, distance: float) -> OffsetResult:
+    """`offset` in `Vec2` arithmetic, each segment shifted by
+    rot90(direction) * distance and each arc from the constructor; it
+    checks the distance's sign only."""
+    if not (distance > 0.0):
+        raise InvalidInput(f"offset distance must be positive, got {distance!r}")
+    left_prims: list = []
+    right_prims: list = []
+    left_degenerate = right_degenerate = False
+    for p in curve.primitives:
+        if isinstance(p, Segment):
+            shift = rot90(p.direction) * distance
+            left_prims.append(Segment(p.start + shift, p.end + shift))
+            right_prims.append(Segment(p.start - shift, p.end - shift))
+            continue
+        ccw = p.sweep > 0
+        inner = _offset_arc_constructed(p, -distance)
+        outer = _offset_arc_constructed(p, distance)
+        if p.radius - distance <= POS_REL * p.radius:
+            if ccw:
+                left_degenerate = True
+            else:
+                right_degenerate = True
+        inner_side, outer_side = (left_prims, right_prims) if ccw else (right_prims, left_prims)
+        if inner is not None:
+            inner_side.append(inner)
+        outer_side.append(outer)
+    left = PiecewiseCurve(left_prims, require_g1=not left_degenerate)
+    right = PiecewiseCurve(right_prims, require_g1=not right_degenerate)
+    return OffsetResult(left=left, right=right, distance=distance,
+                        degenerate=left_degenerate or right_degenerate)
+
+
+def _fmt(value: float) -> str:
+    if value == 0.0:
+        return "0"
+    return format(value, ".9g")
+
+
+def _primitive_bounds(p) -> tuple[float, float, float, float]:
+    xs = [p.start_point.x, p.end_point.x]
+    ys = [p.start_point.y, p.end_point.y]
+    if isinstance(p, Arc):
+        a0 = p.start_angle
+        a1 = p.start_angle + p.sweep
+        lo, hi = min(a0, a1), max(a0, a1)
+        k = math.ceil(lo / (0.5 * math.pi))
+        angle = k * 0.5 * math.pi
+        for _ in range(4):
+            if angle > hi:
+                break
+            xs.append(p.center.x + p.radius * math.cos(angle))
+            ys.append(p.center.y + p.radius * math.sin(angle))
+            angle += 0.5 * math.pi
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _path_data(curve: PiecewiseCurve) -> str:
+    start = curve.start_point
+    parts = [f"M {_fmt(start.x)} {_fmt(-start.y)}"]
+    for p in curve.primitives:
+        end = p.end_point
+        if isinstance(p, Segment):
+            parts.append(f"L {_fmt(end.x)} {_fmt(-end.y)}")
+        else:
+            large = 1 if abs(p.sweep) > math.pi else 0
+            sweep_flag = 1 if p.sweep < 0 else 0
+            parts.append(
+                f"A {_fmt(p.radius)} {_fmt(p.radius)} 0 {large} {sweep_flag} "
+                f"{_fmt(end.x)} {_fmt(-end.y)}")
+    return " ".join(parts)
+
+
+def to_svg_two_pass(curves: list[PiecewiseCurve]) -> str:
+    """`to_svg` in two passes: the bounds of every primitive, then the
+    path data of every curve, each number through a formatting function."""
+    palette = ("#000000", "#d62728", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
+    if not curves:
+        return ('<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1">'
+                "</svg>\n")
+    xmin = ymin = math.inf
+    xmax = ymax = -math.inf
+    for curve in curves:
+        for p in curve.primitives:
+            x0, y0, x1, y1 = _primitive_bounds(p)
+            xmin, ymin = min(xmin, x0), min(ymin, y0)
+            xmax, ymax = max(xmax, x1), max(ymax, y1)
+    span = max(xmax - xmin, ymax - ymin)
+    margin = 0.05 * span
+    vb = (xmin - margin, -ymax - margin,
+          (xmax - xmin) + 2.0 * margin, (ymax - ymin) + 2.0 * margin)
+    stroke_width = _fmt(0.004 * span)
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" '
+        f'viewBox="{_fmt(vb[0])} {_fmt(vb[1])} {_fmt(vb[2])} {_fmt(vb[3])}">'
+    ]
+    for i, curve in enumerate(curves):
+        lines.append(
+            f'  <path d="{_path_data(curve)}" fill="none" '
+            f'stroke="{palette[i % len(palette)]}" stroke-width="{stroke_width}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

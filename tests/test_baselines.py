@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from arcline import (
     InvalidInput,
@@ -11,7 +12,8 @@ from arcline import (
     bezier_min_radius,
     compare_report,
 )
-from conftest import WORKED_RA, instances
+from conftest import WORKED_RA, float_bits, instance_competitors, instances
+from oracles import bezier_min_radius_vec, bezier_velocity
 
 
 def worked_bezier():
@@ -95,8 +97,8 @@ def test_min_radius_against_brute_force():
 def test_tangent_directions_match_instance():
     for inst in instances(seed=56, count=10):
         bez = QuadraticBezier.from_instance(inst)
-        v0 = bez.velocity(0.0)
-        v1 = bez.velocity(1.0)
+        v0 = bezier_velocity(bez, 0.0)
+        v1 = bezier_velocity(bez, 1.0)
         assert v0.cross(inst.alpha) == pytest.approx(0.0, abs=1e-12 * v0.norm())
         assert v0.dot(inst.alpha) > 0.0
         assert v1.cross(inst.beta) == pytest.approx(0.0, abs=1e-12 * v1.norm())
@@ -130,3 +132,18 @@ def test_compare_report_symmetric(symmetric_instance):
     report = compare_report(symmetric_instance)
     assert report.optimal_min_radius == pytest.approx(1.0)
     assert report.improvement_ratio is not None and report.improvement_ratio > 1.0
+
+
+@settings(deadline=None, max_examples=100)
+@given(instance_competitors())
+def test_min_radius_matches_vec2_form(case):
+    # the float form gives the Vec2 form's radius and parameter bit for bit:
+    # on the instance's parabola, its reversal, and parabolas through each
+    # competitor's start, midpoint and end
+    inst, _, competitors = case
+    beziers = [QuadraticBezier.from_instance(inst), QuadraticBezier(inst.B, inst.O, inst.A)]
+    for z in competitors:
+        x, y = z.evaluate_row(0.5 * z.length)[:2]
+        beziers.append(QuadraticBezier(z.start_point, Vec2(x, y), z.end_point))
+    for bez in beziers:
+        assert float_bits(bezier_min_radius(bez)) == float_bits(bezier_min_radius_vec(bez))

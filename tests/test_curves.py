@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
@@ -36,6 +38,7 @@ from conftest import (
 from oracles import (
     check_membership_vec,
     evaluate,
+    g1_check_atan2,
     max_curvature_loop,
     numeric_curvature,
     sample_arrays,
@@ -317,13 +320,44 @@ def builder_holding(prims: list[Segment]) -> PathBuilder:
     return builder
 
 
+def far_reaching_chain(gap: float) -> list[Segment]:
+    """A segment 1e-3 long at the origin, then one reaching x = 1000 from
+    `gap` above its end: the joint's scale is 1e-3, the chain's 1e3."""
+    return [Segment(Vec2(0.0, 0.0), Vec2(1e-3, 0.0)), Segment(Vec2(1e-3, gap), Vec2(1e3, gap))]
+
+
+#: the fraction of each chain's tolerance below which the joint check's
+#: quick test passes the joint: a turn within half of ANG_TOL, a gap within
+#: POS_REL of the previous piece's length (1 of the chain's extent 2 for
+#: gapped_chain, 1e-3 of 1e3 for far_reaching_chain)
+QUICK_BELOW = {turned_chain: 0.5, gapped_chain: 0.5, far_reaching_chain: 0.0}
+
+
+def g1_verdict(check, prims) -> str | None:
+    """The message of the InvalidInput check(prims) raises, or None."""
+    try:
+        check(prims)
+    except InvalidInput as exc:
+        return str(exc)
+    return None
+
+
+def counting(fn, calls: Counter, key: str):
+    def counted(*args):
+        calls[key] += 1
+        return fn(*args)
+    return counted
+
+
 @pytest.mark.parametrize("chain, tol, message", [(turned_chain, ANG_TOL, "tangent gap"),
-                                                  (gapped_chain, 2.0 * POS_REL, "position gap")])
-def test_g1_checks_hold_just_above_their_tolerance(chain, tol, message):
+                                                  (gapped_chain, 2.0 * POS_REL, "position gap"),
+                                                  (far_reaching_chain, 1e3 * POS_REL,
+                                                   "position gap")])
+def test_g1_checks_hold_just_above_their_tolerance(chain, tol, message, monkeypatch):
     # the joint checks read the primitives' stored ends, and still reject a
     # turn just above ANG_TOL and a gap just above pos_tol (the chain's
-    # extent is 2), from a builder as an InternalError; just below, both
-    # chains are curves
+    # extent is 2, or 1e3 for the far-reaching chain), from a builder as an
+    # InternalError; just below, both chains are curves
     below, above = chain(0.99 * tol), chain(1.01 * tol)
     PiecewiseCurve(below)
     builder_holding(below).build_to(below[-1].end, 1e-9)
@@ -331,6 +365,63 @@ def test_g1_checks_hold_just_above_their_tolerance(chain, tol, message):
         PiecewiseCurve(above)
     with pytest.raises(InternalError, match=message):
         builder_holding(above).build_to(above[-1].end, 1e-9)
+    # the quick tests decide below QUICK_BELOW without atan2 or the extent
+    # of every primitive; above it the exact check decides, computing
+    # pos_tol once; either way the verdict is the exact check's
+    calls: Counter = Counter()
+    monkeypatch.setattr(curves, "unit_turn", counting(curves.unit_turn, calls, "atan2"))
+    monkeypatch.setattr(curves, "_primitive_extent",
+                        counting(curves._primitive_extent, calls, "extent"))
+    for fraction in (0.49, 0.51, 0.99, 1.01):
+        prims = chain(fraction * tol)
+        calls.clear()
+        assert g1_verdict(PiecewiseCurve, prims) == g1_verdict(g1_check_atan2, prims)
+        exact = calls["atan2"] if message == "tangent gap" else calls["extent"]
+        assert (exact == 0) == (fraction < QUICK_BELOW[chain])
+        assert calls["extent"] in (0, len(prims))
+
+
+def perturbed(prims: list, i: int, turn: float, shift: Vec2) -> list:
+    """prims with primitive i moved by `shift` and turned by `turn` about
+    its own start."""
+    p = prims[i]
+    c, s = math.cos(turn), math.sin(turn)
+    if isinstance(p, Segment):
+        a, d = p.start + shift, p.end - p.start
+        moved = Segment(a, a + Vec2(c * d.x - s * d.y, s * d.x + c * d.y))
+    else:
+        a, d = p.start_point + shift, p.center - p.start_point
+        moved = Arc(a + Vec2(c * d.x - s * d.y, s * d.x + c * d.y), p.radius,
+                    p.start_angle + turn, p.sweep)
+    return prims[:i] + [moved] + prims[i + 1:]
+
+
+@settings(deadline=None, max_examples=100)
+@given(instance_competitors(), st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                                                  st.floats(-math.pi, math.pi)),
+                                        min_size=1, max_size=4))
+def test_g1_check_matches_the_atan2_loop(case, moves):
+    # competitors with one primitive turned by up to 3 ANG_TOL and moved by
+    # up to 3 pos_tol: the same verdict and message as the check that calls
+    # atan2 at every joint and measures every extent; an accepted chain's
+    # breaks are the running sums of its lengths and sweeps
+    _, _, competitors = case
+    for z in competitors:
+        prims = list(z.primitives)
+        scale = max(map(curves._primitive_extent, prims))
+        for k, (turn, gap, direction) in enumerate(moves):
+            i = k % len(prims)
+            shift = Vec2(math.cos(direction), math.sin(direction)) * (gap * POS_REL * scale)
+            chain = perturbed(prims, i, turn * ANG_TOL, shift)
+            verdict = g1_verdict(PiecewiseCurve, chain)
+            assert verdict == g1_verdict(g1_check_atan2, chain)
+            if verdict is None:
+                curve = PiecewiseCurve(chain)
+                assert float_bits(list(curve.breaks)) == \
+                    float_bits(list(accumulate([0.0] + [p.length for p in chain])))
+                assert float_bits(list(curve._turn_breaks)) == \
+                    float_bits(list(accumulate([0.0] + [p.sweep_angle for p in chain])))
+                assert curve.length == curve.breaks[-1]
 
 
 @settings(deadline=None, max_examples=100)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcline import (
     DegenerateInput,
@@ -16,8 +16,9 @@ from arcline import (
     make_instance,
 )
 from arcline import instance as instance_module
-from conftest import WORKED_A, WORKED_B, WORKED_O, float_bits, instances
-from oracles import similarity_transform
+from arcline.instance import point_from_json
+from conftest import WORKED_A, WORKED_B, WORKED_O, float_bits, instance_competitors, instances
+from oracles import normalized_legs, similarity_transform
 
 R2 = math.sqrt(2.0) / 2.0
 
@@ -85,6 +86,19 @@ def test_make_instance_measures_each_leg_once(monkeypatch):
         assert inst.symmetric == (abs(same.oa - same.ob) <= same.pos_tol)
     assert [make_instance(O, A, B).reversed for O, A, B in legs] == [False, False]
     assert [make_instance(O, B, A).reversed for O, A, B in legs] == [True, True]
+
+
+@settings(deadline=None, max_examples=100)
+@given(instance_competitors())
+def test_make_instance_legs_match_normalized(case):
+    # alpha and beta are the legs divided by the measured |OA| and |OB|:
+    # `normalized`'s vectors bit for bit, forwards and reversed
+    inst, _, _ = case
+    for O, A, B in ((inst.O, inst.A, inst.B), (inst.O, inst.B, inst.A)):
+        made = make_instance(O, A, B)
+        alpha, beta = normalized_legs(O, A, B)
+        assert float_bits([made.alpha.x, made.alpha.y, made.beta.x, made.beta.y]) == \
+            float_bits([alpha.x, alpha.y, beta.x, beta.y])
 
 
 def test_from_tangents_worked_example():
@@ -174,3 +188,25 @@ def test_json_tangent_form():
 def test_json_schema_violations(obj):
     with pytest.raises(InvalidInput):
         instance_from_json(obj)
+
+
+@pytest.mark.parametrize("value, point", [
+    ([1, 2.5], Vec2(1.0, 2.5)),
+    ((-3, 0), Vec2(-3.0, 0.0)),
+    ([True, 0], None),
+    ([0.0, False], None),
+    ([1.0, "2"], None),
+    ([1.0], None),
+    ([1.0, 2.0, 3.0], None),
+    ("xy", None),
+    ({"x": 1.0, "y": 2.0}, None),
+    (None, None),
+])
+def test_point_from_json_takes_a_pair_of_numbers(value, point):
+    # a list or tuple of two ints or floats, booleans excluded
+    if point is None:
+        with pytest.raises(InvalidInput, match="pair of numbers"):
+            point_from_json({"P": value}, "P")
+    else:
+        got = point_from_json({"P": value}, "P")
+        assert got == point and type(got.x) is float and type(got.y) is float

@@ -1,13 +1,16 @@
 import math
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
     InvalidInput,
+    PathBuilder,
     PiecewiseCurve,
     Segment,
     Vec2,
@@ -15,8 +18,11 @@ from arcline import (
     synthesize,
     to_svg,
 )
-from conftest import WORKED_RA, instances
-from oracles import sample_arrays, similarity_transform
+from arcline.curves import MAX_START_ANGLE, _primitive_extent
+from arcline.offsets import MAX_OFFSET_REL
+from conftest import WORKED_RA, float_bits, instance_competitors, instances
+from oracles import offset_vec, random_instance, sample_arrays, similarity_transform, \
+    to_svg_two_pass
 
 
 def test_offset_segment():
@@ -34,6 +40,32 @@ def test_offset_rejects_nonpositive_distance():
         offset(seg, 0.0)
     with pytest.raises(InvalidInput):
         offset(seg, -0.5)
+
+
+def test_offset_distance_bound():
+    # up to MAX_OFFSET_REL times the curve's extent the outer offsets of
+    # random optimal curves pass the G1 check (the inner ones, past every
+    # arc's center, are degenerate); beyond it, and at a non-finite
+    # distance, offset raises InvalidInput naming the distance and the
+    # bound, where it used to fail inside the G1 check or on a coincident
+    # segment
+    rng = random.Random(3)
+    for _ in range(300):
+        curve = synthesize(random_instance(rng)).curve
+        bound = MAX_OFFSET_REL * max(map(_primitive_extent, curve.primitives))
+        assert offset(curve, 0.99 * bound).degenerate
+        beyond = 1.01 * bound
+        with pytest.raises(InvalidInput, match=f"{re.escape(repr(beyond))} exceeds "
+                                               f"{re.escape(repr(bound))}"):
+            offset(curve, beyond)
+    for distance in (1e300, math.inf, math.nan):
+        with pytest.raises(InvalidInput, match="offset distance"):
+            offset(curve, distance)
+    # where 1e3 times the extent overflows, an infinite distance is still
+    # rejected as one
+    huge = PiecewiseCurve([Segment(Vec2(0.0, 0.0), Vec2(1e306, 0.0))])
+    with pytest.raises(InvalidInput, match="positive and finite"):
+        offset(huge, math.inf)
 
 
 def test_offset_worked_curve(worked_instance):
@@ -213,3 +245,87 @@ def test_svg_roundtrip_sampling(worked_instance):
     assert _roundtrip_gap(sol.curve) <= 1e-9 * worked_instance.diameter
     for inst in instances(seed=62, count=5):
         assert _roundtrip_gap(synthesize(inst).curve) <= 1e-7 * inst.diameter
+
+
+def stored_bits(curve: PiecewiseCurve) -> list:
+    """Every float a curve and its primitives store, as hex, with each
+    primitive's type."""
+    out = [float_bits([curve.length, list(curve.breaks), list(curve._turn_breaks),
+                       curve._max_curvature])]
+    for p in curve.primitives:
+        values = []
+        for name in p.__slots__:
+            v = getattr(p, name)
+            values += [v.x, v.y] if isinstance(v, Vec2) else [v]
+        out.append((type(p).__name__, float_bits(values)))
+    return out
+
+
+def offset_outcome(fn, curve: PiecewiseCurve, distance: float):
+    """What fn(curve, distance) stores, or the message it raises."""
+    try:
+        result = fn(curve, distance)
+    except InvalidInput as exc:
+        return str(exc)
+    return (stored_bits(result.left), stored_bits(result.right),
+            result.distance.hex(), result.degenerate)
+
+
+#: offset distances, as fractions of a curve's smallest arc radius: inside
+#: it, just inside, on it and within 1.5 POS_REL of it either way (the arc
+#: collapses within POS_REL), and past it (antipodal arcs)
+RADIUS_FRACTIONS = (0.25, 0.999, 1.0 - 1.5e-9, 1.0, 1.0 + 1.5e-9, 1.5, 3.0)
+
+
+def assert_offsets_and_svg_match_oracles(curves: list[PiecewiseCurve]) -> None:
+    """offset and to_svg against their Vec2 / two-pass forms: bit for bit
+    and character for character, at every radius fraction (of the length,
+    on a curve without arcs)."""
+    assert to_svg(curves) == to_svg_two_pass(curves)
+    for curve in curves:
+        rmin = min([p.radius for p in curve.primitives if isinstance(p, Arc)] or [curve.length])
+        for f in RADIUS_FRACTIONS:
+            got = offset_outcome(offset, curve, f * rmin)
+            assert got == offset_outcome(offset_vec, curve, f * rmin)
+            if not isinstance(got, str):
+                result = offset(curve, f * rmin)
+                sides = [curve, result.left, result.right]
+                assert to_svg(sides) == to_svg_two_pass(sides)
+
+
+@settings(deadline=None, max_examples=60)
+@given(instance_competitors())
+def test_offsets_and_svg_match_oracles(case):
+    _, _, competitors = case
+    assert_offsets_and_svg_match_oracles(competitors)
+    assert_offsets_and_svg_match_oracles([z.reversed_copy() for z in competitors])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(0.0, 16.0), st.booleans(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0), st.floats(0.05, 6.2), st.booleans())
+def test_offsets_and_svg_match_oracles_near_the_start_angle_bound(
+        below, negative, log_radius, cx, cy, sweep, clockwise):
+    # arcs starting within 16 rad of +-2**23, alone and followed by a
+    # segment along their end tangent
+    start = math.copysign(MAX_START_ANGLE - below, -1.0 if negative else 1.0)
+    start = math.nextafter(start, 0.0) if abs(start) >= MAX_START_ANGLE else start
+    radius = 10.0 ** log_radius
+    arc = Arc(Vec2(cx * radius, cy * radius), radius, start, -sweep if clockwise else sweep)
+    end, t = arc.end_point, arc.end_tangent
+    tail = Segment(end, Vec2(end.x + radius * t.x, end.y + radius * t.y))
+    assert_offsets_and_svg_match_oracles(
+        [PiecewiseCurve([arc]), PiecewiseCurve([arc, tail])])
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_svg_matches_two_pass_on_zero_coordinates(zero):
+    # coordinates and negated ys of either sign of zero are written "0"
+    # (the document and the oracle's agree), on segments and arcs on the axes
+    # and on their offsets
+    origin = Vec2(zero, zero)
+    curves = [PiecewiseCurve([Segment(origin, Vec2(1.0, zero))]),
+              PiecewiseCurve([Segment(origin, Vec2(zero, -1.0))]),
+              PathBuilder(origin, 0.0).line(1.0).arc(1.0, 0.5 * math.pi).line(1.0).build()]
+    assert_offsets_and_svg_match_oracles(curves)
+    assert "-0 " not in to_svg(curves) and "-0\"" not in to_svg(curves)
