@@ -89,6 +89,15 @@ def turned_start_angle(start_angle: float, turn: float) -> float:
     return start_angle + (turn - math.copysign(TWO_PI, angle))
 
 
+def _arc_length(radius: float, sweep: float) -> float:
+    """radius * |sweep|, which must neither underflow to 0 nor overflow."""
+    length = radius * abs(sweep)
+    if not 0.0 < length < math.inf:
+        raise InvalidInput(f"arc radius {radius!r}, sweep {sweep!r}: length {length!r} "
+                           "is not positive and finite")
+    return length
+
+
 class Arc(Frozen):
     """Circular arc: center, radius, start angle and signed sweep.
 
@@ -111,7 +120,7 @@ class Arc(Frozen):
         if not abs(start_angle) < MAX_START_ANGLE:
             raise InvalidInput(
                 f"arc start angle must be finite with |a| < 2**23, got {start_angle!r}")
-        length = radius * abs(sweep)
+        length = _arc_length(radius, sweep)
         sign = 1.0 if sweep > 0 else -1.0
         # evaluate_row's tangents at s = 0 and s = L, s / length included,
         # so that the stored ends are its values bit for bit
@@ -145,12 +154,9 @@ class Arc(Frozen):
         """This arc at another radius about its center: the constructor's arc,
         whose end angles, and so tangents, do not depend on a radius that gives
         a positive, finite length; they are reused from this one."""
-        length = radius * abs(self.sweep)
-        if not 0.0 < length < math.inf:
-            raise InvalidInput(f"arc radius {radius!r} gives no positive, finite length")
         arc = object.__new__(Arc)
-        arc._store(self.center, radius, self.start_angle, self.sweep, length,
-                   self.start_tangent, self.end_tangent)
+        arc._store(self.center, radius, self.start_angle, self.sweep,
+                   _arc_length(radius, self.sweep), self.start_tangent, self.end_tangent)
         return arc
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:

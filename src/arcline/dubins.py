@@ -24,9 +24,8 @@ pieces.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
@@ -211,9 +210,14 @@ class SweepReport:
 #: is at most one unit of roundoff of a term no larger than the magnitude
 #: bound of `_CompositeGrid`.
 _FRONTIER_ROUNDING = 2.0**-45
-#: widest frontier window, in columns either side of the root; a sweep whose
-#: window would be wider (a slope near zero) evaluates every cell
+#: widest frontier window, in columns either side of the root
 _FRONTIER_CAP = 8
+#: largest sweep grid; the closed form's conditions were checked on the
+#: accepted domain up to here
+MAX_GRID = 10**6
+#: `_CompositeGrid`'s InternalError where an argument's conditions fail as
+#: computed: on the accepted domain, at grids up to MAX_GRID, a bug
+_UNPROVEN = "the sweep's {} argument does not hold on this grid"
 
 
 def _prefix_end(x: float, w: float, n: int, feasible: Callable[[int], bool]) -> int:
@@ -243,17 +247,16 @@ class _CompositeGrid:
     so its verdict can differ from the model's only where the model is
     within that bound of -tol.
 
-    Row argument (`scan`, which counts the cells and decides where the
-    closed form does not apply).  In each row the model is feasible on a
-    prefix of columns, up to the smaller of the two roots p2 = -tol and
-    p2 + k2 t = -tol.  Below that root both pieces lie above -tol, and
-    above it the falling piece of the smaller root already lies below,
-    each by more than the bound outside `half_width` columns of the root,
-    a width that covers the error of the computed root column x as well.
-    One window per row, [ceil(x - w), floor(x + w)] with w = `half_width`,
-    is therefore all that `scan` tests, each cell by `_composite_params`:
-    ceil and floor are exact, so every column below it is feasible and
-    every column above it is not.
+    Row argument (`scan`, which counts the cells).  In each row the model
+    is feasible on a prefix of columns, up to the smaller of the two roots
+    p2 = -tol and p2 + k2 t = -tol.  Below that root both pieces lie above
+    -tol, and above it the falling piece of the smaller root already lies
+    below, each by more than the bound outside `half_width` columns of the
+    root, a width that covers the error of the computed root column x as
+    well.  One window per row, [ceil(x - w), floor(x + w)] with w =
+    `half_width`, is therefore all that `scan` tests, each cell by
+    `_composite_params`: ceil and floor are exact, so every column below
+    it is feasible and every column above it is not.
 
     Diagonal argument (`closed_form`).  On the diagonal r1 = r2 = r both
     pieces fall at -2s and d2 vanishes at r = R_a, so their smaller root,
@@ -274,17 +277,17 @@ class _CompositeGrid:
     each radius is rounded by: the radii strictly increase and their
     reciprocals differ.  The least score 1/min(r1, r2) is then 1/radii[m],
     and the first cell in row-major order reaching it is (m, m): every
-    earlier row, and every earlier column of row m, has a smaller k.  A
-    window with r_lo > 1, or one where these conditions fail as computed,
-    is left to the scan.
+    earlier row, and every earlier column of row m, has a smaller k.
 
     Single-arc argument (`closed_form` and `singles`).  The single arc's
     d1 and d3 both fall in r at -tan(omega/2), and their smaller root is
     R_a + tol / tan(omega/2); the same window there
     (`_single_window`), no wider than `_FRONTIER_CAP` (which also keeps
     the reciprocals apart), ends the prefix of admissible radii, whose
-    last is the first of least score.  Where its conditions fail as
-    computed, `singles` tests every radius by `_p2_params`.
+    last is the first of least score.
+
+    Where an argument's conditions fail as computed, the method that
+    relies on it raises InternalError.
     """
 
     def __init__(self, inst: ProblemInstance, tol: float, grid_n: int,
@@ -336,15 +339,15 @@ class _CompositeGrid:
         return ((root_a if root_a < root_b else root_b) - self.first) / self.spacing
 
     @functools.cached_property
-    def half_width(self) -> float | None:
-        """The row window's half-width, or None where the rows are tested
-        cell by cell: radii not shown to increase, a computed slope that
-        is not negative, or a window wider than `_FRONTIER_CAP`."""
+    def half_width(self) -> float:
+        """The row window's half-width.  Raises InternalError on radii not
+        shown to increase, a computed slope that is not negative, or a
+        window wider than `_FRONTIER_CAP`."""
         if self.increasing and self.p_slope < 0.0 and self.d_slope < 0.0:
             width = self._width(self.magnitude, self.p_slope, self.d_slope)
             if width <= _FRONTIER_CAP:
                 return width
-        return None
+        raise InternalError(_UNPROVEN.format("row"))
 
     def _diagonal(self, k: int) -> bool:
         r = self.radius(k)
@@ -353,34 +356,32 @@ class _CompositeGrid:
     def _single(self, k: int) -> bool:
         return _p2_params(self.closing, self.radius(k), self.tol) is not None
 
-    def _single_window(self) -> tuple[float, float] | None:
+    def _single_window(self) -> tuple[float, float]:
         """(x, w) of the single-arc window: every radius below ceil(x - w)
-        is admissible and every one above floor(x + w) is not.  None where
-        its conditions fail as computed."""
+        is admissible and every one above floor(x + w) is not."""
         xb, yb, _, _, sino, coso, _, _, _, _ = self.closing
         r_max, tol = self.r_max, self.tol
         # the single arc's d3 and d1, as `_p2_params` computes them
         d3_slope = -(1.0 - coso) / sino
         d1_slope = -sino - d3_slope * coso
         if not (self.increasing and d3_slope < 0.0 and d1_slope < 0.0):
-            return None
+            raise InternalError(_UNPROVEN.format("single-arc"))
         d3_0 = yb / sino
         d3_mag = (abs(yb) + r_max * (1.0 - coso)) / sino
         w = self._width(d3_mag * (1.0 + abs(coso)) + abs(xb) + r_max * sino + tol,
                         d3_slope, d1_slope)
         if w > _FRONTIER_CAP:
-            return None
+            raise InternalError(_UNPROVEN.format("single-arc"))
         return self._column((d3_0 + tol) / -d3_slope, (xb - d3_0 * coso + tol) / -d1_slope), w
 
-    def closed_form(self) -> tuple[tuple[int, int] | None, int | None] | None:
+    def closed_form(self) -> tuple[tuple[int, int] | None, int | None]:
         """(first best composite cell, first best single-arc index) by the
         diagonal and single-arc arguments, each None where its family has
-        no feasible curve; None where the arguments' conditions fail as
-        computed."""
+        no feasible curve."""
         tol, n = self.tol, self.n
         shallow = -max(self.p_slope, self.d_slope, self.p_slope1, self.d_slope1)
-        if self.r_lo > 1.0 or not self.increasing or not shallow > 0.0:
-            return None
+        if not (self.increasing and shallow > 0.0):
+            raise InternalError(_UNPROVEN.format("diagonal"))
         # the two pieces on the diagonal: at r = 0, and per unit of r
         xb, yb, sin1, cos1, _, _, _, _, _, k2 = self.closing
         p0 = yb / sin1
@@ -389,94 +390,55 @@ class _CompositeGrid:
         w = self._width(self.magnitude, p_diag, d_diag)
         steep = -p_diag if p_diag < d_diag else -d_diag
         if not 2.0 * (steep * w + _FRONTIER_ROUNDING * self.magnitude / self.spacing) < shallow:
-            return None
+            raise InternalError(_UNPROVEN.format("diagonal"))
         m = _prefix_end(self._column((p0 + tol) / -p_diag, (d0 + tol) / -d_diag), w, n,
                         self._diagonal)
-        single = self._single_window()
-        if single is None:
-            return None
-        q = _prefix_end(*single, n, self._single)
+        q = _prefix_end(*self._single_window(), n, self._single)
         return ((m, m) if m >= 0 else None), (q if q >= 0 else None)
 
     def scan(self) -> Iterator[tuple[int, list[int]]]:
         """Each row's feasible columns as (lo, cols), row by row: every
         column below lo, and the columns listed in cols, all at or above
-        lo, each tested by `_composite_params`.  A grid with no frontier
-        window (`half_width` is None) tests every column of every row."""
-        closing, tol, radii = self.closing, self.tol, self.radii
-        n = len(radii)
+        lo, each tested by `_composite_params`."""
+        closing, tol, radii, n = self.closing, self.tol, self.radii, self.n
         xb, yb, sin1, cos1, _, _, one_cos1, _, _, k2 = closing
         w = self.half_width
         first, spacing = self.first, self.spacing
         neg_p, neg_d = -self.p_slope, -self.d_slope
         ceil, floor = math.ceil, math.floor
         for r1 in radii:
-            if w is None:
-                lo, end = 0, n
-            else:
-                # the row's smaller root, as a column x; every column below
-                # ceil(x - w) is feasible, and the window ends at x + w
-                p0 = (yb - r1 * one_cos1) / sin1
-                root_p = (p0 + tol) / neg_p
-                root_d = (p0 - k2 * ((xb - r1 * sin1) - p0 * cos1) + tol) / neg_d
-                x = ((root_d if root_d < root_p else root_p) - first) / spacing
-                lo = x - w
-                lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
-                top = x + w
-                # one past the last column at or below top, and below n
-                end = n if top >= n - 1 else floor(top) + 1 if top >= lo else lo
+            # the row's smaller root, as a column x; every column below
+            # ceil(x - w) is feasible, and the window ends at x + w
+            p0 = (yb - r1 * one_cos1) / sin1
+            root_p = (p0 + tol) / neg_p
+            root_d = (p0 - k2 * ((xb - r1 * sin1) - p0 * cos1) + tol) / neg_d
+            x = ((root_d if root_d < root_p else root_p) - first) / spacing
+            lo = x - w
+            lo = 0 if lo <= 0.0 else n if lo >= n else ceil(lo)
+            top = x + w
+            # one past the last column at or below top, and below n
+            end = n if top >= n - 1 else floor(top) + 1 if top >= lo else lo
             yield lo, [j for j, r2 in enumerate(radii[lo:end], lo)
                        if _composite_params(closing, r1, r2, tol) is not None]
 
-    def singles(self) -> Sequence[int]:
+    def singles(self) -> range:
         """Indices of the admissible single-arc radii: the prefix that
-        `_single_window` ends, or every radius that passes `_p2_params`
-        where that window does not apply."""
-        window = self._single_window()
-        if window is None:
-            return [k for k in range(self.n) if self._single(k)]
-        return range(_prefix_end(*window, self.n, self._single) + 1)
+        `_single_window` ends."""
+        return range(_prefix_end(*self._single_window(), self.n, self._single) + 1)
 
     def count(self) -> int:
         """Feasible composite cells and single-arc radii."""
         return sum(lo + len(cols) for lo, cols in self.scan()) + len(self.singles())
 
-    def scanned(self) -> tuple[tuple[int, int] | None, int | None]:
-        """`closed_form`'s result from the scan, for any grid.
 
-        A cell scores 1/min(r1, r2) = 1/radii[min(i, j)], which never
-        increases along a row, so a row's least score is at its last
-        feasible column; the first cell reaching the least score over all
-        rows is the first column of the first such row that ties it."""
-        radii, rows = self.radii, list(self.scan())
-
-        def least(i: int) -> float:
-            lo, cols = rows[i]
-            last = cols[-1] if cols else lo - 1
-            return 1.0 / radii[min(i, last)] if last >= 0 else math.inf
-
-        i = min(range(self.n), key=least)
-        best = least(i)
-        cell = None
-        if best < math.inf:
-            lo, cols = rows[i]
-            cell = i, next(j for j in itertools.chain(range(lo), cols)
-                           if 1.0 / radii[min(i, j)] == best)
-        singles = self.singles()
-        return cell, (min(singles, key=lambda k: 1.0 / radii[k]) if singles else None)
-
-
-def family_sweep(inst: ProblemInstance, grid_n: int = 60,
-                 r_lo: float = 0.2, r_hi: float = 3.0) -> SweepReport:
+def family_sweep(inst: ProblemInstance, grid_n: int = 60) -> SweepReport:
     """Grid-sweep both curve families and report the best max curvature.
 
     Every admissible composite and single-arc curve on an n x n radius
-    grid spanning [r_lo, r_hi] * R_a is scored by its max curvature
-    1/min(R1, R2); the report carries the minimum, the parameters
-    achieving it (the first in row-major order, composites before single
-    arcs) and the margin against the theoretical bound 1/R_a.  Raises
-    RadiusNotAdmissible when the window lies above R_a and no curve on it
-    is admissible.
+    grid spanning [0.2, 3] * R_a, 2 <= n <= MAX_GRID, is scored by its max
+    curvature 1/min(R1, R2); the report carries the minimum, the
+    parameters achieving it (the first in row-major order, composites
+    before single arcs) and the margin against the theoretical bound 1/R_a.
 
     No cell is scored one by one.  Both families are feasible on a
     prefix of the radii, which ends at R_a in exact arithmetic, moved out
@@ -485,23 +447,16 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
     arc where its own prefix reaches a radius further.
     `_CompositeGrid.closed_form` finds both ends from closed-form roots
     and tests the per-cell predicates, `_composite_params` and
-    `_p2_params`, only on the radii within a rounding bound of them,
-    which on ordinary grids is none: O(1) per sweep.  Where its
-    conditions fail as computed (radii that do not strictly increase, a
-    slope that is not negative, a window too wide, or r_lo > 1), the row
-    scan `_CompositeGrid.scan` decides instead.  Either way the minimum
-    and the argmin are those of the full loop over every cell, bit for
-    bit.  `feasible_count` is counted on demand, the first time it is
-    read, by the same row scan and the single-arc window.
+    `_p2_params`, only on the radii within a rounding bound of them: O(1)
+    per sweep, and bit for bit the full loop's minimum and argmin.
+    `feasible_count` is counted on demand by `_CompositeGrid.count`.
     """
-    if grid_n < 2:
-        raise InvalidInput(f"grid size must be >= 2, got {grid_n!r}")
-    if not (0.0 < r_lo < r_hi and math.isfinite(r_hi)):
-        raise InvalidInput("need 0 < r_lo < r_hi, both finite")
+    if not 2 <= grid_n <= MAX_GRID:
+        raise InvalidInput(f"grid size must lie in [2, {MAX_GRID}], got {grid_n!r}")
     tol = inst.pos_tol
-    grid = _CompositeGrid(inst, tol, grid_n, r_lo, r_hi)
+    grid = _CompositeGrid(inst, tol, grid_n, 0.2, 3.0)
     ra = grid.ra
-    cell, single = grid.closed_form() or grid.scanned()
+    cell, single = grid.closed_form()
     best = math.inf
     argmin: dict = {}
     if cell is not None:
@@ -515,10 +470,6 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60,
         d1, d3 = _p2_params(grid.closing, r, tol)
         argmin = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
-        if r_lo > 1.0:
-            raise RadiusNotAdmissible(
-                f"no admissible curve with radii in [{r_lo!r}, {r_hi!r}] * R_a: "
-                f"every one exceeds R_a = {ra!r}")
         raise InternalError("no admissible curve found on the sweep grid")
     return SweepReport(min_max_curvature=best, argmin=argmin, margin=best - 1.0 / ra,
                        grid_size=(grid_n, grid_n), ra=ra, count=grid.count)

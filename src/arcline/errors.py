@@ -14,8 +14,9 @@ class DegenerateInput(InvalidInput):
 
 
 class IllPosedAngle(InvalidInput):
-    """Tangent directions are parallel or anti-parallel; the turning
-    angle hits 0 or pi and no construction exists."""
+    """Tangent directions are parallel or anti-parallel, or so nearly
+    that the scene's position tolerance swallows the turn (kappa above
+    KAPPA_MAX)."""
 
 
 class NoAdmissibleCurve(InvalidInput):

@@ -22,6 +22,10 @@ POS_REL = 1e-9
 ANG_TOL = 1e-9
 #: relative slack for the rounding of a few floating-point operations
 ROUND_REL = 1e-12
+#: largest accepted kappa = pos_tol / (min(OA, OB) sin omega), the scene's
+#: position tolerance over the distance from the nearer endpoint to the far
+#: tangent line; beyond it the tolerance swallows the turn
+KAPPA_MAX = 1e-4
 
 
 def principal_angle(value: float) -> float:

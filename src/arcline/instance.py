@@ -2,10 +2,11 @@
 
 A problem instance is three pairwise distinct points O, A, B.  The unit
 tangent at A points from A towards O, the unit tangent at B points from
-O towards B, and the turning angle between them must lie strictly
-inside (0, pi).  Data whose turning angle is negative is normalized by
-swapping A and B (traversing the sought curve backwards); the instance
-remembers this in its ``reversed`` flag.
+O towards B, and the turning angle omega between them must stand clear
+of the scene's position tolerance: kappa = pos_tol / (min(OA, OB) sin
+omega) at most KAPPA_MAX.  Data whose turning angle is negative is
+normalized by swapping A and B (traversing the sought curve backwards);
+the instance remembers this in its ``reversed`` flag.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 from .errors import DegenerateInput, IllPosedAngle, InvalidInput, NoAdmissibleCurve
 from .geometry import (
     ANG_TOL,
+    KAPPA_MAX,
     POS_REL,
     Frozen,
     Point2,
@@ -76,10 +78,14 @@ def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:
     alpha = Vec2((O.x - A.x) / oa, (O.y - A.y) / oa)
     beta = Vec2((B.x - O.x) / ob, (B.y - O.y) / ob)
     omega = oriented_angle(alpha, beta)
-    if abs(omega) <= ANG_TOL or abs(omega) >= math.pi - ANG_TOL:
-        raise IllPosedAngle(
-            f"turning angle {omega!r} is within tolerance of a multiple of pi"
-        )
+    # kappa <= KAPPA_MAX, tested without a division so that collinear data
+    # (sin omega = 0) fails it too
+    reach = min(oa, ob) * abs(alpha.x * beta.y - alpha.y * beta.x)
+    if not eps <= KAPPA_MAX * reach:
+        kappa = eps / reach if reach > 0.0 else math.inf
+        raise IllPosedAngle(f"turning angle {omega!r} is lost in the scene's tolerance: kappa = "
+                            f"pos_tol / (min(OA, OB) sin omega) = {kappa!r} exceeds "
+                            f"KAPPA_MAX = {KAPPA_MAX!r}")
 
     rev = omega < 0.0
     if rev:

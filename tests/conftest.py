@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from arcline import (
     Arc,
@@ -16,6 +16,8 @@ from arcline import (
     make_instance,
     synthesize,
 )
+from arcline.errors import IllPosedAngle
+from arcline.geometry import KAPPA_MAX, POS_REL
 from oracles import random_instance, sample_arrays
 
 #: the worked configuration: right isoceles triangle, turning angle 3*pi/4
@@ -82,6 +84,39 @@ def symmetric_instances(seed: int, count: int, exact: bool = False):
         beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
         out.append(make_instance(O, O - alpha * leg, O + beta * leg))
     return out
+
+
+@st.composite
+def accepted_instances(draw, apart: float = 0.0):
+    """Instances across the accepted domain.  Legs OA / OB up to 1e4 apart,
+    scale 1e-3..1e3, random pose and apex up to 50 scales away; omega
+    uniform in (0.1, pi - 0.1), or log-uniform towards 0 or pi from the
+    least gap the legs admit (kappa within 1e-6 of KAPPA_MAX, as the
+    diameter is at most OA + OB) up to 0.1.  The legs differ by at least
+    about `apart` times the shorter leg and the optimal radius
+    min(OA, OB) cot(omega / 2)."""
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    spread = draw(st.floats(0.0, 4.0))
+    end = draw(st.sampled_from(["zero", "mid", "pi"]))
+    if end == "mid":
+        omega = draw(st.floats(0.1, math.pi - 0.1))
+    else:
+        least = POS_REL * (1.0 + 10.0 ** spread) / KAPPA_MAX * (1.0 + 1e-6)
+        gap = least * (0.1 / least) ** draw(st.floats(0.0, 1.0))
+        omega = gap if end == "zero" else math.pi - gap
+    spread = max(spread, math.log10(1.0 + apart * max(1.0, 1.0 / math.tan(0.5 * omega))))
+    oa = scale * 10.0 ** (0.5 * spread * draw(st.sampled_from([-1.0, 1.0])))
+    ob = scale * scale / oa
+    pose = draw(st.floats(-math.pi, math.pi))
+    turn = omega * draw(st.sampled_from([-1.0, 1.0]))
+    O = Vec2(draw(st.floats(-50.0, 50.0)) * scale, draw(st.floats(-50.0, 50.0)) * scale)
+    alpha = Vec2(math.cos(pose), math.sin(pose))
+    beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
+    try:
+        return make_instance(O, O - alpha * oa, O + beta * ob)
+    except IllPosedAngle:
+        # a gap at the bound that rounding, or the legs moved apart, push past it
+        assume(False)
 
 
 def rigid_motion(curve: PiecewiseCurve, rotation: float, translation: Vec2) -> PiecewiseCurve:

@@ -12,8 +12,10 @@ reversed, segment-first and exactly symmetric instances) with the
 `demo-illposed` radii of the same seeds, plus hand-picked cases: the
 worked instance, Dubins competitors at 0.7 R_a, wide-arc competitors
 whose zeta_0 is not rounding noise, an S-curve whose certificate entries
-are null, validation errors, the benchmark's two instances that fail
-today, the worked instance scaled by 1e-12 (the "tiny/" family: no
+are null, validation errors, the benchmark's two failing instances
+(one fails validation, the other `synthesize`), two instances either side
+of the accepted domain's edge (kappa at KAPPA_MAX times 1 -/+ 1e-6), the
+worked instance scaled by 1e-12 (the "tiny/" family: no
 tolerance has an absolute floor), and sweeps on the benchmark's fine grid
 (300) and the README's grid (2000) for the worked, arc-first and two
 seeded instances (reversed and mirrored; exactly symmetric).  Every input is written into the
@@ -51,6 +53,14 @@ TINY_WORKED = {key: [1e-12 * c for c in point] for key, point in WORKED.items()}
 #: larger sweep grids, and the seeded instances (seed 1) swept on them
 SWEEP_GRIDS = (300, 2000)
 SWEEP_SEEDED = (3, 7)
+
+
+def kappa_edge(factor: float) -> dict:
+    """OA = 1, OB = 2 and a small turning angle whose kappa = pos_tol /
+    (min(OA, OB) sin omega) is factor * KAPPA_MAX: the diameter is |AB| = 3."""
+    geometry = arcline.geometry
+    omega = math.asin(geometry.POS_REL * 3.0 / (geometry.KAPPA_MAX * factor))
+    return {"O": [0.0, 0.0], "A": [-1.0, 0.0], "B": [2.0 * math.cos(omega), 2.0 * math.sin(omega)]}
 
 
 def instance_cases(name: str, obj: dict) -> list[tuple[str, list[str]]]:
@@ -118,6 +128,8 @@ def all_cases() -> list[tuple[str, list[str]]]:
     ]
     for k, obj in enumerate(inputs.FAILING_INSTANCES):
         cases.append((f"failing/{k}", ["solve", "--input", json.dumps(obj)]))
+    for name, factor in (("below", 1.0 - 1e-6), ("above", 1.0 + 1e-6)):
+        cases.append((f"kappa-edge/{name}", ["solve", "--input", json.dumps(kappa_edge(factor))]))
     cases += [(f"tiny/{name}", argv) for name, argv in instance_cases("worked", TINY_WORKED)]
     seeded = inputs.instance_set(1, PER_SEED, "cli")
     swept = [("worked", WORKED), ("arc-first", ARC_FIRST)] + \

@@ -147,6 +147,20 @@ def test_sweep_report(capsys):
     assert payload["margin"] >= -1e-6
 
 
+def test_sweep_grid_bound(capsys):
+    # the closed form decides the largest accepted grid at once; one more
+    # radius is rejected, naming the grid and the bound
+    code, out, _ = run(capsys, "sweep", "--input", WORKED, "--grid", str(dubins.MAX_GRID))
+    assert code == 0
+    assert json.loads(out)["gridSize"] == [dubins.MAX_GRID, dubins.MAX_GRID]
+    code, out, err = run(capsys, "sweep", "--input", WORKED, "--grid", str(dubins.MAX_GRID + 1))
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidInput"
+    assert str(dubins.MAX_GRID) in error["message"]
+    assert str(dubins.MAX_GRID + 1) in error["message"]
+
+
 def test_sweep_never_counts_feasible_cells(monkeypatch):
     # no subcommand reads feasible_count, and the corpus sweeps take the
     # closed form: with the count and the row scan and single-arc list it
@@ -169,10 +183,12 @@ def test_sweep_never_counts_feasible_cells(monkeypatch):
 
 @st.composite
 def far_thin_instances(draw):
-    """Instance JSON with omega down to 1e-6, legs equal or differing by
-    down to 1e-6 of their length, scale 1e-3..1e3, random pose, and the
-    apex up to 1e6 diameters from the origin."""
-    omega = draw(st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, math.pi - 1e-3)))
+    """Instance JSON with omega down to 6e-5, where validation accepts
+    every draw (the legs are at most 4 apart, so kappa <= 5e-9 / omega),
+    legs equal or differing by down to 1e-6 of their length, scale
+    1e-3..1e3, random pose, and the apex up to 1e6 diameters from the
+    origin."""
+    omega = draw(st.one_of(st.floats(6e-5, 1e-3), st.floats(1e-3, math.pi - 1e-3)))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     ratio = draw(st.one_of(st.just(1.0), st.floats(1e-6, 1e-3).map(lambda d: 1.0 + d),
                            st.floats(0.25, 4.0)))
@@ -212,8 +228,10 @@ def test_solve_verify_round_trip_is_in_e(obj):
 
 def test_solve_verify_round_trip_examples():
     # both lost a bit in the curve's last printed digit at 15 significant
-    # digits: a position gap at a joint, and a tangent gap far from the origin
-    for obj in ({"A": [-1, 0], "O": [0, 0], "B": [1.29999999999935, 1.2999999999997834e-06]},
+    # digits: a tangent gap at a joint, 2e4 and 1e5 from the origin
+    for obj in ({"A": [21315.8552869162, 12127.0082756634],
+                 "O": [21316.5865270651, 12126.3261555533],
+                 "B": [21317.3219723548, 12125.6431453377]},
                 {"A": [100000.5, 99999.5], "O": [100000, 100000], "B": [100000, 99999.3]}):
         code, out, _ = run_quiet("solve", "--input", json.dumps(obj))
         assert code == 0
@@ -271,6 +289,20 @@ def test_export_huge_start_angle_returns(angle):
     assert proc.returncode == 1 and proc.stdout == ""
     error = json.loads(proc.stderr)["error"]
     assert error["type"] == "InvalidInput" and "start angle" in error["message"]
+
+
+@pytest.mark.parametrize("radius, sweep", [(1e-300, 1e-100), (1e308, 6.0)])
+def test_export_rejects_arc_length_out_of_range(capsys, radius, sweep):
+    # the length radius * |sweep| underflows to 0, or overflows to infinity
+    curve = json.dumps({"primitives": [{"type": "arc", "center": [0, 0], "radius": radius,
+                                        "startAngle": 0, "sweep": sweep}]})
+    code, out, err = run(capsys, "export", "--input", curve)
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "InvalidInput"
+    assert all(f"{name} {value!r}" in error["message"]
+               for name, value in (("radius", radius), ("sweep", sweep),
+                                   ("length", radius * sweep)))
 
 
 def test_export_offset_past_the_start_angle_bound(capsys):

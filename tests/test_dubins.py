@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
+    IllPosedAngle,
     InternalError,
     InvalidInput,
     RadiusNotAdmissible,
@@ -19,6 +20,8 @@ from arcline import (
     max_curvature,
     synthesize,
 )
+from arcline.dubins import MAX_GRID
+from arcline.geometry import KAPPA_MAX, POS_REL
 from conftest import instances, sampled_hausdorff, symmetric_instances
 from oracles import canonical_frame, is_feasible_radius, random_instance, similarity_transform
 
@@ -80,12 +83,20 @@ def test_limit_curve_at_small_omega_is_in_e_or_internal_error(seed, log_omega):
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.integers(0, 2**32), st.floats(-8.0, -4.0), st.sampled_from([0.7, 0.999]))
+@given(st.integers(0, 2**32), st.floats(-8.0, -2.0), st.sampled_from([0.7, 0.999]))
 def test_curve_near_pi_is_in_e(seed, log_gap, frac):
     # near omega = pi one arc turns by about pi - omega, over a length that
     # can fall below the rounding slack; it is kept all the same, so the
-    # segment that follows leaves in the right direction
-    inst = random_instance(random.Random(seed), omega=math.pi - 10.0 ** log_gap)
+    # segment that follows leaves in the right direction.  Closer to pi
+    # than the scene's tolerance allows, validation rejects the instance:
+    # with legs in [0.5, 2], kappa lies within [1, 4] * POS_REL / gap
+    gap = 10.0 ** log_gap
+    try:
+        inst = random_instance(random.Random(seed), omega=math.pi - gap)
+    except IllPosedAngle:
+        assert gap < 4.0 * POS_REL / KAPPA_MAX * (1.0 + 1e-6)
+        return
+    assert gap > POS_REL / KAPPA_MAX * (1.0 - 1e-6)
     g = dubins_curve(inst, frac * arc_radius(inst))
     assert check_membership(g.curve, inst).in_e
 
@@ -143,23 +154,27 @@ def test_composite_membership_and_closure_randomized():
             assert sweeps == pytest.approx([inst.omega / 2.0] * 2)
 
 
-def test_composite_at_small_omega_is_in_e_or_internal_error():
-    # the composite closes at pos_tol, the tolerance membership demands,
-    # so a chain that misses B by more is an InternalError, not a curve
-    # outside E
+def test_composite_at_small_omega_is_in_e_or_rejected():
+    # the composite closes at pos_tol, the tolerance membership demands;
+    # where omega is small enough for that tolerance to swallow the turn,
+    # validation rejects the instance: with legs in [0.5, 2] the diameter
+    # is about OA + OB, so kappa lies within [2, 5] * POS_REL / omega
     rng = random.Random(5)
+    accepted = 0
     for _ in range(300):
-        inst = random_instance(rng, omega=10.0 ** rng.uniform(-7.0, -6.0))
+        omega = 10.0 ** rng.uniform(-6.0, -4.0)
         try:
-            synthesize(inst)
-        except InternalError:
+            inst = random_instance(rng, omega=omega)
+        except IllPosedAngle:
+            assert omega < 5.0 * POS_REL / KAPPA_MAX * (1.0 + 1e-6)
             continue
+        assert omega > 2.0 * POS_REL / KAPPA_MAX * (1.0 - 1e-6)
+        accepted += 1
+        assert check_membership(synthesize(inst).curve, inst).in_e
         ra = arc_radius(inst)
-        try:
-            comp = composite_solve(inst, 0.6 * ra, 0.8 * ra)
-        except InternalError:
-            continue
+        comp = composite_solve(inst, 0.6 * ra, 0.8 * ra)
         assert comp is None or check_membership(comp.curve, inst).in_e, inst
+    assert 50 < accepted < 250
 
 
 def test_composite_mirrored_chain_runs_backwards(worked_instance):
@@ -236,10 +251,9 @@ def test_family_sweep_includes_single_arc_family(symmetric_instance):
 
 
 def test_family_sweep_validation(worked_instance):
-    with pytest.raises(InvalidInput):
-        family_sweep(worked_instance, grid_n=1)
-    with pytest.raises(InvalidInput):
-        family_sweep(worked_instance, grid_n=10, r_lo=2.0, r_hi=1.0)
+    for grid_n in (1, MAX_GRID + 1):
+        with pytest.raises(InvalidInput, match=rf"\[2, {MAX_GRID}\], got {grid_n}"):
+            family_sweep(worked_instance, grid_n=grid_n)
 
 
 def test_family_sweep_scale_equivariance(worked_instance):
@@ -277,9 +291,3 @@ def test_single_arc_family_infeasible_above_limit():
         view = canonical_frame(inst)
         assert _p2_params(view.closing, view.ra * 1.01, 0.0) is None
         assert _p2_params(view.closing, view.ra * 0.99, 0.0) is not None
-
-
-def test_family_sweep_window_above_limit(worked_instance):
-    # every radius of the window exceeds R_a: the caller's choice, not a bug
-    with pytest.raises(RadiusNotAdmissible, match=r"\[1\.5, 3\.0\].*R_a = "):
-        family_sweep(worked_instance, grid_n=10, r_lo=1.5, r_hi=3.0)

@@ -16,6 +16,7 @@ from arcline import (
     make_instance,
 )
 from arcline import instance as instance_module
+from arcline.geometry import KAPPA_MAX, POS_REL
 from arcline.instance import point_from_json
 from conftest import WORKED_A, WORKED_B, WORKED_O, float_bits, instance_competitors, instances
 from oracles import normalized_legs, similarity_transform
@@ -49,6 +50,34 @@ def test_near_pi_rejected():
     # tangent lines almost anti-aligned
     with pytest.raises(IllPosedAngle):
         make_instance(Vec2(0, 0), Vec2(1, 0), Vec2(-2, 1e-12))
+
+
+@pytest.mark.parametrize("near_pi", [False, True])
+def test_kappa_bound(near_pi):
+    # OA = 1, OB = 2: the diameter is |AB| = 3 near omega = 0 and OB = 2
+    # near pi, so sin omega = POS_REL * diameter / (KAPPA_MAX * factor)
+    # puts kappa at factor * KAPPA_MAX
+    for factor, accepted in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        gap = math.asin(POS_REL * (2.0 if near_pi else 3.0) / (KAPPA_MAX * factor))
+        omega = math.pi - gap if near_pi else gap
+        O, A = Vec2(0.0, 0.0), Vec2(-1.0, 0.0)
+        B = Vec2(2.0 * math.cos(omega), 2.0 * math.sin(omega))
+        if accepted:
+            inst = make_instance(O, A, B)
+            kappa = inst.pos_tol / (min(inst.oa, inst.ob) * math.sin(inst.omega))
+            assert kappa == pytest.approx(factor * KAPPA_MAX, rel=1e-9)
+            continue
+        with pytest.raises(IllPosedAngle,
+                           match=r"kappa = .* = 0\.00010000009\d* exceeds KAPPA_MAX = 0\.0001$"):
+            make_instance(O, A, B)
+
+
+def test_collinear_rejected_without_dividing():
+    # sin omega = 0 exactly: kappa is infinite, and the test of it divides
+    # by nothing
+    for B in (Vec2(2.0, 0.0), Vec2(-2.0, 0.0)):
+        with pytest.raises(IllPosedAngle, match="kappa = .* = inf exceeds"):
+            make_instance(Vec2(0.0, 0.0), Vec2(-1.0, 0.0), B)
 
 
 def test_coincident_rejected():
@@ -145,6 +174,7 @@ def test_normalization_properties(ox, oy, ax, ay, bx, by):
         assume(False)
         return
     assert 0.0 < inst.omega < math.pi
+    assert inst.pos_tol <= KAPPA_MAX * min(inst.oa, inst.ob) * math.sin(inst.omega) * (1.0 + 1e-9)
     assert abs(inst.alpha.norm() - 1.0) <= 1e-12
     assert abs(inst.beta.norm() - 1.0) <= 1e-12
     assert ((inst.O - inst.A) - inst.alpha * inst.oa).norm() <= 1e-9 * inst.diameter

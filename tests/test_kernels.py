@@ -12,9 +12,10 @@ the single arc's root; every cell either tests goes through
 `_composite_params` or `_p2_params`, the predicates the reference loop
 here calls on every cell.  The two reports must compare equal field by
 field, zero signs and the count included, on drawn instances across the
-accepted angle range, on other radius windows, on grids with a radius
-within ulps of a root, and on grids that the closed form leaves to the
-scan or the scan to its full-row fallback.  The exact `support_min`,
+accepted domain.  On other radius windows, which only these tests build,
+the sweep's grid gives the loop's best cells and count, also where a
+radius lies within ulps of a root; where the grid's arguments fail, it
+raises InternalError.  The exact `support_min`,
 which takes its minimum from closed-form candidates and evaluates the
 curve nowhere, is checked against the sampled (s, t) grid it replaced:
 never above it, and below it by at most the grid's second-order error.
@@ -32,10 +33,10 @@ from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
+    InternalError,
     OutOfRange,
     PathBuilder,
     PiecewiseCurve,
-    RadiusNotAdmissible,
     Segment,
     Vec2,
     certificates,
@@ -48,7 +49,7 @@ from arcline import (
     max_curvature,
     synthesize,
 )
-from conftest import instances, symmetric_instances
+from conftest import accepted_instances, instances, symmetric_instances
 from oracles import (
     canonical_frame,
     evaluate,
@@ -298,51 +299,74 @@ def test_support_min_memory_is_linear():
     assert peak < 4 * 2**20
 
 
-def family_sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
-    """family_sweep as a plain loop over the per-cell closed forms."""
+def sweep_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
+    """The plain loop over every cell of the grid spanning [r_lo, r_hi] *
+    R_a: (radii, first best composite cell, first best single-arc index,
+    feasible count), each best None where its family has no feasible curve."""
     view = canonical_frame(inst)
     closing, ra = view.closing, view.ra
     tol = 1e-9 * inst.diameter
     radii = [ra * (r_lo + (r_hi - r_lo) * i / (grid_n - 1)) for i in range(grid_n)]
-    best = math.inf
-    argmin: dict = {}
+    cell = single = None
     feasible = 0
-    for r1 in radii:
-        for r2 in radii:
-            params = dubins._composite_params(closing, r1, r2, tol)
-            if params is None:
-                continue
+    best = math.inf
+    for i, r1 in enumerate(radii):
+        for j, r2 in enumerate(radii):
+            if dubins._composite_params(closing, r1, r2, tol) is not None:
+                feasible += 1
+                if 1.0 / min(r1, r2) < best:
+                    best, cell = 1.0 / min(r1, r2), (i, j)
+    best = math.inf
+    for k, r in enumerate(radii):
+        if dubins._p2_params(closing, r, tol) is not None:
             feasible += 1
-            mc = 1.0 / min(r1, r2)
-            if mc < best:
-                best = mc
-                d1, d2, d3 = params
-                argmin = {"family": "p4", "R1": r1, "R2": r2,
-                          "d1": d1, "d2": d2, "d3": d3}
-    for r in radii:
-        params = dubins._p2_params(closing, r, tol)
-        if params is None:
-            continue
-        feasible += 1
-        mc = 1.0 / r
-        if mc < best:
-            best = mc
-            d1, d3 = params
-            argmin = {"family": "p2", "R1": r, "R2": r,
-                      "d1": d1, "d2": 0.0, "d3": d3}
-    if not math.isfinite(best):
-        raise RadiusNotAdmissible("no admissible curve on the grid")
-    return {"min_max_curvature": best, "argmin": argmin, "margin": best - 1.0 / ra,
-            "grid_size": (grid_n, grid_n), "feasible_count": feasible, "ra": ra}
+            if 1.0 / r < best:
+                best, single = 1.0 / r, k
+    return radii, cell, single, feasible
 
 
-def assert_sweep_matches_reference(inst, grid_n, r_lo=0.2, r_hi=3.0):
+def family_sweep_reference(inst, grid_n):
+    """family_sweep's report from the plain loop: the composite's best,
+    unless the single arc's is strictly better."""
+    radii, cell, single, feasible = sweep_reference(inst, grid_n)
+    view = canonical_frame(inst)
+    tol = 1e-9 * inst.diameter
+    best, argmin = math.inf, {}
+    if cell is not None:
+        r1, r2 = radii[cell[0]], radii[cell[1]]
+        best = 1.0 / min(r1, r2)
+        d1, d2, d3 = dubins._composite_params(view.closing, r1, r2, tol)
+        argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
+    if single is not None and 1.0 / radii[single] < best:
+        r = radii[single]
+        best = 1.0 / r
+        d1, d3 = dubins._p2_params(view.closing, r, tol)
+        argmin = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
+    return {"min_max_curvature": best, "argmin": argmin, "margin": best - 1.0 / view.ra,
+            "grid_size": (grid_n, grid_n), "feasible_count": feasible, "ra": view.ra}
+
+
+def assert_sweep_matches_reference(inst, grid_n):
     # every field of the report, the on-demand feasible_count included
-    got = dubins.family_sweep(inst, grid_n=grid_n, r_lo=r_lo, r_hi=r_hi)
-    want = family_sweep_reference(inst, grid_n, r_lo, r_hi)
+    got = dubins.family_sweep(inst, grid_n=grid_n)
+    want = family_sweep_reference(inst, grid_n)
     assert {name: getattr(got, name) for name in want} == want
     assert [math.copysign(1.0, v) for v in got.argmin.values() if isinstance(v, float)] == \
         [math.copysign(1.0, v) for v in want["argmin"].values() if isinstance(v, float)]
+
+
+def sweep_grid(inst, r_lo, r_hi, grid_n):
+    return dubins._CompositeGrid(inst, 1e-9 * inst.diameter, grid_n, r_lo, r_hi)
+
+
+def assert_grid_matches_reference(inst, grid_n, r_lo, r_hi):
+    # the sweep's grid on another radius window: its radii, the closed
+    # form's two cells and the feasible count against the plain loop
+    grid = sweep_grid(inst, r_lo, r_hi, grid_n)
+    radii, cell, single, feasible = sweep_reference(inst, grid_n, r_lo, r_hi)
+    assert [grid.radius(i) for i in range(grid_n)] == radii
+    assert grid.closed_form() == (cell, single)
+    assert grid.count() == feasible
 
 
 @pytest.mark.parametrize("grid_n", [2, 3, 60, 64, 300])
@@ -358,8 +382,8 @@ def test_family_sweep_matches_reference(grid_n):
         if grid_n in (60, 64):
             # whole rows feasible (every radius below R_a), and a window
             # straddling R_a
-            assert_sweep_matches_reference(inst, grid_n, r_lo=0.1, r_hi=0.9)
-            assert_sweep_matches_reference(inst, grid_n, r_lo=0.5, r_hi=1.5)
+            assert_grid_matches_reference(inst, grid_n, 0.1, 0.9)
+            assert_grid_matches_reference(inst, grid_n, 0.5, 1.5)
 
 
 def test_family_sweep_matches_reference_fine_grid():
@@ -367,28 +391,12 @@ def test_family_sweep_matches_reference_fine_grid():
         assert_sweep_matches_reference(inst, 1000)
 
 
-@st.composite
-def wide_instances(draw):
-    """omega across (0, pi), 1e-3 from both ends included, OA / OB up to
-    1e3, scale 1e-3..1e3, random pose, apex up to 50 scales away."""
-    omega = draw(st.one_of(st.floats(1e-4, 1e-3), st.floats(1e-3, math.pi - 1e-3),
-                           st.floats(math.pi - 1e-3, math.pi - 1e-6)))
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    ratio = 10.0 ** draw(st.floats(-3.0, 3.0))
-    oa, ob = scale * math.sqrt(ratio), scale / math.sqrt(ratio)
-    pose = draw(st.floats(-math.pi, math.pi))
-    turn = omega * draw(st.sampled_from([-1.0, 1.0]))
-    O = Vec2(draw(st.floats(-50.0, 50.0)) * scale, draw(st.floats(-50.0, 50.0)) * scale)
-    alpha = Vec2(math.cos(pose), math.sin(pose))
-    beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
-    return make_instance(O, O - alpha * oa, O + beta * ob)
-
-
 @settings(deadline=None, max_examples=150)
-@given(wide_instances(), st.sampled_from([2, 3, 17, 40]),
-       st.sampled_from([(0.2, 3.0), (0.1, 0.9), (0.5, 1.5), (0.99, 1.01)]))
+@given(accepted_instances(), st.sampled_from([2, 3, 17, 40]),
+       st.sampled_from([(0.1, 0.9), (0.5, 1.5), (0.99, 1.01)]))
 def test_family_sweep_matches_reference_wide(inst, grid_n, window):
-    assert_sweep_matches_reference(inst, grid_n, *window)
+    assert_sweep_matches_reference(inst, grid_n)
+    assert_grid_matches_reference(inst, grid_n, *window)
 
 
 def frontier_roots(inst, r1):
@@ -404,11 +412,6 @@ def frontier_roots(inst, r1):
             -(p0 + k2 * t0 + grid.tol) / grid.d_slope)
 
 
-def row_columns(grid):
-    """Every row's feasible columns, from the (lo, cols) pairs `scan` gives."""
-    return [list(range(lo)) + cols for lo, cols in grid.scan()]
-
-
 def test_family_sweep_roots_on_grid():
     # windows whose last radius is one of row 0's three roots in closed
     # form, so that a cell sits within rounding of the frontier; the sweep
@@ -421,7 +424,7 @@ def test_family_sweep_roots_on_grid():
             r_hi = root / view.ra
             if r_hi > 0.3:
                 for grid_n in (2, 3, 40):
-                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+                    assert_grid_matches_reference(inst, grid_n, 0.2, r_hi)
 
 
 def test_family_sweep_last_radius_ulps_from_root():
@@ -445,20 +448,8 @@ def test_family_sweep_last_radius_ulps_from_root():
                 for grid_n in (2, 3):
                     last = view.ra * (0.2 + (r_hi - 0.2) * (grid_n - 1) / (grid_n - 1))
                     sides.add((last > root) - (last < root))
-                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+                    assert_grid_matches_reference(inst, grid_n, 0.2, r_hi)
             assert {-1, 1} <= sides
-
-
-def test_family_sweep_windows_above_ra_raise():
-    # every radius exceeds R_a by more than the tolerance allows: the sweep
-    # and the plain loop both find no admissible curve
-    for inst in [arc_first(), segment_first()] + instances(seed=75, count=6):
-        for grid_n in (2, 3, 60):
-            for r_lo, r_hi in ((1.01, 3.0), (1.5, 3.0), (1.001, 1.002)):
-                with pytest.raises(RadiusNotAdmissible):
-                    dubins.family_sweep(inst, grid_n, r_lo, r_hi)
-                with pytest.raises(RadiusNotAdmissible):
-                    family_sweep_reference(inst, grid_n, r_lo, r_hi)
 
 
 @pytest.mark.parametrize("grid_n", [2, 3])
@@ -467,8 +458,9 @@ def test_family_sweep_small_grids_straddling_ra(grid_n):
     # 1.5) with grid 3 and at (0.99, 1.01)
     for inst in [arc_first(), segment_first()] + instances(seed=76, count=8) \
             + symmetric_instances(11, 3, exact=True):
+        assert_sweep_matches_reference(inst, grid_n)
         for window in ((0.5, 1.5), (0.9, 1.2), (0.99, 1.01), (0.999, 1.5)):
-            assert_sweep_matches_reference(inst, grid_n, *window)
+            assert_grid_matches_reference(inst, grid_n, *window)
 
 
 def closed_form_roots(inst):
@@ -498,47 +490,46 @@ def test_family_sweep_last_radius_ulps_from_diagonal_root(monkeypatch):
             for step in range(-4, 5):
                 r_hi = root / view.ra + step * math.ulp(root / view.ra)
                 for grid_n in (2, 3):
-                    assert sweep_grid(inst, 0.2, r_hi, grid_n).closed_form() is not None
-                    assert_sweep_matches_reference(inst, grid_n, 0.2, r_hi)
+                    assert_grid_matches_reference(inst, grid_n, 0.2, r_hi)
     assert len(tested) > 100
 
 
 def test_family_sweep_fine_windows_at_the_roots():
-    # windows a few 1e-9 of R_a wide around either closed-form root: many
-    # cells on and off the diagonal are within rounding of the frontier,
-    # and the closed form applies to some grids and leaves others to the
-    # scan
-    paths = set()
+    # windows a few 1e-9 of R_a wide around either closed-form root, many
+    # of them wholly above R_a: many cells on and off the diagonal are
+    # within rounding of the frontier
     for inst in instances(seed=78, count=20) + symmetric_instances(13, 4):
         view = canonical_frame(inst)
         for root in closed_form_roots(inst):
             for half in (1e-9, 3e-9, 1e-8):
                 for grid_n in (5, 40):
-                    window = (root / view.ra - half, root / view.ra + half)
-                    paths.add(sweep_grid(inst, *window, grid_n).closed_form() is None)
-                    assert_sweep_matches_reference(inst, grid_n, *window)
-    assert paths == {False, True}
+                    assert_grid_matches_reference(
+                        inst, grid_n, root / view.ra - half, root / view.ra + half)
 
 
 @settings(deadline=None, max_examples=150)
-@given(wide_instances(), st.sampled_from([2, 3, 17, 40, 60, 300]),
+@given(accepted_instances(), st.sampled_from([2, 3, 17, 40, 60, 300]),
        st.sampled_from([(0.2, 3.0), (0.1, 0.9), (0.5, 1.5)]))
 def test_family_sweep_argmin_is_the_closed_form_cell(inst, grid_n, window):
     # the best composite sits on the diagonal at the last grid radius
     # below its closed-form root, and the single arc wins only where a grid
     # radius lies between that root and its own, the larger one
-    report = dubins.family_sweep(inst, grid_n, *window)
+    grid = sweep_grid(inst, *window, grid_n)
+    radii = [grid.radius(i) for i in range(grid_n)]
+    composite_root, single_root = closed_form_roots(inst)
+    m = max(i for i, r in enumerate(radii) if r <= composite_root)
+    q = max(i for i, r in enumerate(radii) if r <= single_root)
+    assert grid.closed_form() == ((m, m), q)
+    if window != (0.2, 3.0):
+        return
+    report = dubins.family_sweep(inst, grid_n)
     view = canonical_frame(inst)
     tol = 1e-9 * inst.diameter
-    radii = [view.ra * (window[0] + (window[1] - window[0]) * i / (grid_n - 1))
-             for i in range(grid_n)]
-    composite_root, single_root = closed_form_roots(inst)
-    r = max(r for r in radii if r <= composite_root)
-    single = max((r for r in radii if r <= single_root), default=0.0)
-    if single > r:
-        d1, d3 = dubins._p2_params(view.closing, single, tol)
-        r, want = single, {"family": "p2", "R1": single, "R2": single,
-                           "d1": d1, "d2": 0.0, "d3": d3}
+    r = radii[m]
+    if radii[q] > r:
+        r = radii[q]
+        d1, d3 = dubins._p2_params(view.closing, r, tol)
+        want = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
     else:
         d1, d2, d3 = dubins._composite_params(view.closing, r, r, tol)
         want = {"family": "p4", "R1": r, "R2": r, "d1": d1, "d2": d2, "d3": d3}
@@ -547,63 +538,21 @@ def test_family_sweep_argmin_is_the_closed_form_cell(inst, grid_n, window):
     assert report.margin == 1.0 / r - 1.0 / view.ra
 
 
-#: (r_lo, r_hi, grid_n).  1 + 4e-16 puts two grid radii on each float: not
-#: strictly increasing.  1 + 1e-13 spaces them a few ulps apart, so the
-#: window usually exceeds the cap.
-SWEEP_WINDOWS = [(0.2, 3.0, 60), (0.1, 0.9, 17), (0.5, 1.5, 40), (0.99, 1.01, 3),
-                 (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)]
-
-
-def sweep_grid(inst, r_lo, r_hi, grid_n):
-    return dubins._CompositeGrid(inst, 1e-9 * inst.diameter, grid_n, r_lo, r_hi)
-
-
 def test_family_sweep_fallback_windows():
-    # on arc_first the default window takes the closed form and the prefix
-    # path, and both narrow windows the scan and its cell-by-cell path
-    for r_lo, r_hi, grid_n in ((0.2, 3.0, 60), (1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)):
+    # on arc_first the default window takes the row window, the closed form
+    # and the single-arc window.  1 + 4e-16 puts two grid radii on each
+    # float, not strictly increasing, and 1 + 1e-13 spaces them a few ulps
+    # apart, so that the windows exceed their cap: there no argument holds,
+    # and each raises InternalError, as the sweep has no other path
+    grid = sweep_grid(arc_first(), 0.2, 3.0, 60)
+    assert grid.half_width <= 1.0
+    assert grid._single_window()[1] <= 1.0
+    assert_grid_matches_reference(arc_first(), 60, 0.2, 3.0)
+    for r_lo, r_hi, grid_n in ((1.0, 1.0 + 4e-16, 10), (1.0, 1.0 + 1e-13, 50)):
         grid = sweep_grid(arc_first(), r_lo, r_hi, grid_n)
-        assert (grid.half_width is None) == (r_lo == 1.0)
-        assert (grid.closed_form() is None) == (r_lo == 1.0)
-        assert (grid._single_window() is None) == (r_lo == 1.0)
-        assert_sweep_matches_reference(arc_first(), grid_n, r_lo, r_hi)
-
-
-@settings(deadline=None, max_examples=100)
-@given(wide_instances(), st.sampled_from(SWEEP_WINDOWS))
-def test_family_sweep_full_row_fallback(inst, window):
-    # every row's feasible columns from the prefix path equal those of the
-    # cell-by-cell path (half_width cleared), and those of the plain loop;
-    # so do the single-arc radii, windowed or, where the single-arc window
-    # does not apply, tested one by one; the scan's argmin equals the
-    # closed form's wherever that applies
-    grid = sweep_grid(inst, *window)
-    if window[1] == 1.0 + 4e-16:
-        assert grid.half_width is None
-    closed = grid.closed_form()
-    if closed is not None:
-        assert closed == grid.scanned()
-    prefix = row_columns(grid)
-    grid.half_width = None
-    assert prefix == row_columns(grid)
-    for i, r1 in enumerate(grid.radii):
-        loop = [j for j, r2 in enumerate(grid.radii)
-                if dubins._composite_params(grid.closing, r1, r2, grid.tol) is not None]
-        assert prefix[i] == loop
-    assert list(grid.singles()) == [k for k, r in enumerate(grid.radii)
-                                    if dubins._p2_params(grid.closing, r, grid.tol) is not None]
-
-
-def test_family_sweep_at_a_tiny_angle_tests_every_cell():
-    # at omega = 3e-9 the computed slopes vanish, so neither the closed form
-    # nor the row window applies and every cell goes through the closing
-    # formulas, with the frame's trigonometry computed once for the grid
-    omega = 3e-9
-    inst = make_instance(Vec2(0.0, 0.0), Vec2(-1.0, 0.0),
-                         Vec2(1.3 * math.cos(omega), 1.3 * math.sin(omega)))
-    grid = sweep_grid(inst, 0.2, 3.0, 60)
-    assert grid.half_width is None and grid.closed_form() is None
-    assert_sweep_matches_reference(inst, 60)
+        for argument in (lambda: grid.half_width, grid._single_window, grid.closed_form):
+            with pytest.raises(InternalError, match="does not hold on this grid"):
+                argument()
 
 
 def test_turning_at_matches_turning():
