@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .curves import Arc, PiecewiseCurve, heading, max_curvature
 from .errors import HypothesisViolated, InvalidInput, UndefinedHeading
-from .geometry import ROUND_REL, TWO_PI, normalized, oriented_angle
+from .geometry import ROUND_REL, TWO_PI, unit_turn
 from .instance import ProblemInstance
 from .synthesis import OptimalSolution, arc_radius, frame_mirrored
 
@@ -71,44 +71,45 @@ def support_min(curve: PiecewiseCurve) -> float:
     ends = []  # (x, y, N, angle of -N) at both ends of every primitive
     arcs = []  # (center x, y, radius, sigma, start angle, |sweep|)
     for p in curve.primitives:
+        q, t, u, v = p.start_point, p.start_tangent, p.end_point, p.end_tangent
         if isinstance(p, Arc):
-            sign = 1.0 if p.sweep > 0 else -1.0
+            a0, sweep, c = p.start_angle, p.sweep, p.center
+            sign = 1.0 if sweep > 0 else -1.0
             # -N = sigma e(psi): at psi, or at psi + pi on a clockwise arc
-            down0 = p.start_angle if sign > 0 else p.start_angle + math.pi
-            down1 = down0 + p.sweep
-            arcs.append((p.center.x, p.center.y, p.radius, sign, p.start_angle, abs(p.sweep)))
+            down0 = a0 if sign > 0 else a0 + math.pi
+            down1 = down0 + sweep
+            arcs.append((c.x, c.y, p.radius, sign, a0, abs(sweep)))
         else:
-            down0 = down1 = p.direction.angle() - 0.5 * math.pi
-        q, t = p.start_point, p.start_tangent
+            d = p.direction  # d.angle(), without the call
+            down0 = down1 = math.atan2(d.y, d.x) - 0.5 * math.pi
         ends.append((q.x, q.y, -t.y, t.x, down0))
-        q, t = p.end_point, p.end_tangent
-        ends.append((q.x, q.y, -t.y, t.x, down1))
-    points = [(x, y) for x, y, _, _, _ in ends]
-    gammas = []
-    for xs, ys, nx, ny, down in ends:
-        gammas += [(xt - xs) * nx + (yt - ys) * ny for xt, yt in points]  # (a)
-        for cx, cy, r, sign, a0, span in arcs:
+        ends.append((u.x, u.y, -v.y, v.x, down1))
+    # (a), the corners, first: the leading term, an end against itself, then
+    # decides the sign of a zero minimum, as min keeps the first of equals
+    gammas = [(xt - xs) * nx + (yt - ys) * ny
+              for xs, ys, nx, ny, _ in ends for xt, yt, _, _, _ in ends]
+    atan2, hypot = math.atan2, math.hypot
+    for cx, cy, r, sign, a0, span in arcs:
+        for xs, ys, nx, ny, down in ends:
             if 0.0 < (sign * (down - a0)) % TWO_PI < span:
                 gammas.append((cx - xs) * nx + (cy - ys) * ny - r)  # (b)
-    for cx, cy, r, sign, a0, span in arcs:
-        for xt, yt in points:
-            dx, dy = xt - cx, yt - cy
-            if 0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span:
-                gammas.append(sign * r - math.hypot(dx, dy))  # (c)
+            dx, dy = xs - cx, ys - cy
+            if 0.0 < (sign * (atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span:
+                gammas.append(sign * r - hypot(dx, dy))  # (c)
         for cxj, cyj, rj, signj, a0j, spanj in arcs:
             dx, dy = cxj - cx, cyj - cy
             if dx == 0.0 and dy == 0.0:
                 continue
-            if (0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span
-                    and 0.0 < (signj * (math.atan2(dy, dx) - a0j)) % TWO_PI < spanj):
-                gammas.append(sign * r - rj - math.hypot(dx, dy))  # (d)
+            if (0.0 < (sign * (atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span
+                    and 0.0 < (signj * (atan2(dy, dx) - a0j)) % TWO_PI < spanj):
+                gammas.append(sign * r - rj - hypot(dx, dy))  # (d)
     return min(gammas)
 
 
-def _meets_hypothesis(inst: ProblemInstance, z: PiecewiseCurve, ra: float) -> bool:
-    """True where z meets the certificate hypothesis: max curvature at
-    most 1/R_a and length at least R_a * Omega, each up to rounding."""
-    return (max_curvature(z) <= (1.0 / ra) * (1.0 + ROUND_REL)
+def _meets_hypothesis(inst: ProblemInstance, z: PiecewiseCurve, ra: float, e: float) -> bool:
+    """True where z, of max curvature e, meets the certificate hypothesis:
+    e at most 1/R_a and length at least R_a * Omega, each up to rounding."""
+    return (e <= (1.0 / ra) * (1.0 + ROUND_REL)
             and z.length >= ra * inst.omega * (1.0 - ROUND_REL))
 
 
@@ -116,7 +117,7 @@ def _check_hypothesis(inst: ProblemInstance, z: PiecewiseCurve, ra: float) -> fl
     """z's max curvature e, where z meets the certificate hypothesis;
     HypothesisViolated where it does not."""
     e = max_curvature(z)
-    if not _meets_hypothesis(inst, z, ra):
+    if not _meets_hypothesis(inst, z, ra, e):
         raise HypothesisViolated(
             f"competitor max curvature {e!r} or length {z.length!r} fails the "
             f"hypothesis: at most 1/R_a = {1.0 / ra!r}, at least the optimal arc "
@@ -149,8 +150,11 @@ def _frame_gaps(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCurve,
         exx, exy, eyx, eyy = -b.x, -b.y, -b.y, b.x
         points = z.sample_at([z.length - s for s in svals])
     else:
-        origin, ex = inst.A, normalized(inst.alpha)
-        exx, exy, eyx, eyy = ex.x, ex.y, -ex.y, ex.x
+        # normalized(alpha), in floats
+        origin, a = inst.A, inst.alpha
+        norm = math.hypot(a.x, a.y)
+        exx, exy = a.x / norm, a.y / norm
+        eyx, eyy = -exy, exx
         points = z.sample_at(svals)
     ox, oy = origin.x, origin.y
     rows = []
@@ -201,7 +205,7 @@ def theta_phi_bound(inst: ProblemInstance, sol: OptimalSolution, z: PiecewiseCur
         points += [(length - b, b) for b in inner if length - b < end]
     else:
         points = [(0.0, 0.0), (end, end)] + [(b, b) for b in inner if b < end]
-    theta0 = oriented_angle(inst.alpha, z.start_tangent)
+    theta0 = unit_turn(inst.alpha, z.primitives[0].start_tangent)
     slope = e - 1.0 / ra
     excess = []
     for s, sz in points:
@@ -239,7 +243,8 @@ def _intercepts(curve: PiecewiseCurve, inst: ProblemInstance,
                 s: float) -> tuple[float, tuple[float, float] | None]:
     """The heading phi at arc length s and the intercepts (u, v) there,
     or None in their place where sin(phi) < ROUND_REL."""
-    # heading checks alpha and s first, so normalized(alpha) is (ax, ay)
+    # heading checks s first; alpha is unit, as the instance checked where it
+    # was built, so normalized(alpha) is (ax, ay)
     phi = heading(curve, inst, s)
     sphi = math.sin(phi)
     if sphi < ROUND_REL:
@@ -311,8 +316,7 @@ def make_certificate(inst: ProblemInstance, sol: OptimalSolution,
     sup = support_min(z)
     u0, v0 = _intercepts(z, inst, z.length)[1] or (None, None)
     zeta0 = excess = None
-    if _meets_hypothesis(inst, z, sol.radius):
+    if _meets_hypothesis(inst, z, sol.radius, e):
         zeta0 = zeta_profile(inst, sol, z, n=1)[-1]
         excess = theta_phi_bound(inst, sol, z)
-    return Certificate(zeta0=zeta0, support_min_residual=sup,
-                       theta_phi_max_excess=excess, u0=u0, v0=v0, e=e)
+    return Certificate(zeta0, sup, excess, u0, v0, e)

@@ -25,7 +25,6 @@ from .geometry import (
     Point2,
     Vec2,
     dist,
-    oriented_angle,
     principal_angle,
     unit_turn,
 )
@@ -35,12 +34,12 @@ from .instance import ProblemInstance, point_from_json
 class Segment(Frozen):
     """Line segment from `start` to `end`.
 
-    Its length and unit direction, and the end data every primitive
-    provides, are computed once, at construction.
+    Its length and unit direction are computed once, at construction.
+    The end data every primitive provides are its own fields: its end
+    points are `start` and `end`, and both end tangents are `direction`.
     """
 
-    __slots__ = ("start", "end", "length", "direction",
-                 "start_point", "end_point", "start_tangent", "end_tangent")
+    __slots__ = ("start", "end", "length", "direction")
     _fields = ("start", "end")
     #: a segment does not turn
     sweep_angle = 0.0
@@ -51,16 +50,15 @@ class Segment(Frozen):
         length = math.hypot(dx, dy)
         if length == 0.0:
             raise InvalidInput("segment endpoints coincide")
-        direction = Vec2(dx / length, dy / length)
-        _set = object.__setattr__
-        _set(self, "start", start)
-        _set(self, "end", end)
-        _set(self, "length", length)
-        _set(self, "direction", direction)
-        _set(self, "start_point", start)
-        _set(self, "end_point", end)
-        _set(self, "start_tangent", direction)
-        _set(self, "end_tangent", direction)
+        self._store(start, end, length, Vec2(dx / length, dy / length))
+
+    def _store(self, start: Point2, end: Point2, length: float, direction: Vec2) -> None:
+        """Set the fields, the length and the direction, through the slots'
+        own setters."""
+        _set_seg_start(self, start)
+        _set_seg_end(self, end)
+        _set_seg_length(self, length)
+        _set_seg_direction(self, direction)
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
         """(x, y, tx, ty, kappa) at arc length s from the start."""
@@ -69,6 +67,24 @@ class Segment(Frozen):
 
     def reversed(self) -> "Segment":
         return Segment(self.end, self.start)
+
+    def translated(self, dx: float, dy: float) -> "Segment":
+        """This segment moved by (dx, dy): its ends shifted, its length and
+        direction kept.  Re-derived from the shifted, rounded ends, a short
+        segment's direction could turn by more than ANG_TOL."""
+        a, b = self.start, self.end
+        seg = object.__new__(Segment)
+        seg._store(Vec2(a.x + dx, a.y + dy), Vec2(b.x + dx, b.y + dy), self.length,
+                   self.direction)
+        return seg
+
+
+# the slots' setters skip the attribute lookup of object.__setattr__
+_set_seg_start, _set_seg_end, _set_seg_length, _set_seg_direction = (
+    Segment.__dict__[name].__set__ for name in Segment.__slots__)
+# the end data read the same slots: no copies to store
+Segment.start_point, Segment.end_point = Segment.__dict__["start"], Segment.__dict__["end"]
+Segment.start_tangent = Segment.end_tangent = Segment.__dict__["direction"]
 
 
 #: bound on |start angle| of an arc: from 2**23 on, one unit in the last
@@ -113,7 +129,7 @@ class Arc(Frozen):
 
     def __init__(self, center: Point2, radius: float, start_angle: float,
                  sweep: float) -> None:
-        if not (radius > 0.0 and math.isfinite(radius)):
+        if not 0.0 < radius < math.inf:
             raise InvalidInput(f"arc radius must be positive, got {radius!r}")
         if not (0.0 < abs(sweep) < TWO_PI):
             raise InvalidInput(f"arc |sweep| must lie in (0, 2*pi), got {sweep!r}")
@@ -122,41 +138,48 @@ class Arc(Frozen):
                 f"arc start angle must be finite with |a| < 2**23, got {start_angle!r}")
         length = _arc_length(radius, sweep)
         sign = 1.0 if sweep > 0 else -1.0
-        # evaluate_row's tangents at s = 0 and s = L, s / length included,
-        # so that the stored ends are its values bit for bit
-        psi0 = start_angle + sweep * (0.0 / length)
-        psi1 = start_angle + sweep * (length / length)
+        # evaluate_row's point and tangent at s = 0 and s = L, s / length
+        # included, so that the stored ends are its values bit for bit
+        psi = start_angle + sweep * (0.0 / length)
+        cos0, sin0 = math.cos(psi), math.sin(psi)
+        psi = start_angle + sweep * (length / length)
+        cos1, sin1 = math.cos(psi), math.sin(psi)
+        cx, cy = center.x, center.y
         self._store(center, radius, start_angle, sweep, length,
-                    Vec2(-sign * math.sin(psi0), sign * math.cos(psi0)),
-                    Vec2(-sign * math.sin(psi1), sign * math.cos(psi1)))
+                    Vec2(cx + radius * cos0, cy + radius * sin0),
+                    Vec2(-sign * sin0, sign * cos0),
+                    Vec2(cx + radius * cos1, cy + radius * sin1),
+                    Vec2(-sign * sin1, sign * cos1))
 
     def _store(self, center: Point2, radius: float, start_angle: float, sweep: float,
-               length: float, start_tangent: Vec2, end_tangent: Vec2) -> None:
-        """Set the fields, the length and the end data.  A tangent is
-        (-sign sin psi, sign cos psi), so each end point, center + radius *
-        (cos psi, sin psi), reads cos psi = sign * t.y and sin psi = -sign * t.x."""
-        _set = object.__setattr__
-        _set(self, "center", center)
-        _set(self, "radius", radius)
-        _set(self, "start_angle", start_angle)
-        _set(self, "sweep", sweep)
-        _set(self, "length", length)
-        sign = 1.0 if sweep > 0 else -1.0
-        cx, cy = center.x, center.y
-        t = start_tangent
-        _set(self, "start_point", Vec2(cx + radius * (sign * t.y), cy + radius * (-sign * t.x)))
-        _set(self, "start_tangent", t)
-        t = end_tangent
-        _set(self, "end_point", Vec2(cx + radius * (sign * t.y), cy + radius * (-sign * t.x)))
-        _set(self, "end_tangent", t)
+               length: float, start_point: Point2, start_tangent: Vec2,
+               end_point: Point2, end_tangent: Vec2) -> None:
+        """Set the fields, the length and the end data, through the slots'
+        own setters."""
+        _set_arc_center(self, center)
+        _set_arc_radius(self, radius)
+        _set_arc_start_angle(self, start_angle)
+        _set_arc_sweep(self, sweep)
+        _set_arc_length(self, length)
+        _set_arc_start_point(self, start_point)
+        _set_arc_end_point(self, end_point)
+        _set_arc_start_tangent(self, start_tangent)
+        _set_arc_end_tangent(self, end_tangent)
 
     def concentric(self, radius: float) -> "Arc":
         """This arc at another radius about its center: the constructor's arc,
         whose end angles, and so tangents, do not depend on a radius that gives
-        a positive, finite length; they are reused from this one."""
+        a positive, finite length; they are reused from this one.  A tangent
+        is (-sign sin psi, sign cos psi), so each end point, center + radius *
+        (cos psi, sin psi), reads cos psi = sign * t.y and sin psi = -sign * t.x."""
+        sweep, t, u = self.sweep, self.start_tangent, self.end_tangent
+        sign = 1.0 if sweep > 0 else -1.0
+        center = self.center
+        cx, cy = center.x, center.y
         arc = object.__new__(Arc)
-        arc._store(self.center, radius, self.start_angle, self.sweep,
-                   _arc_length(radius, self.sweep), self.start_tangent, self.end_tangent)
+        arc._store(center, radius, self.start_angle, sweep, _arc_length(radius, sweep),
+                   Vec2(cx + radius * (sign * t.y), cy + radius * (-sign * t.x)), t,
+                   Vec2(cx + radius * (sign * u.y), cy + radius * (-sign * u.x)), u)
         return arc
 
     def evaluate_row(self, s: float) -> tuple[float, float, float, float, float]:
@@ -167,11 +190,16 @@ class Arc(Frozen):
         return (self.center.x + self.radius * cos, self.center.y + self.radius * sin,
                 -sign * sin, sign * cos, sign / self.radius)
 
-    sweep_angle = property(lambda self: self.sweep)
-
     def reversed(self) -> "Arc":
         return Arc(self.center, self.radius,
                    turned_start_angle(self.start_angle, self.sweep), -self.sweep)
+
+
+(_set_arc_center, _set_arc_radius, _set_arc_start_angle, _set_arc_sweep, _set_arc_length,
+ _set_arc_start_point, _set_arc_end_point, _set_arc_start_tangent, _set_arc_end_tangent) = (
+    Arc.__dict__[name].__set__ for name in Arc.__slots__)
+#: an arc's turn is its sweep, read through the same slot
+Arc.sweep_angle = Arc.__dict__["sweep"]
 
 
 CurvePrimitive = Union[Segment, Arc]
@@ -192,7 +220,7 @@ class PiecewiseCurve:
     __slots__ = ("primitives", "breaks", "length", "_turn_breaks", "_max_curvature")
 
     def __init__(self, primitives, *, require_g1: bool = True):
-        prims = list(primitives)
+        prims = tuple(primitives)
         if not prims:
             raise InvalidInput("curve needs at least one primitive")
         if require_g1:
@@ -223,9 +251,10 @@ class PiecewiseCurve:
             breaks.append(length)
             if isinstance(p, Arc):
                 turn += p.sweep
-                kmax = max(kmax, 1.0 / p.radius)
+                k = 1.0 / p.radius
+                kmax = k if k > kmax else kmax  # max(kmax, k), without the call
             turns.append(turn)
-        self.primitives = tuple(prims)
+        self.primitives = prims
         self.breaks = tuple(breaks)
         self.length = length
         self._turn_breaks = tuple(turns)
@@ -355,9 +384,10 @@ def heading(curve: PiecewiseCurve, inst: ProblemInstance, s: float) -> float:
 
     phi(0) is the principal angle from alpha to the start tangent (zero
     for admissible curves); later values accumulate the signed sweeps
-    and are deliberately not re-wrapped.
+    and are deliberately not re-wrapped.  alpha and the start tangent are
+    unit where they were built, so their angle is taken unchecked.
     """
-    phi0 = oriented_angle(inst.alpha, curve.start_tangent)
+    phi0 = unit_turn(inst.alpha, curve.primitives[0].start_tangent)
     return phi0 + curve.turning(s)
 
 
@@ -400,29 +430,37 @@ def check_membership(curve: PiecewiseCurve, inst: ProblemInstance) -> Membership
     so monotonicity and the range check are exact at the breakpoints.
     """
     pos_tol = inst.pos_tol
-    endpoint_a = dist(curve.start_point, inst.A)
-    endpoint_b = dist(curve.end_point, inst.B)
-    # phi(0) and the A-tangent residual are the same angle up to sign
-    phi0 = oriented_angle(inst.alpha, curve.start_tangent)
+    prims = curve.primitives
+    first, last = prims[0], prims[-1]
+    # dist() of each end from its endpoint, in floats
+    p, q = first.start_point, inst.A
+    endpoint_a = math.hypot(p.x - q.x, p.y - q.y)
+    p, q = last.end_point, inst.B
+    endpoint_b = math.hypot(p.x - q.x, p.y - q.y)
+    # phi(0) and the A-tangent residual are the same angle up to sign; the
+    # instance's tangents and the curve's are unit where they were built
+    phi0 = unit_turn(inst.alpha, first.start_tangent)
     tangent_a = abs(phi0)
-    tangent_b = abs(oriented_angle(curve.end_tangent, inst.beta))
-    curvature_ok = all(p.sweep_angle >= 0.0 for p in curve.primitives)
+    tangent_b = abs(unit_turn(last.end_tangent, inst.beta))
+    curvature_ok = True
+    for p in prims:
+        if not p.sweep_angle >= 0.0:
+            curvature_ok = False
+            break
     phis = [phi0 + t for t in curve._turn_breaks]
-    monotone = all(b - a >= -ANG_TOL for a, b in zip(phis, phis[1:]))
+    monotone = True
+    a = phis[0]
+    for b in phis[1:]:
+        if not b - a >= -ANG_TOL:
+            monotone = False
+            break
+        a = b
     range_ok = min(phis) >= -ANG_TOL and max(phis) <= inst.omega + ANG_TOL
     in_e = (endpoint_a <= pos_tol and endpoint_b <= pos_tol
             and tangent_a <= ANG_TOL and tangent_b <= ANG_TOL
             and curvature_ok and monotone and range_ok)
-    return MembershipReport(
-        endpoint_a_residual=endpoint_a,
-        endpoint_b_residual=endpoint_b,
-        tangent_a_residual=tangent_a,
-        tangent_b_residual=tangent_b,
-        curvature_nonnegative=curvature_ok,
-        phi_monotone=monotone,
-        phi_range_ok=range_ok,
-        in_e=in_e,
-    )
+    return MembershipReport(endpoint_a, endpoint_b, tangent_a, tangent_b,
+                            curvature_ok, monotone, range_ok, in_e)
 
 
 # ---------------------------------------------------------------------------

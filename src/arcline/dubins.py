@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .curves import PathBuilder, PiecewiseCurve
 from .errors import InternalError, InvalidInput, RadiusNotAdmissible
-from .geometry import ANG_TOL, ROUND_REL, Vec2, oriented_angle
+from .geometry import ANG_TOL, ROUND_REL, principal_angle
 from .instance import ProblemInstance
 from .synthesis import arc_radius, frame_mirrored
 
@@ -68,8 +68,11 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
         builder.arc(r, inst.omega)
     else:
         # the connecting segment is the common external tangent: parallel
-        # to the line of centers and as long as their distance
-        sweep1 = oriented_angle(alpha, Vec2((cbx - cax) / gap, (cby - cay) / gap))
+        # to the line of centers and as long as their distance; sweep1 is
+        # unit_turn(alpha, u) for the unit u along it, in floats
+        ux, uy = (cbx - cax) / gap, (cby - cay) / gap
+        sweep1 = principal_angle(math.atan2(alpha.x * uy - alpha.y * ux,
+                                            alpha.x * ux + alpha.y * uy))
         if sweep1 < -ANG_TOL or sweep1 > inst.omega + ANG_TOL:
             raise InternalError(f"tangent construction left [0, omega]: {sweep1!r}")
         sweep1 = min(max(sweep1, 0.0), inst.omega)
@@ -78,7 +81,7 @@ def dubins_curve(inst: ProblemInstance, radius: float) -> DubinsCurve:
         # negligible: a short arc that still turns carries the heading
         builder.arc(r, sweep1 if sweep1 > ANG_TOL or sweep1 * r > tiny else 0.0).line(gap)
         builder.arc(r, sweep2 if sweep2 > ANG_TOL or sweep2 * r > tiny else 0.0)
-    return DubinsCurve(radius=radius, curve=builder.build_to(inst.B, inst.pos_tol))
+    return DubinsCurve(radius, builder.build_to(inst.B, inst.pos_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +164,7 @@ def composite_solve(inst: ProblemInstance, r1: float, r2: float) -> CompositeCur
     else:
         builder.line(d1).arc(r1, s1).line(d2).arc(r2, s2).line(d3)
     curve = builder.build_to(inst.B, tol)
-    return CompositeCurve(r1=r1, r2=r2, d1=d1, d2=d2, d3=d3, curve=curve)
+    return CompositeCurve(r1, r2, d1, d2, d3, curve)
 
 
 def _p2_params(closing: tuple, r: float, tol: float):
@@ -460,10 +463,11 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60) -> SweepReport:
     best = math.inf
     argmin: dict = {}
     if cell is not None:
-        r1, r2 = grid.radius(cell[0]), grid.radius(cell[1])
-        best = 1.0 / min(r1, r2)
-        d1, d2, d3 = _composite_params(grid.closing, r1, r2, tol)
-        argmin = {"family": "p4", "R1": r1, "R2": r2, "d1": d1, "d2": d2, "d3": d3}
+        # the cell is on the diagonal: R1 = R2
+        r = grid.radius(cell[0])
+        best = 1.0 / r
+        d1, d2, d3 = _composite_params(grid.closing, r, r, tol)
+        argmin = {"family": "p4", "R1": r, "R2": r, "d1": d1, "d2": d2, "d3": d3}
     r = None if single is None else grid.radius(single)
     if r is not None and 1.0 / r < best:
         best = 1.0 / r
@@ -471,5 +475,4 @@ def family_sweep(inst: ProblemInstance, grid_n: int = 60) -> SweepReport:
         argmin = {"family": "p2", "R1": r, "R2": r, "d1": d1, "d2": 0.0, "d3": d3}
     if not math.isfinite(best):
         raise InternalError("no admissible curve found on the sweep grid")
-    return SweepReport(min_max_curvature=best, argmin=argmin, margin=best - 1.0 / ra,
-                       grid_size=(grid_n, grid_n), ra=ra, count=grid.count)
+    return SweepReport(best, argmin, best - 1.0 / ra, (grid_n, grid_n), ra, grid.count)

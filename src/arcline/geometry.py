@@ -43,10 +43,11 @@ class Frozen:
     """Base of the immutable value types.
 
     A subclass lists its fields in `__slots__` and sets each once in its
-    `__init__` through `object.__setattr__`; any later assignment raises
-    AttributeError.  Instances compare, hash, print and pickle by the
-    subclass's `_fields`, its constructor's arguments; fields derived from
-    them are left out.
+    `__init__`, through its slot's own setter (the `__set__` of the
+    class's member descriptor) or `object.__setattr__`; any later
+    assignment raises AttributeError.  Instances compare, hash, print and
+    pickle by the subclass's `_fields`, its constructor's arguments;
+    fields derived from them are left out.
     """
 
     __slots__ = ()
@@ -137,13 +138,6 @@ def dist(a: Vec2, b: Vec2) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
 
-def normalized(v: Vec2) -> Vec2:
-    n = v.norm()
-    if n == 0.0:
-        raise InvalidInput("cannot normalize the zero vector")
-    return Vec2(v.x / n, v.y / n)
-
-
 def _require_unit(v: Vec2, name: str = "vector") -> None:
     n = v.norm()
     if abs(n - 1.0) > ANG_TOL:
@@ -162,8 +156,11 @@ def oriented_angle(u: Vec2, v: Vec2) -> float:
 
 def unit_turn(u: Vec2, v: Vec2) -> float:
     """`oriented_angle` without its unit checks, for vectors that are unit
-    by construction: principal_angle(atan2(u x v, u . v))."""
-    return principal_angle(math.atan2(u.x * v.y - u.y * v.x, u.x * v.x + u.y * v.y))
+    by construction: principal_angle(atan2(u x v, u . v)).  atan2 of the
+    finite products of unit vectors is finite and within [-pi, pi], where
+    principal_angle changes only -pi, to pi."""
+    turn = math.atan2(u.x * v.y - u.y * v.x, u.x * v.x + u.y * v.y)
+    return math.pi if turn <= -math.pi else turn
 
 
 def line_intersection(p1: Point2, d1: Vec2, p2: Point2, d2: Vec2) -> Point2:

@@ -21,6 +21,7 @@ from .geometry import (
     Frozen,
     Point2,
     Vec2,
+    _require_unit,
     dist,
     line_intersection,
     oriented_angle,
@@ -33,7 +34,10 @@ class ProblemInstance(Frozen):
     The leg lengths `oa` = |OA| and `ob` = |OB|, the scene `diameter`
     (the largest pairwise distance among O, A, B) and the scene's position
     tolerance `pos_tol` (POS_REL times the diameter) are computed once, at
-    construction.
+    construction.  The constructor checks that alpha and beta are unit
+    vectors within ANG_TOL; `make_instance` builds them unit, by dividing
+    each leg by its length.  Code that reads an instance's tangents may
+    therefore take their angles without checking them again.
     """
 
     __slots__ = ("A", "B", "O", "alpha", "beta", "omega", "symmetric", "reversed",
@@ -42,20 +46,23 @@ class ProblemInstance(Frozen):
 
     def __init__(self, A: Point2, B: Point2, O: Point2, alpha: Vec2, beta: Vec2,
                  omega: float, symmetric: bool, reversed: bool) -> None:
+        _require_unit(alpha, "alpha")
+        _require_unit(beta, "beta")
         self._store((A, B, O, alpha, beta, omega, symmetric, reversed),
                     dist(O, A), dist(O, B), dist(A, B))
 
     def _store(self, fields: tuple, oa: float, ob: float, ab: float) -> None:
         """Set the constructor's fields and the data derived from the leg
-        lengths oa = |OA|, ob = |OB| and ab = |AB|."""
-        _set = object.__setattr__
-        for name, value in zip(self._fields, fields):
-            _set(self, name, value)
+        lengths oa = |OA|, ob = |OB| and ab = |AB|, through the slots' own
+        setters."""
         diameter = max(oa, ob, ab)
-        _set(self, "oa", oa)
-        _set(self, "ob", ob)
-        _set(self, "diameter", diameter)
-        _set(self, "pos_tol", POS_REL * diameter)
+        for set_slot, value in zip(_SLOT_SETTERS, (*fields, oa, ob, diameter,
+                                                   POS_REL * diameter)):
+            set_slot(self, value)
+
+
+_SLOT_SETTERS = tuple(ProblemInstance.__dict__[name].__set__
+                      for name in ProblemInstance.__slots__)
 
 
 def make_instance(O: Point2, A: Point2, B: Point2) -> ProblemInstance:

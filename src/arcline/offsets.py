@@ -15,12 +15,12 @@ from typing import NamedTuple
 
 from .curves import Arc, PiecewiseCurve, Segment, _primitive_extent, turned_start_angle
 from .errors import InvalidInput
-from .geometry import POS_REL, Vec2
+from .geometry import POS_REL
 
 #: largest offset distance over the curve's extent (its largest end point
 #: coordinate or piece length): shifted coordinates round in proportion to
-#: the distance, and past this a rebuilt segment can bend beyond ANG_TOL
-#: (measured in README, Tolerances)
+#: the distance; past this a segment rebuilt from its shifted ends could
+#: bend beyond ANG_TOL (measured in README, Tolerances)
 MAX_OFFSET_REL = 1e3
 
 
@@ -52,11 +52,12 @@ def offset(curve: PiecewiseCurve, distance: float) -> OffsetResult:
     left_degenerate = right_degenerate = False
     for p in curve.primitives:
         if isinstance(p, Segment):
-            # shifted along rot90(direction) * distance, in floats
-            d, a, b = p.direction, p.start, p.end
+            # shifted along rot90(direction) * distance, keeping the base's
+            # direction, which meets the concentric arcs' tangents
+            d = p.direction
             sx, sy = -d.y * distance, d.x * distance
-            left_prims.append(Segment(Vec2(a.x + sx, a.y + sy), Vec2(b.x + sx, b.y + sy)))
-            right_prims.append(Segment(Vec2(a.x - sx, a.y - sy), Vec2(b.x - sx, b.y - sy)))
+            left_prims.append(p.translated(sx, sy))
+            right_prims.append(p.translated(-sx, -sy))
             continue
         ccw = p.sweep > 0
         inner_side, outer_side = (left_prims, right_prims) if ccw else (right_prims, left_prims)

@@ -96,14 +96,8 @@ def synthesize(inst: ProblemInstance) -> OptimalSolution:
     else:
         builder.line(seg).arc(ra, inst.omega)
     curve = builder.build_to(inst.B, pos_tol)
-    return OptimalSolution(
-        curve=curve,
-        radius=ra,
-        arc_center=curve.primitives[0 if arc_first else -1].center,
-        arc_sweep=inst.omega,
-        segment_length=seg_len,
-        arc_first=arc_first,
-    )
+    return OptimalSolution(curve, ra, curve.primitives[0 if arc_first else -1].center,
+                           inst.omega, seg_len, arc_first)
 
 
 def illposed_demo(A: Point2, alpha: Vec2, B: Point2, beta: Vec2,

@@ -17,8 +17,10 @@ each of its angles computed on its own.  The solve path's earlier
 forms are kept too, to be compared with it bit for bit: the two-pass
 `to_svg` (bounds, then path data), the `Vec2` `offset` with every arc
 from the constructor, the `Vec2` `bezier_min_radius` (and the
-parabola's velocity), the `normalized` legs of `make_instance` and the
-G1 check that calls atan2 at every joint.  `sample_arrays` packs
+parabola's velocity), the `normalized` legs of `make_instance`, the
+G1 check that calls atan2 at every joint, the support check with its
+terms in their earlier order and the primitives' end data in `Vec2`
+arithmetic.  `sample_arrays` packs
 `sample_at`'s rows into numpy arrays for the tests that compute on
 them.  None of them is used by the
 library itself, which needs no numpy.
@@ -63,13 +65,21 @@ from arcline.geometry import (
     ROUND_REL,
     TWO_PI,
     dist,
-    normalized,
     principal_angle,
     rot90,
     unit_turn,
 )
 from arcline.dubins import _closing
 from arcline.synthesis import frame_mirrored
+
+
+def normalized(v: Vec2) -> Vec2:
+    """v over its norm, as the library formed unit vectors before it did so
+    in floats."""
+    n = v.norm()
+    if n == 0.0:
+        raise InvalidInput("cannot normalize the zero vector")
+    return Vec2(v.x / n, v.y / n)
 
 
 class FrameView(NamedTuple):
@@ -266,6 +276,64 @@ def _radial_hits(arc: Arc, base: float, angles: list[float]) -> list[tuple[float
             if 0.0 < u < span:
                 hits.append((b, base + arc.radius * u))
     return hits
+
+
+def end_data(p) -> list[tuple[Vec2, Vec2]]:
+    """(point, unit tangent) at the start and the end of a primitive, in
+    `Vec2` arithmetic: a segment's ends and `normalized(end - start)`, an
+    arc's center + radius * e(psi) and sigma * rot90(e(psi)) at the
+    angles psi of arc length 0 and L."""
+    if isinstance(p, Segment):
+        d = normalized(p.end - p.start)
+        return [(p.start, d), (p.end, d)]
+    sign = 1.0 if p.sweep > 0 else -1.0
+    out = []
+    for s in (0.0, p.length):
+        psi = p.start_angle + p.sweep * (s / p.length)
+        e = Vec2(math.cos(psi), math.sin(psi))
+        out.append((p.center + e * p.radius, rot90(e) * sign))
+    return out
+
+
+def support_min_by_ends(curve: PiecewiseCurve) -> float:
+    """`support_min` with its terms in their earlier order: for each
+    primitive end, its corner terms (a) and then its (b) terms, and after
+    them the (c) and (d) terms arc by arc.  The same candidates and the
+    same expressions, so the same minimum bit for bit."""
+    ends = []  # (x, y, N, angle of -N) at both ends of every primitive
+    arcs = []  # (center x, y, radius, sigma, start angle, |sweep|)
+    for p in curve.primitives:
+        if isinstance(p, Arc):
+            sign = 1.0 if p.sweep > 0 else -1.0
+            down0 = p.start_angle if sign > 0 else p.start_angle + math.pi
+            down1 = down0 + p.sweep
+            arcs.append((p.center.x, p.center.y, p.radius, sign, p.start_angle, abs(p.sweep)))
+        else:
+            down0 = down1 = p.direction.angle() - 0.5 * math.pi
+        q, t = p.start_point, p.start_tangent
+        ends.append((q.x, q.y, -t.y, t.x, down0))
+        q, t = p.end_point, p.end_tangent
+        ends.append((q.x, q.y, -t.y, t.x, down1))
+    points = [(x, y) for x, y, _, _, _ in ends]
+    gammas = []
+    for xs, ys, nx, ny, down in ends:
+        gammas += [(xt - xs) * nx + (yt - ys) * ny for xt, yt in points]  # (a)
+        for cx, cy, r, sign, a0, span in arcs:
+            if 0.0 < (sign * (down - a0)) % TWO_PI < span:
+                gammas.append((cx - xs) * nx + (cy - ys) * ny - r)  # (b)
+    for cx, cy, r, sign, a0, span in arcs:
+        for xt, yt in points:
+            dx, dy = xt - cx, yt - cy
+            if 0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span:
+                gammas.append(sign * r - math.hypot(dx, dy))  # (c)
+        for cxj, cyj, rj, signj, a0j, spanj in arcs:
+            dx, dy = cxj - cx, cyj - cy
+            if dx == 0.0 and dy == 0.0:
+                continue
+            if (0.0 < (sign * (math.atan2(sign * dy, sign * dx) - a0)) % TWO_PI < span
+                    and 0.0 < (signj * (math.atan2(dy, dx) - a0j)) % TWO_PI < spanj):
+                gammas.append(sign * r - rj - math.hypot(dx, dy))  # (d)
+    return min(gammas)
 
 
 def support_min_pairs(curve: PiecewiseCurve) -> float:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arcline import InvalidInput, Vec2, oriented_angle, principal_angle, rot90
+from arcline.geometry import unit_turn
 
 angles = st.floats(min_value=-50.0, max_value=50.0,
                    allow_nan=False, allow_infinity=False)
@@ -71,3 +72,20 @@ def test_vec2_rejects_non_finite():
     with pytest.raises(InvalidInput):
         Vec2(0.0, math.inf)
 
+
+
+UNIT_EDGES = [Vec2(1.0, 0.0), Vec2(1.0, -0.0), Vec2(-1.0, 0.0), Vec2(-1.0, -0.0),
+              Vec2(0.0, 1.0), Vec2(-0.0, -1.0)]
+
+
+@given(angles, angles)
+def test_unit_turn_is_the_principal_angle_of_atan2(a, b):
+    # unit_turn skips principal_angle's call: atan2 already lands in
+    # [-pi, pi], where only -pi moves, to pi; bit for bit, zero signs too
+    pairs = [(Vec2(math.cos(a), math.sin(a)), Vec2(math.cos(b), math.sin(b)))]
+    pairs += [(u, v) for u in UNIT_EDGES for v in UNIT_EDGES]
+    for u, v in pairs:
+        turn = principal_angle(math.atan2(u.x * v.y - u.y * v.x, u.x * v.x + u.y * v.y))
+        assert unit_turn(u, v).hex() == turn.hex()
+    # atan2(-0.0, -1.0) is -pi
+    assert unit_turn(Vec2(1.0, -0.0), Vec2(-1.0, -0.0)) == math.pi

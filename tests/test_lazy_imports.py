@@ -3,7 +3,8 @@
 No subcommand loads numpy or `dataclasses`: the library computes in
 `math` floats, and the value types are plain `__slots__` classes and
 named tuples.  With numpy made unimportable, every subcommand and the
-sampling entry points still succeed.
+sampling entry points still succeed.  Importing every module loads
+nothing beyond the package and what its standard-library imports load.
 """
 
 import importlib
@@ -62,6 +63,20 @@ report["rows"] = [[type(v).__name__ for v in row] for row in rows]
 report["zeta"] = [type(v).__name__ for v in zeta_profile(inst, sol, sol.curve, n=4)]
 sys.stderr.write(json.dumps(report) + "\\n")
 """
+
+
+#: imports every module named in argv, then reports the loaded modules
+IMPORTS_CHILD = """
+import sys
+for name in sys.argv[1:]:
+    __import__(name)
+loaded = sorted(sys.modules)
+import json
+sys.stderr.write(json.dumps(loaded) + "\\n")
+"""
+
+#: the standard-library modules the package's own imports name
+STDLIB = ["__future__", "math", "bisect", "functools", "typing", "json", "argparse"]
 
 
 def run_child(code, args):
@@ -123,3 +138,20 @@ def test_package_surface():
     exec("from arcline import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)
 
+
+
+def test_importing_the_package_loads_only_what_it_names():
+    # the benchmark's setup time is a fresh process that compiles every
+    # module from source: importing all of arcline loads nothing beyond its
+    # own modules and what the standard-library imports it names load, so
+    # no dataclasses, inspect, numpy or other dependency creeps in
+    package = os.path.dirname(arcline.__file__)
+    modules = ["arcline"] + sorted(f"arcline.{name[:-3]}" for name in os.listdir(package)
+                                   if name.endswith(".py") and name != "__init__.py")
+    assert "arcline.certificates" in modules
+    baseline = set(run_child(IMPORTS_CHILD, STDLIB))
+    loaded = set(run_child(IMPORTS_CHILD, modules))
+    assert set(modules) <= loaded
+    extra = sorted(name for name in loaded - baseline
+                   if name != "arcline" and not name.startswith("arcline."))
+    assert extra == []

@@ -1,6 +1,8 @@
+import json
 import math
 import random
 import re
+from itertools import accumulate
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from arcline import (
     Arc,
+    InternalError,
     InvalidInput,
     PathBuilder,
     PiecewiseCurve,
     Segment,
     Vec2,
+    make_instance,
     offset,
     synthesize,
     to_svg,
 )
+from arcline.cli import main
 from arcline.curves import MAX_START_ANGLE, _primitive_extent
 from arcline.offsets import MAX_OFFSET_REL
 from conftest import WORKED_RA, float_bits, instance_competitors, instances
@@ -262,13 +267,44 @@ def stored_bits(curve: PiecewiseCurve) -> list:
 
 
 def offset_outcome(fn, curve: PiecewiseCurve, distance: float):
-    """What fn(curve, distance) stores, or the message it raises."""
+    """fn(curve, distance), or the message it raises."""
     try:
-        result = fn(curve, distance)
+        return fn(curve, distance)
     except InvalidInput as exc:
         return str(exc)
-    return (stored_bits(result.left), stored_bits(result.right),
-            result.distance.hex(), result.degenerate)
+
+
+def assert_offset_matches_oracle(curve: PiecewiseCurve, distance: float) -> None:
+    """offset against the `Vec2` form in `oracles`: every arc bit for bit;
+    every shifted segment's ends bit for bit, and its length and direction
+    those of its base segment, which the earlier form re-derived from the
+    shifted ends.  Where that re-derived direction turned a joint past
+    ANG_TOL the earlier form raised, and the kept direction may pass."""
+    got = offset_outcome(offset, curve, distance)
+    old = offset_outcome(offset_vec, curve, distance)
+    if isinstance(old, str) and "tangent gap" in old and not isinstance(got, str):
+        return
+    if isinstance(old, str) or isinstance(got, str):
+        assert got == old
+        return
+    assert (got.distance, got.degenerate) == (old.distance, old.degenerate)
+    bases = [p for p in curve.primitives if isinstance(p, Segment)]
+    for new_side, old_side in ((got.left, old.left), (got.right, old.right)):
+        assert [type(p) for p in new_side.primitives] == [type(q) for q in old_side.primitives]
+        segments = iter(bases)
+        for p, q in zip(new_side.primitives, old_side.primitives):
+            if isinstance(p, Segment):
+                base = next(segments)
+                assert float_bits([p.start.x, p.start.y, p.end.x, p.end.y]) == \
+                    float_bits([q.start.x, q.start.y, q.end.x, q.end.y])
+                assert float_bits([p.length, p.direction.x, p.direction.y]) == \
+                    float_bits([base.length, base.direction.x, base.direction.y])
+            else:
+                assert stored_bits(PiecewiseCurve([p]))[1] == stored_bits(PiecewiseCurve([q]))[1]
+        assert float_bits([list(new_side._turn_breaks), new_side._max_curvature]) == \
+            float_bits([list(old_side._turn_breaks), old_side._max_curvature])
+        assert list(new_side.breaks) == list(accumulate([0.0] + [p.length for p in
+                                                                 new_side.primitives]))
 
 
 #: offset distances, as fractions of a curve's smallest arc radius: inside
@@ -278,17 +314,16 @@ RADIUS_FRACTIONS = (0.25, 0.999, 1.0 - 1.5e-9, 1.0, 1.0 + 1.5e-9, 1.5, 3.0)
 
 
 def assert_offsets_and_svg_match_oracles(curves: list[PiecewiseCurve]) -> None:
-    """offset and to_svg against their Vec2 / two-pass forms: bit for bit
-    and character for character, at every radius fraction (of the length,
-    on a curve without arcs)."""
+    """offset and to_svg against their Vec2 / two-pass forms, by
+    `assert_offset_matches_oracle` and character for character, at every
+    radius fraction (of the length, on a curve without arcs)."""
     assert to_svg(curves) == to_svg_two_pass(curves)
     for curve in curves:
         rmin = min([p.radius for p in curve.primitives if isinstance(p, Arc)] or [curve.length])
         for f in RADIUS_FRACTIONS:
-            got = offset_outcome(offset, curve, f * rmin)
-            assert got == offset_outcome(offset_vec, curve, f * rmin)
-            if not isinstance(got, str):
-                result = offset(curve, f * rmin)
+            assert_offset_matches_oracle(curve, f * rmin)
+            result = offset_outcome(offset, curve, f * rmin)
+            if not isinstance(result, str):
                 sides = [curve, result.left, result.right]
                 assert to_svg(sides) == to_svg_two_pass(sides)
 
@@ -329,3 +364,44 @@ def test_svg_matches_two_pass_on_zero_coordinates(zero):
               PathBuilder(origin, 0.0).line(1.0).arc(1.0, 0.5 * math.pi).line(1.0).build()]
     assert_offsets_and_svg_match_oracles(curves)
     assert "-0 " not in to_svg(curves) and "-0\"" not in to_svg(curves)
+
+
+def nearly_equal_legs(rng: random.Random, eps: float) -> tuple[Vec2, Vec2, Vec2]:
+    """(O, A, B) with OA = 1 and OB = 1 + eps, at a random pose and apex,
+    turning by 0.2 .. 2.9 rad either way."""
+    pose = rng.uniform(-math.pi, math.pi)
+    turn = rng.uniform(0.2, 2.9) * rng.choice([-1.0, 1.0])
+    O = Vec2(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+    alpha = Vec2(math.cos(pose), math.sin(pose))
+    beta = Vec2(math.cos(pose + turn), math.sin(pose + turn))
+    return O, O - alpha, O + beta * (1.0 + eps)
+
+
+@pytest.mark.parametrize("eps", [1e-7, 1e-8])
+def test_offsets_on_nearly_equal_legs(tmp_path, capsys, eps):
+    # the optimum's segment is eps long; an offset segment whose direction
+    # was re-derived from its shifted ends turned its joints by more than
+    # ANG_TOL, and offset and `solve --offset` failed with "tangent gap" on
+    # 15 of the 130 solved draws at 1e-7 and 21 of 36 at 1e-8
+    rng = random.Random(5)
+    solved = 0
+    for _ in range(200):
+        O, A, B = nearly_equal_legs(rng, eps)
+        try:
+            sol = synthesize(make_instance(O, A, B))
+        except InternalError:
+            continue  # the optimum itself fails to close (ROADMAP item 3)
+        solved += 1
+        d = 0.25 * sol.radius
+        result = offset(sol.curve, d)
+        bases = [p for p in sol.curve.primitives if isinstance(p, Segment)]
+        for side in (result.left, result.right):
+            shifted = [p for p in side.primitives if isinstance(p, Segment)]
+            assert [(p.direction, p.length) for p in shifted] == \
+                [(p.direction, p.length) for p in bases]
+        inst = json.dumps({"A": [A.x, A.y], "O": [O.x, O.y], "B": [B.x, B.y]})
+        svg = tmp_path / "near.svg"
+        assert main(["solve", "--input", inst, "--svg", str(svg), "--offset", repr(d)]) == 0
+        assert svg.read_text().count("<path") == 3
+        capsys.readouterr()
+    assert solved >= 30
